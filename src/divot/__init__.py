@@ -30,7 +30,9 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     PairParseError,
+    ParseError,
     ShapeError,
+    SkeletonParseError,
     SkeletonTooLargeError,
 )
 from .multivar import (

@@ -12,7 +12,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .divergence import MeasureValue, MeasureWorkspace, workspace_from_batches
 from .noise import canonical_source
@@ -131,6 +130,10 @@ def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
         losses_yx[i] = score_direction(sample, Y_TO_X, config, rep_seed).loss
     if losses_xy.var(ddof=1) == 0.0 and losses_yx.var(ddof=1) == 0.0:
         return BootstrapResult(b, losses_xy, losses_yx, 1.0, degenerate=True)
+    # imported here, not at module level: scipy.stats outweighs the rest of
+    # divot in import time and memory, and only the bootstrap test uses it
+    from scipy import stats
+
     p = float(stats.ttest_ind(losses_xy, losses_yx, equal_var=False).pvalue)
     return BootstrapResult(b, losses_xy, losses_yx, p)
 

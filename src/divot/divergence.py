@@ -74,7 +74,9 @@ class _Stack:
     y: np.ndarray  # (g, k)
     x: np.ndarray | None  # (g, k) per-row cause values
     anchors: np.ndarray  # (g,)
-    e_sorted: np.ndarray  # (g, k) sorted unscaled draws
+    e: np.ndarray  # (g, k) unscaled draws
+    e_sorted: np.ndarray  # (g, k) the draws sorted per row
+    batches: np.ndarray  # (g,) the workspace's batch index of each row
 
     @property
     def k(self) -> int:
@@ -87,62 +89,111 @@ class _Stack:
 
 @dataclass(frozen=True)
 class MeasureWorkspace:
-    """Everything fixed during optimization: batch slices and source draws."""
+    """Everything fixed during optimization: stacked batch slices and source draws."""
 
     source: str
     anchors: np.ndarray
-    ys: tuple[np.ndarray, ...]
-    xs: tuple[np.ndarray, ...] | None
-    draws: tuple[np.ndarray, ...]
     stacks: tuple[_Stack, ...]
 
     @property
     def n_batches(self) -> int:
-        return len(self.ys)
+        return len(self.anchors)
+
+    @property
+    def ys(self) -> tuple[np.ndarray, ...]:
+        """Effect values per batch, as row views of the stacks."""
+        return self._rows("y")
+
+    @property
+    def xs(self) -> tuple[np.ndarray, ...] | None:
+        """Cause values per batch, as row views of the stacks, if given."""
+        if not self.stacks or self.stacks[0].x is None:
+            return None
+        return self._rows("x")
+
+    @property
+    def draws(self) -> tuple[np.ndarray, ...]:
+        """Unscaled source draws per batch, as row views of the stacks."""
+        return self._rows("e")
+
+    def _rows(self, name: str) -> tuple[np.ndarray, ...]:
+        rows = [None] * self.n_batches
+        for st in self.stacks:
+            for i, row in zip(st.batches, getattr(st, name)):
+                rows[i] = row
+        return tuple(rows)
+
+
+def _batch_rows(values):
+    """One float vector per batch; a 2-d array is kept whole, its rows the vectors."""
+    if isinstance(values, np.ndarray) and values.ndim == 2:
+        return values.astype(float, copy=False)
+    return [np.asarray(v, dtype=float) for v in values]
+
+
+def _stack(rows, sel: np.ndarray) -> np.ndarray:
+    """The vectors `sel` of `rows` as one matrix.
+
+    A matrix holds batches of one size only, so `sel` then selects all of it.
+    """
+    if isinstance(rows, np.ndarray):
+        return rows
+    return np.array([rows[i] for i in sel])
 
 
 def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
                     seed: int = 0, source_draws=None) -> MeasureWorkspace:
-    """Slice batches and draw one fixed source sample per batch member.
+    """Stack batches by size and draw one fixed source sample per batch member.
 
-    The draws come from a single stream seeded once, so repeated evaluations
-    during optimization see the same sample.
+    `ys_per_batch`, `xs_per_batch` and `source_draws` each give one vector
+    per batch: a sequence of 1-d arrays, or a (g, k) matrix when every batch
+    has k members, which becomes the stack itself without a copy. The draws
+    come from a single stream seeded once, so repeated evaluations during
+    optimization see the same sample.
     """
     src = canonical_source(source)
-    ys = tuple(np.asarray(y, dtype=float) for y in ys_per_batch)
-    if any(len(y) < 2 for y in ys):
+    ys = _batch_rows(ys_per_batch)
+    sizes = [len(y) for y in ys]
+    if any(size < 2 for size in sizes):
         raise InsufficientDataError("every batch needs at least 2 members")
     anchors = np.asarray(anchors, dtype=float)
     if len(anchors) != len(ys):
         raise InsufficientDataError("one anchor position per batch required")
     xs = None
     if xs_per_batch is not None:
-        xs = tuple(np.asarray(x, dtype=float) for x in xs_per_batch)
-        if tuple(len(x) for x in xs) != tuple(len(y) for y in ys):
+        xs = _batch_rows(xs_per_batch)
+        if [len(x) for x in xs] != sizes:
             raise InsufficientDataError("xs_per_batch must match ys_per_batch lengths")
     if source_draws is None:
-        source_draws = draw_source_batches(src, [len(y) for y in ys], seed)
-    draws = tuple(np.asarray(e, dtype=float) for e in source_draws)
-    if tuple(len(e) for e in draws) != tuple(len(y) for y in ys):
+        source_draws = draw_source_batches(src, sizes, seed)
+    draws = _batch_rows(source_draws)
+    if [len(e) for e in draws] != sizes:
         raise InsufficientDataError("one source draw per batch member required")
 
     stacks = []
-    for k in sorted({len(y) for y in ys}):
-        sel = [i for i, y in enumerate(ys) if len(y) == k]
+    for k in sorted(set(sizes)):
+        sel = np.flatnonzero(np.array(sizes) == k)
+        e = _stack(draws, sel)
         stacks.append(
             _Stack(
-                y=np.vstack([ys[i] for i in sel]),
-                x=np.vstack([xs[i] for i in sel]) if xs is not None else None,
+                y=_stack(ys, sel),
+                x=_stack(xs, sel) if xs is not None else None,
                 anchors=anchors[sel],
-                e_sorted=np.vstack([np.sort(draws[i]) for i in sel]),
+                e=e,
+                e_sorted=np.sort(e, axis=1),
+                batches=sel,
             )
         )
-    return MeasureWorkspace(src, anchors, ys, xs, draws, tuple(stacks))
+    return MeasureWorkspace(src, anchors, tuple(stacks))
 
 
 def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
                            source_draws=None) -> MeasureWorkspace:
     """Workspace for a SamplePair batched on its x (cause) axis."""
+    if len(set(batches.batch_sizes)) == 1:
+        idx = np.array(batches.batches)  # one gather into the (g, k) stacks
+        return build_workspace(source, batches.positions, pairs.ys[idx], pairs.xs[idx],
+                               seed, source_draws)
     ys = [pairs.ys[idx] for idx in batches.batches]
     xs = [pairs.xs[idx] for idx in batches.batches]
     return build_workspace(source, batches.positions, ys, xs, seed, source_draws)

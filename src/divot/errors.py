@@ -6,13 +6,21 @@ class DivotError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PairParseError(DivotError, ValueError):
-    """A pair file contains a line that cannot be parsed."""
+class ParseError(DivotError, ValueError):
+    """An input file contains a line that cannot be parsed."""
 
     def __init__(self, path: str, line_no: int, message: str):
         self.path = path
         self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
+
+
+class PairParseError(ParseError):
+    """A pair file contains a line that cannot be parsed."""
+
+
+class SkeletonParseError(ParseError):
+    """A skeleton edge-list file contains a line that cannot be parsed."""
 
 
 class InsufficientDataError(DivotError, ValueError):

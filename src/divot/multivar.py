@@ -17,6 +17,7 @@ from .divergence import build_workspace, measure_value
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
+    SkeletonParseError,
     SkeletonTooLargeError,
 )
 from .optimize import FitConfig, fit_theta
@@ -57,12 +58,17 @@ def load_skeleton(path: str, m: int) -> Skeleton:
     """Edge-list file: one 'i j' pair per line, 0-based indices; '#' comments."""
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            u, v = stripped.split()[:2]
-            edges.append((int(u), int(v)))
+            fields = stripped.split()
+            if len(fields) < 2:
+                raise SkeletonParseError(path, line_no, f"expected 2 fields, got {len(fields)}")
+            try:
+                edges.append((int(fields[0]), int(fields[1])))
+            except ValueError as exc:
+                raise SkeletonParseError(path, line_no, f"non-integer field: {exc}") from None
     return Skeleton(m, tuple(edges))
 
 
@@ -131,11 +137,9 @@ def _parent_batches(parent_mat: np.ndarray, max_positions: int, batch_frac: floa
         pick = np.unique(np.round(np.linspace(0, len(anchor_rows) - 1, max_positions)).astype(int))
         anchor_rows = anchor_rows[pick]
     anchors = z[anchor_rows]
-    batches = []
-    for a in anchors:
-        dist = np.sqrt(((z - a) ** 2).sum(axis=1))
-        batches.append(np.array(sorted(np.argsort(dist, kind="stable")[:k])))
-    return anchors, tuple(batches)
+    dist = np.sqrt(((z[None, :, :] - anchors[:, None, :]) ** 2).sum(axis=2))
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return anchors, tuple(np.sort(nearest, axis=1))
 
 
 def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
@@ -160,15 +164,14 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
     keep = [j for j, b in enumerate(batches) if len(b) >= 2]
     if not keep:
         raise InsufficientDataError(f"variable {i}: every parent-space batch has < 2 members")
-    kept = [batches[j] for j in keep]
+    idx = np.array([batches[j] for j in keep])  # every batch has min(k, n) rows
     if len(parents) == 1:
-        anchor_vals = np.array([anchors[j, 0] for j in keep])
-        xs_per_batch = [data[b, parents[0]] for b in kept]
+        anchor_vals = anchors[keep, 0]
+        xs_per_batch = data[idx, parents[0]]
     else:
-        anchor_vals = np.zeros(len(kept))
+        anchor_vals = np.zeros(len(keep))
         xs_per_batch = None
-    ys_per_batch = [x_i[b] for b in kept]
-    ws = build_workspace(source, anchor_vals, ys_per_batch, xs_per_batch, vseed)
+    ws = build_workspace(source, anchor_vals, x_i[idx], xs_per_batch, vseed)
     theta = fit_theta(ws, config=fit)
     return measure_value(ws, theta)
 

@@ -92,10 +92,13 @@ def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
                     path, line_no, f"expected at least {max(2, need)} columns, got {len(fields)}"
                 )
             try:
-                xs.append(float(fields[cx]))
-                ys.append(float(fields[cy]))
+                x, y = float(fields[cx]), float(fields[cy])
             except ValueError as exc:
                 raise PairParseError(path, line_no, f"non-numeric field: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise PairParseError(path, line_no, f"non-finite value: {x} {y}")
+            xs.append(x)
+            ys.append(y)
     if len(xs) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 data rows")
     return SamplePair(np.array(xs), np.array(ys), (f"load:{path}",))
@@ -137,8 +140,16 @@ def subsample(pairs: SamplePair, max_n: int, seed: int) -> SamplePair:
 
 
 def preprocess(pairs: SamplePair, max_n: int = 500, k_std: float = 2.0, seed: int = 0) -> SamplePair:
-    """Normalize, trim outliers, then subsample to at most max_n rows."""
-    return subsample(trim_outliers(normalize(pairs), k_std), max_n, seed)
+    """Normalize, trim outliers, then subsample to at most max_n rows.
+
+    Trimming can leave a column constant (many equal values and one outlier,
+    say); like a constant input column, that raises DegenerateDataError.
+    """
+    out = subsample(trim_outliers(normalize(pairs), k_std), max_n, seed)
+    for name, col in (("x", out.xs), ("y", out.ys)):
+        if col.min() == col.max():
+            raise DegenerateDataError(f"column {name} is constant after outlier trimming")
+    return out
 
 
 def default_batch_frac(n: int) -> float:
@@ -182,14 +193,49 @@ def select_positions(pairs: SamplePair, max_positions: int = 50) -> np.ndarray:
 def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """For each position, the indices of the k nearest rows in |x - position|.
 
-    Distance ties are broken by smaller row index (stable argsort).
+    Distance ties are broken by smaller row index, as a stable argsort of
+    |x - position| would; each batch is returned in ascending row order.
+
+    x is sorted once, and each position's k nearest are picked from the 2k
+    sorted rows around it. |x - p| falls and then rises along sorted x, so
+    that window holds the exact answer unless the row just before it is no
+    farther than the window's k-th distance; such a position (and any
+    non-finite input) is recomputed over all rows.
     """
     x = np.asarray(x, dtype=float)
-    out = []
-    for p in positions:
-        order = np.argsort(np.abs(x - p), kind="stable")
-        out.append(np.array(sorted(order[:k])))
+    positions = np.asarray(positions, dtype=float)
+    n = len(x)
+    if k >= n:
+        return tuple(np.arange(n) for _ in positions)
+    if k < 1 or not (np.isfinite(x).all() and np.isfinite(positions).all()):
+        return tuple(_nearest_rows(x, p, k) for p in positions)
+    by_x = np.argsort(x, kind="stable")
+    x_sorted = x[by_x]
+    width = min(2 * k, n)
+    start = np.clip(np.searchsorted(x_sorted, positions) - k, 0, n - width)
+    rows = np.sort(by_x[start[:, None] + np.arange(width)], axis=1)
+    dist = np.abs(x[rows] - positions[:, None])
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    nearer = dist < kth
+    tied = dist == kth
+    # rows are in ascending order, so the first tied ones have the smallest indices
+    pick = nearer | (tied & (np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)))
+    out = list(rows[pick].reshape(len(positions), k))
+    # A window holds k rows on each side of p's insertion point, or runs to
+    # an end of x, and equal x sort by row index. So no row outside it is
+    # nearer than its k-th distance, and a row after it that ties has a
+    # larger index than the tied rows inside. A row before it that ties has
+    # a smaller one, and may belong in the batch.
+    before = x_sorted[np.maximum(start - 1, 0)]
+    unsure = (start > 0) & (np.abs(before - positions) <= kth[:, 0])
+    for i in np.flatnonzero(unsure):
+        out[i] = _nearest_rows(x, positions[i], k)
     return tuple(out)
+
+
+def _nearest_rows(x: np.ndarray, p: float, k: int) -> np.ndarray:
+    """One position's batch by a full stable argsort of |x - p|."""
+    return np.sort(np.argsort(np.abs(x - p), kind="stable")[:k])
 
 
 def make_batches(pairs: SamplePair, positions: np.ndarray, batch_frac: float) -> BatchSet:

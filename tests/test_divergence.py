@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divot import (
     DebiasFn,
@@ -13,8 +15,9 @@ from divot import (
     model_variance,
     pnl_transform,
     variance_divergence,
+    workspace_from_batches,
 )
-from divot.pairdata import BatchSet
+from divot.pairdata import BatchSet, SamplePair
 
 
 def one_batch(ys, draws, positions=(0.0,)):
@@ -126,6 +129,77 @@ def test_nonnegative_on_random_instances():
 def test_batch_below_min_size_rejected():
     with pytest.raises(InsufficientDataError):
         build_workspace("uniform", [0.0], [np.array([1.0])], seed=0)
+
+
+# --------------------------------------------------------------- workspaces
+
+
+def stacks_oracle(anchors, ys, xs, draws):
+    """The per-size stacking with one copy per batch that build_workspace replaced."""
+    sizes = [len(y) for y in ys]
+    out = []
+    for k in sorted(set(sizes)):
+        sel = [i for i, size in enumerate(sizes) if size == k]
+        out.append((
+            np.vstack([ys[i] for i in sel]),
+            np.vstack([xs[i] for i in sel]) if xs is not None else None,
+            anchors[sel],
+            np.vstack([np.sort(draws[i]) for i in sel]),
+        ))
+    return out
+
+
+def assert_stacks_equal(ws, want):
+    assert len(ws.stacks) == len(want)
+    for st_, (y, x, anchors, e_sorted) in zip(ws.stacks, want):
+        assert np.array_equal(st_.y, y)
+        assert (st_.x is None and x is None) or np.array_equal(st_.x, x)
+        assert np.array_equal(st_.anchors, anchors)
+        assert np.array_equal(st_.e_sorted, e_sorted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.integers(2, 6).flatmap(lambda k: st.lists(st.just(k), min_size=1, max_size=7)),
+        st.lists(st.integers(2, 6), min_size=1, max_size=7),
+    ),
+    st.sampled_from(["uniform", "normal", "beta", "laplace"]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_workspace_stacks_match_per_batch_oracle(sizes, source, seed, with_xs, explicit_draws):
+    rng = np.random.default_rng(seed)
+    anchors = rng.normal(size=len(sizes))
+    ys = [rng.normal(size=k) for k in sizes]
+    xs = [rng.normal(size=k) for k in sizes] if with_xs else None
+    drawn = draw_source_batches(source, sizes, seed)
+    draws = [rng.normal(size=k) for k in sizes] if explicit_draws else drawn
+    ws = build_workspace(source, anchors, ys, xs, seed,
+                         source_draws=draws if explicit_draws else None)
+    assert_stacks_equal(ws, stacks_oracle(anchors, ys, xs, draws))
+    assert [y.tolist() for y in ws.ys] == [y.tolist() for y in ys]
+    assert ws.xs is None if xs is None else [x.tolist() for x in ws.xs] == [x.tolist() for x in xs]
+    assert [e.tolist() for e in ws.draws] == [e.tolist() for e in draws]
+    if len(set(sizes)) == 1:  # the (g, k) matrix form gives the same workspace
+        ws_matrix = build_workspace(source, anchors, np.array(ys),
+                                    None if xs is None else np.array(xs), seed,
+                                    source_draws=np.array(draws) if explicit_draws else None)
+        assert_stacks_equal(ws_matrix, stacks_oracle(anchors, ys, xs, draws))
+
+
+@pytest.mark.parametrize("sizes", [[5, 5, 5], [3, 5, 3, 4]])
+def test_workspace_from_batches_gathers_each_batch(sizes):
+    rng = np.random.default_rng(11)
+    pairs = SamplePair(rng.normal(size=12), rng.normal(size=12))
+    batches = BatchSet(rng.normal(size=len(sizes)),
+                       [np.sort(rng.choice(12, k, replace=False)) for k in sizes])
+    ws = workspace_from_batches(pairs, batches, "uniform", seed=4)
+    ys = [pairs.ys[b] for b in batches.batches]
+    xs = [pairs.xs[b] for b in batches.batches]
+    draws = draw_source_batches("uniform", sizes, 4)
+    assert_stacks_equal(ws, stacks_oracle(batches.positions, ys, xs, draws))
 
 
 # ------------------------------------------------------------------- debias

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from divot import (
     DagOrientation,
     SamplePair,
     ScoreConfig,
     Skeleton,
+    SkeletonParseError,
     SkeletonTooLargeError,
     load_skeleton,
     multivariate_measure,
@@ -13,7 +16,7 @@ from divot import (
     score_direction,
     variable_term,
 )
-from divot.multivar import variable_seed
+from divot.multivar import _parent_batches, _standardize, variable_seed
 
 
 def zscore(col):
@@ -47,6 +50,20 @@ def test_load_skeleton(tmp_path):
     p.write_text("# chain\n0 1\n1 2\n")
     skel = load_skeleton(str(p), m=3)
     assert skel.edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("0 1\n2\n", 2),
+    ("# header\n0 1\n1 two\n", 3),
+    ("0 1.5\n", 1),
+])
+def test_load_skeleton_malformed_line_reports_location(tmp_path, text, line_no):
+    p = tmp_path / "skel.txt"
+    p.write_text(text)
+    with pytest.raises(SkeletonParseError) as err:
+        load_skeleton(str(p), m=3)
+    assert err.value.line_no == line_no
+    assert f"{p}:{line_no}:" in str(err.value)
 
 
 def test_orientation_rejects_cycles():
@@ -179,3 +196,36 @@ def test_sources_can_vary_per_variable():
     a = multivariate_measure(data, dag, sources="uniform", seed=1)
     b = multivariate_measure(data, dag, sources=["uniform", "normal", "uniform"], seed=1)
     assert a != b
+
+
+# ------------------------------------------------------------ parent batches
+
+
+def parent_batches_oracle(parent_mat, anchors, batch_frac):
+    """The per-anchor distance loop that the multi-parent batching replaced."""
+    n, d = parent_mat.shape
+    z = np.column_stack([_standardize(parent_mat[:, j], "p") for j in range(d)])
+    k = int(np.ceil(batch_frac * n))
+    batches = []
+    for a in anchors:
+        dist = np.sqrt(((z - a) ** 2).sum(axis=1))
+        batches.append(np.array(sorted(np.argsort(dist, kind="stable")[:k])))
+    return batches
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda d: st.lists(
+        st.lists(st.one_of(st.integers(-3, 3).map(float),
+                           st.floats(-5, 5).map(lambda v: round(v, 3))),
+                 min_size=d, max_size=d),
+        min_size=3, max_size=40)),
+    st.integers(1, 12),
+    st.floats(0.01, 1.0),
+)
+def test_multi_parent_batches_match_per_anchor_loop(rows, max_positions, batch_frac):
+    parent_mat = np.array(rows)
+    assume(all(parent_mat[:, j].std(ddof=1) > 0 for j in range(parent_mat.shape[1])))
+    anchors, batches = _parent_batches(parent_mat, max_positions, batch_frac)
+    want = parent_batches_oracle(parent_mat, anchors, batch_frac)
+    assert [b.tolist() for b in batches] == [b.tolist() for b in want]

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divot import (
     BatchSet,
@@ -65,6 +69,18 @@ def test_load_malformed_field_reports_line(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_load_non_finite_value_reports_line(tmp_path, value):
+    p = tmp_path / "pair.txt"
+    p.write_text(f"1 2\n3 4\n5 {value}\n6 7\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PairParseError) as err:
+            load_pairs(str(p))
+    assert err.value.line_no == 3
+    assert str(p) in str(err.value)
+
+
 def test_load_too_few_rows(tmp_path):
     p = tmp_path / "pair.txt"
     p.write_text("1 2\n")
@@ -119,6 +135,16 @@ def test_subsample_preserves_row_order():
 def test_zero_std_column_raises():
     with pytest.raises(DegenerateDataError):
         preprocess(SamplePair([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+
+
+def test_column_constant_after_trimming_raises():
+    # 50 equal values and one outlier: trimming leaves x constant
+    rng = np.random.default_rng(8)
+    xs = np.append(np.zeros(50), 100.0)
+    with pytest.raises(DegenerateDataError, match="column x"):
+        preprocess(SamplePair(xs, rng.normal(size=51)))
+    with pytest.raises(DegenerateDataError, match="column y"):
+        preprocess(SamplePair(rng.normal(size=51), xs))
 
 
 def test_overtight_trim_raises():
@@ -242,3 +268,53 @@ def test_nearest_batches_tie_break_by_index():
     x = np.array([1.0, 3.5, 1.0, 5.0])  # indices 0 and 2 tie at distance 1 from 2.0
     (batch,) = nearest_batches(x, np.array([2.0]), 2)
     assert batch.tolist() == [0, 2]
+
+
+def test_nearest_batches_edge_tie_outside_window():
+    # ten rows tie at distance 1 left of 0; the two with the smallest
+    # indices lie outside the 2k sorted rows nearest to the position
+    x = np.array([-1.0] * 10 + [1.0])
+    (batch,) = nearest_batches(x, np.array([0.0]), 2)
+    assert batch.tolist() == [0, 1]
+
+
+def nearest_batches_oracle(x, positions, k):
+    """The per-position full stable argsort that nearest_batches replaced."""
+    x = np.asarray(x, dtype=float)
+    out = []
+    for p in positions:
+        order = np.argsort(np.abs(x - p), kind="stable")
+        out.append(np.array(sorted(order[:k])))
+    return tuple(out)
+
+
+_values = st.one_of(
+    st.integers(-4, 4).map(float),  # heavy ties and duplicates
+    st.floats(-10, 10).map(lambda v: round(v, 1)),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def batching_cases(draw):
+    base = draw(st.lists(_values, min_size=1, max_size=40))
+    x = np.array(base)
+    if draw(st.booleans()):  # a bootstrap resample of the rows
+        x = x[draw(st.lists(st.integers(0, len(x) - 1), min_size=len(x), max_size=len(x)))]
+    beyond = st.sampled_from([min(base) - 1.0, max(base) + 1.0, -1e7, 1e7])
+    positions = draw(st.lists(st.one_of(st.sampled_from(base), beyond, _values), max_size=12))
+    k = draw(st.integers(1, len(x) + 2))
+    return x, np.array(positions, dtype=float), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(batching_cases())
+@example((np.zeros(9), np.array([0.0, -1.0, 3.0]), 4))  # all-equal x
+@example((np.arange(6.0), np.array([2.5, -9.0, 9.0]), 1))  # k = 1
+@example((np.arange(6.0), np.array([2.0]), 6))  # k = n
+@example((np.array([-1.0] * 10 + [1.0]), np.array([0.0]), 2))
+def test_nearest_batches_matches_argsort_oracle(case):
+    x, positions, k = case
+    got = nearest_batches(x, positions, k)
+    want = nearest_batches_oracle(x, positions, k)
+    assert [b.tolist() for b in got] == [b.tolist() for b in want]
