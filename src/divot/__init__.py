@@ -53,7 +53,7 @@ from .noise import (
     sample_source,
 )
 from .optimize import FitConfig, FitResult, bisect_theta, closed_form_theta, fit_joint, fit_theta
-from .ot1d import Coupling, conditional_w2, couple_sorted, w2_squared_1d
+from .ot1d import w2_squared_1d
 from .pairdata import (
     BatchSet,
     SamplePair,

@@ -8,7 +8,6 @@ loss samples; an insignificant difference means "independent".
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,13 +85,10 @@ def _workspace_for(pairs: SamplePair, config: ScoreConfig, seed: int) -> Measure
     return workspace_from_batches(pairs, batches, config.source, seed)
 
 
-def _fit(ws: MeasureWorkspace, config: ScoreConfig, seed: int) -> FitResult:
+def _fit(ws: MeasureWorkspace, config: ScoreConfig) -> FitResult:
     w0 = 0.0 if config.use_debias else None
     omega0 = (0.1, 0.1, 0.0) if config.mode == "pnl" else None
-    fit_cfg = config.fit
-    if config.mode == "pnl" and fit_cfg.lr_schedule == "constant":
-        fit_cfg = dataclasses.replace(fit_cfg, lr_schedule="cyclic")
-    return fit_joint(ws, 1.0, w0, omega0, config.debias_per_row, fit_cfg, seed)
+    return fit_joint(ws, w0, omega0, config.debias_per_row, config.fit)
 
 
 def score_direction(pairs: SamplePair, direction: str, config: ScoreConfig,
@@ -105,12 +101,12 @@ def score_direction(pairs: SamplePair, direction: str, config: ScoreConfig,
     else:
         raise ValueError(f"direction must be {X_TO_Y!r} or {Y_TO_X!r}, got {direction!r}")
     ws = _workspace_for(oriented, config, seed)
-    fit = _fit(ws, config, seed)
+    fit = _fit(ws, config)
     return DirectionScore(direction, fit.measure, fit.theta, fit.w, fit.omega, config.mode)
 
 
 def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
-                   alpha: float = 0.05, seed: int = 0) -> BootstrapResult:
+                   seed: int = 0) -> BootstrapResult:
     """Welch two-sample t-test on per-replicate direction losses.
 
     Replicate i resamples rows with replacement and scores both directions;
@@ -160,7 +156,7 @@ def divot(pairs: SamplePair, config: ScoreConfig | None = None, seed: int = 0,
             decision = X_TO_Y
         return Verdict(decision, score_xy, score_yx, alpha)
 
-    boot = bootstrap_test(pairs, config, bootstrap_b, alpha, seed)
+    boot = bootstrap_test(pairs, config, bootstrap_b, seed)
     if boot.p_value >= alpha:
         decision = INDEPENDENT
     elif score_yx.loss < score_xy.loss:

@@ -288,9 +288,6 @@ def variance_divergence(batches, ys_per_batch, model: NoiseModel,
     return MeasureValue(raw=raw, normalized=raw / model_variance(model))
 
 
-def normalized_measure(ws: MeasureWorkspace, theta: float,
-                       debias: DebiasFn | None = None,
-                       pnl: PnlTransform | None = None) -> MeasureValue:
-    """MeasureValue at theta using the workspace's source for normalization."""
-    raw = measure_value(ws, theta, debias, pnl)
+def normalized_measure(ws: MeasureWorkspace, theta: float, raw: float) -> MeasureValue:
+    """MeasureValue of a raw measure at theta, normalized by the workspace's source."""
     return MeasureValue(raw=raw, normalized=raw / model_variance(NoiseModel(ws.source, theta)))

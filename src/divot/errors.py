@@ -28,7 +28,7 @@ class InsufficientDataError(DivotError, ValueError):
 
 
 class DegenerateDataError(DivotError, ValueError):
-    """Data with no variation where variation is required (zero std)."""
+    """Data with no variation where variation is required (zero std), or non-finite."""
 
 
 class ShapeError(DivotError, ValueError):

@@ -1,13 +1,17 @@
 """Fitting the noise scale (convex in theta) and, jointly, debias/PNL parameters.
 
 With the sort order frozen, the objective is an exact quadratic in theta, so
-the scale has a closed-form minimizer; a bisection on the analytic gradient
-is kept as an interchangeable cross-check. Debias/PNL parameters are fitted
-by plain gradient descent with the scale refreshed periodically.
+the scale has a closed-form minimizer; `bisect_theta`, a bisection on the
+analytic gradient, is kept as a cross-check. Debias/PNL parameters are fitted
+by gradient descent with one value-and-gradient evaluation per step and the
+scale refitted in closed form every THETA_REFRESH_PERIOD (10) steps. The step
+size is `step_size` when only the debias weight is fitted; when the PNL
+transform is fitted it follows a triangular cycle of CYCLIC_PERIOD (50) steps
+between 0.1 and 1 times `step_size`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +29,16 @@ from .divergence import (
 from .errors import NumericError
 
 DEFAULT_THETA_RANGE = (1e-8, 100.0)
+THETA_REFRESH_PERIOD = 10
+CYCLIC_PERIOD = 50
 
 
 @dataclass(frozen=True)
 class FitConfig:
     theta_range: tuple[float, float] = DEFAULT_THETA_RANGE
     step_size: float = 1.0
-    theta_update_period: int = 10
     max_iters: int = 500
     tolerance: float = 1e-8
-    lr_schedule: str = "constant"  # constant | cyclic
-    cyclic_period: int = 50
-    restarts: int = 0
 
     def __post_init__(self):
         lo, hi = self.theta_range
@@ -44,8 +46,6 @@ class FitConfig:
             raise ValueError(f"theta_range lower bound must be > 0, got {self.theta_range}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.lr_schedule not in ("constant", "cyclic"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,6 @@ class FitResult:
     measure: MeasureValue
     iterations: int
     converged: bool
-    # best objective seen up to each theta-refresh point (non-increasing)
-    refresh_history: tuple[float, ...] = field(default_factory=tuple)
-    per_row_debias: bool = False
-
-    def debias(self) -> DebiasFn | None:
-        return None if self.w is None else DebiasFn(self.w, per_row=self.per_row_debias)
 
 
 def closed_form_theta(ws: MeasureWorkspace,
@@ -118,61 +112,61 @@ def bisect_theta(ws: MeasureWorkspace,
 def fit_theta(ws: MeasureWorkspace,
               debias: DebiasFn | None = None,
               pnl: PnlTransform | None = None,
-              config: FitConfig | None = None,
-              method: str = "closed_form") -> float:
-    """Best noise scale for fixed debias/PNL parameters and fixed draws."""
+              config: FitConfig | None = None) -> float:
+    """Best noise scale, in closed form, for fixed debias/PNL parameters and draws."""
     config = config or FitConfig()
-    if method == "closed_form":
-        theta = closed_form_theta(ws, debias, pnl, config.theta_range)
-    elif method == "bisection":
-        theta = bisect_theta(ws, debias, pnl, config.theta_range)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    # numeric sanity of the objective at the fitted scale
-    measure_value(ws, theta, debias, pnl)
-    return theta
+    return closed_form_theta(ws, debias, pnl, config.theta_range)
 
 
-def _learning_rate(config: FitConfig, t: int) -> float:
-    if config.lr_schedule == "constant":
-        return config.step_size
+def _learning_rate(step_size: float, t: int, cyclic: bool) -> float:
+    if not cyclic:
+        return step_size
     # triangular wave between 0.1*step_size and step_size
-    c = (t % config.cyclic_period) / config.cyclic_period
+    c = (t % CYCLIC_PERIOD) / CYCLIC_PERIOD
     tri = 1.0 - abs(2.0 * c - 1.0)
-    return config.step_size * (0.1 + 0.9 * tri)
+    return step_size * (0.1 + 0.9 * tri)
 
 
-def _fit_joint_once(ws: MeasureWorkspace, theta0: float, w0: float | None,
-                    omega0: tuple[float, float, float] | None,
-                    per_row: bool, config: FitConfig) -> FitResult:
+def fit_joint(ws: MeasureWorkspace,
+              w0: float | None = None,
+              omega0: tuple[float, float, float] | None = None,
+              per_row_debias: bool = False,
+              config: FitConfig | None = None) -> FitResult:
+    """Gradient steps on (w, omega), theta refitted every THETA_REFRESH_PERIOD steps.
+
+    Pass w0 / omega0 as None to exclude those parameters; with both excluded
+    this reduces exactly to fit_theta. Each step evaluates the objective and
+    its gradient once, at the point the previous step reached; the value
+    tracks the best point and tests convergence (a change below
+    `config.tolerance`), the gradient takes the next step. Returns the
+    parameters achieving the best observed objective.
+    """
+    config = config or FitConfig()
     fit_w = w0 is not None
     fit_omega = omega0 is not None
-    theta = float(theta0)
     w = float(w0) if fit_w else None
     omega = tuple(float(v) for v in omega0) if fit_omega else None
 
+    if not fit_w and not fit_omega:
+        theta = fit_theta(ws, config=config)
+        return FitResult(theta, None, None,
+                         normalized_measure(ws, theta, measure_value(ws, theta)), 0, True)
+
     def mk(wv, ov):
-        d = DebiasFn(wv, per_row) if fit_w else None
+        d = DebiasFn(wv, per_row_debias) if fit_w else None
         p = PnlTransform(*ov) if fit_omega else None
         return d, p
 
-    if not fit_w and not fit_omega:
-        theta = fit_theta(ws, None, None, config)
-        mv = normalized_measure(ws, theta)
-        return FitResult(theta, None, None, mv, 0, True, (mv.raw,), per_row)
-
     debias, pnl = mk(w, omega)
     theta = fit_theta(ws, debias, pnl, config)
-    obj = measure_value(ws, theta, debias, pnl)
+    obj, grads = measure_with_grad(ws, theta, debias, pnl)
     best = (obj, theta, w, omega)
-    refresh_hist = [obj]
     prev = obj
     converged = False
     iterations = 0
     for t in range(1, config.max_iters + 1):
         iterations = t
-        lr = _learning_rate(config, t)
-        _, grads = measure_with_grad(ws, theta, debias, pnl)
+        lr = _learning_rate(config.step_size, t, fit_omega)
         if fit_w:
             w = w - lr * grads["w"]
         if fit_omega:
@@ -183,54 +177,17 @@ def _fit_joint_once(ws: MeasureWorkspace, theta0: float, w0: float | None,
             )
         debias, pnl = mk(w, omega)
         try:
-            if t % config.theta_update_period == 0:
+            if t % THETA_REFRESH_PERIOD == 0:
                 theta = fit_theta(ws, debias, pnl, config)
-            obj = measure_value(ws, theta, debias, pnl)
+            obj, grads = measure_with_grad(ws, theta, debias, pnl)
         except NumericError as exc:
             raise NumericError(f"objective diverged at iteration {t}: {exc}") from None
-        if not np.isfinite(obj):
-            raise NumericError(f"objective diverged at iteration {t}")
         if obj < best[0]:
             best = (obj, theta, w, omega)
-        if t % config.theta_update_period == 0:
-            refresh_hist.append(best[0])
         if abs(prev - obj) < config.tolerance:
             converged = True
             break
         prev = obj
 
     obj, theta, w, omega = best
-    debias, pnl = mk(w, omega)
-    raw = measure_value(ws, theta, debias, pnl)
-    mv = normalized_measure(ws, theta, debias, pnl)
-    return FitResult(theta, w, omega, mv, iterations, converged, tuple(refresh_hist), per_row)
-
-
-def fit_joint(ws: MeasureWorkspace,
-              theta0: float = 1.0,
-              w0: float | None = None,
-              omega0: tuple[float, float, float] | None = None,
-              per_row_debias: bool = False,
-              config: FitConfig | None = None,
-              seed: int = 0) -> FitResult:
-    """Alternating fit: gradient steps on (w, omega), theta refreshed periodically.
-
-    Pass w0 / omega0 as None to exclude those parameters; with both excluded
-    this reduces exactly to fit_theta. Returns the parameters achieving the
-    best observed objective. `config.restarts` adds randomized re-initializations
-    seeded from `seed`, keeping the overall best.
-    """
-    config = config or FitConfig()
-    results = [_fit_joint_once(ws, theta0, w0, omega0, per_row_debias, config)]
-    if config.restarts > 0 and (w0 is not None or omega0 is not None):
-        rng = np.random.default_rng(seed)
-        for _ in range(config.restarts):
-            t0 = float(rng.uniform(0.5, 2.0))
-            wr = float(rng.normal(0.0, 0.5)) if w0 is not None else None
-            omr = (
-                tuple(float(v) for v in rng.normal([0.1, 0.1, 0.0], 0.2))
-                if omega0 is not None
-                else None
-            )
-            results.append(_fit_joint_once(ws, t0, wr, omr, per_row_debias, config))
-    return min(results, key=lambda r: r.measure.raw)
+    return FitResult(theta, w, omega, normalized_measure(ws, theta, obj), iterations, converged)

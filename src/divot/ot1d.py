@@ -6,33 +6,9 @@ squared difference of their order statistics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
-from .noise import NoiseModel, draw_source_batches
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Source and target samples matched in sorted order."""
-
-    source: np.ndarray
-    target: np.ndarray
-
-    def velocity(self) -> np.ndarray:
-        """Per-sample displacement target - source of the matched pairs."""
-        return self.target - self.source
-
-
-def couple_sorted(source, target) -> Coupling:
-    """The quantile-map coupling of two equal-size 1D samples."""
-    source = np.sort(np.asarray(source, dtype=float))
-    target = np.sort(np.asarray(target, dtype=float))
-    if len(source) != len(target):
-        raise ShapeError(f"length mismatch: {len(source)} vs {len(target)}")
-    return Coupling(source, target)
 
 
 def w2_squared_1d(a, b) -> float:
@@ -48,19 +24,3 @@ def w2_squared_1d(a, b) -> float:
     d = np.sort(a) - np.sort(b)
     return float(d @ d) / len(a)
 
-
-def conditional_w2(batches, ys_per_batch, model: NoiseModel, seed: int = 0,
-                   source_draws: list[np.ndarray] | None = None) -> float:
-    """Average over batches of the 1D cost between batch y-values and scaled noise.
-
-    Each batch is matched against exactly as many scaled source draws as it
-    has members; `source_draws` lets callers inject the unscaled draws (e.g.
-    to reuse a stream), otherwise they come from `seed`.
-    """
-    ys_per_batch = [np.asarray(y, dtype=float) for y in ys_per_batch]
-    if source_draws is None:
-        source_draws = draw_source_batches(model.source, [len(y) for y in ys_per_batch], seed)
-    costs = [
-        w2_squared_1d(y, model.theta * e) for y, e in zip(ys_per_batch, source_draws)
-    ]
-    return float(np.mean(costs))

@@ -105,9 +105,17 @@ def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
 
 
 def normalize(pairs: SamplePair) -> SamplePair:
-    """Z-score both columns (sample std, n-1 denominator)."""
+    """Z-score both columns (sample std, n-1 denominator).
+
+    A nan or infinite value, or a constant column, raises DegenerateDataError.
+    """
     out = []
     for name, col in (("x", pairs.xs), ("y", pairs.ys)):
+        bad = np.flatnonzero(~np.isfinite(col))
+        if len(bad):
+            raise DegenerateDataError(
+                f"column {name} has non-finite value {col[bad[0]]} at row {bad[0]}"
+            )
         sd = col.std(ddof=1)
         if sd == 0.0 or not np.isfinite(sd):
             raise DegenerateDataError(f"column {name} has zero standard deviation")
@@ -198,7 +206,7 @@ def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> tuple[np.nd
 
     x is sorted once, and each position's k nearest are picked from the 2k
     sorted rows around it. |x - p| falls and then rises along sorted x, so
-    that window holds the exact answer unless the row just before it is no
+    that window holds the exact answer unless a row just outside it is no
     farther than the window's k-th distance; such a position (and any
     non-finite input) is recomputed over all rows.
     """
@@ -222,12 +230,16 @@ def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> tuple[np.nd
     pick = nearer | (tied & (np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)))
     out = list(rows[pick].reshape(len(positions), k))
     # A window holds k rows on each side of p's insertion point, or runs to
-    # an end of x, and equal x sort by row index. So no row outside it is
-    # nearer than its k-th distance, and a row after it that ties has a
-    # larger index than the tied rows inside. A row before it that ties has
-    # a smaller one, and may belong in the batch.
+    # an end of x, so no row outside it is nearer than its k-th distance.
+    # Equal x sort by row index, so a row before the window that ties it has
+    # a smaller index than the tied rows inside and may belong in the batch.
+    # A row after it can too, when distinct x round to the same distance
+    # (x = [3e-89, 0], p = -1: both distances are 1.0).
+    end = start + width
     before = x_sorted[np.maximum(start - 1, 0)]
-    unsure = (start > 0) & (np.abs(before - positions) <= kth[:, 0])
+    after = x_sorted[np.minimum(end, n - 1)]
+    unsure = ((start > 0) & (np.abs(before - positions) <= kth[:, 0])) | (
+        (end < n) & (np.abs(after - positions) <= kth[:, 0]))
     for i in np.flatnonzero(unsure):
         out[i] = _nearest_rows(x, positions[i], k)
     return tuple(out)
@@ -265,9 +277,3 @@ def make_batches(pairs: SamplePair, positions: np.ndarray, batch_frac: float) ->
         )
     return BatchSet(np.array(kept_pos), tuple(kept_batches))
 
-
-def batch_values(pairs: SamplePair, batches: BatchSet) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-batch (y values, x values) slices of the pair data."""
-    ys = [pairs.ys[idx] for idx in batches.batches]
-    xs = [pairs.xs[idx] for idx in batches.batches]
-    return ys, xs

@@ -137,6 +137,19 @@ def test_zero_std_column_raises():
         preprocess(SamplePair([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_reports_column_and_row(bad):
+    # arrays handed to SamplePair directly skip load_pairs' check
+    clean = [1.0, 2.0, 3.0, 4.0, 5.0]
+    dirty = [1.0, bad, 3.0, bad, 5.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError, match="column x .* at row 1$"):
+            preprocess(SamplePair(dirty, clean))
+        with pytest.raises(DegenerateDataError, match="column y .* at row 1$"):
+            preprocess(SamplePair(clean, dirty))
+
+
 def test_column_constant_after_trimming_raises():
     # 50 equal values and one outlier: trimming leaves x constant
     rng = np.random.default_rng(8)
@@ -313,6 +326,7 @@ def batching_cases(draw):
 @example((np.arange(6.0), np.array([2.5, -9.0, 9.0]), 1))  # k = 1
 @example((np.arange(6.0), np.array([2.0]), 6))  # k = n
 @example((np.array([-1.0] * 10 + [1.0]), np.array([0.0]), 2))
+@example((np.array([3e-89, 3e-89, 3e-89, 0.0, 0.0]), np.array([-1.0]), 1))  # rounded tie after
 def test_nearest_batches_matches_argsort_oracle(case):
     x, positions, k = case
     got = nearest_batches(x, positions, k)
