@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -215,6 +216,22 @@ def _summary_path(out: str) -> str:
     return f"{stem}_summary.{ext}" if dot else f"{out}_summary"
 
 
+def _group(records, *fields) -> dict:
+    """Records grouped by their values of `fields`, in order of first appearance.
+
+    Looking up a key with no records gives an empty list.
+    """
+    cells = defaultdict(list)
+    for r in records:
+        cells[tuple(r[f] for f in fields)].append(r)
+    return cells
+
+
+def _majority(votes: list[str]) -> str:
+    """The most frequent vote; a tie goes to the vote that appears first."""
+    return max(dict.fromkeys(votes), key=votes.count)
+
+
 def _synthetic_task(item):
     config, mech, n, rep = item
     spec = GeneratorSpec(mechanism=mech, n=n, seed=1000 * rep + n)
@@ -253,10 +270,11 @@ def bench_synthetic(config: RunConfig):
         for rep in range(config.reps)
     ]
     records = _map_tasks(_synthetic_task, items, config.workers)
+    cells = _group(records, "mechanism", "n")
     summary = []
     for mech in config.mechanisms:
         for n in config.sizes:
-            cell = [r for r in records if r["mechanism"] == mech and r["n"] == n]
+            cell = cells[mech, n]
             summary.append({
                 "suite": "synthetic",
                 "mechanism": mech,
@@ -319,10 +337,11 @@ def bench_tuebingen(config: RunConfig):
         for seed in config.seeds:
             items.append((config, path, name, truth[name], seed))
     records = _map_tasks(_tuebingen_task, items, config.workers)
+    cells = _group(records, "seed")
     summary = []
     per_seed = []
     for seed in config.seeds:
-        rows = [r for r in records if r["seed"] == seed]
+        rows = cells[(seed,)]
         acc = sum(r["correct"] for r in rows) / len(rows)
         per_seed.append(acc)
         summary.append({
@@ -374,19 +393,11 @@ def bench_confounder(config: RunConfig):
                 items += [(config, 3, mech, wx, wy, t) for t in trials]
     records = _map_tasks(_confounder_task, items, config.workers)
     summary = []
-    seen = []
-    for r in records:
-        key = (r["fcm"], r["mechanism"], r["w_x"], r["w_y"])
-        if key in seen:
-            continue
-        seen.append(key)
-        cell = [q for q in records if (q["fcm"], q["mechanism"], q["w_x"], q["w_y"]) == key]
-        votes = [q["decision"] for q in cell]
-        majority = max(set(votes), key=votes.count)
+    for key, cell in _group(records, "fcm", "mechanism", "w_x", "w_y").items():
         summary.append({
             "suite": "confounder", "fcm": key[0], "mechanism": key[1],
             "w_x": key[2], "w_y": key[3], "trials": len(cell),
-            "majority_decision": majority,
+            "majority_decision": _majority([q["decision"] for q in cell]),
             "median_p": float(np.median([q["p_value"] for q in cell])),
             "config_digest": config.digest(),
         })
@@ -423,10 +434,11 @@ def bench_significance(config: RunConfig):
         for t in trials
     ]
     records = _map_tasks(_significance_task, items, config.workers)
+    cells = _group(records, "mechanism", "weight")
     summary = []
     for mech in config.mechanisms:
         for w in config.weights:
-            cell = [r for r in records if r["mechanism"] == mech and r["weight"] == w]
+            cell = cells[mech, w]
             summary.append({
                 "suite": "significance", "mechanism": mech, "weight": w,
                 "trials": len(cell),

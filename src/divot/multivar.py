@@ -40,23 +40,31 @@ class Skeleton:
 
     def __post_init__(self):
         seen = set()
-        norm = []
         for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at variable {u}")
-            if not (0 <= u < self.m and 0 <= v < self.m):
-                raise ValueError(f"edge ({u}, {v}) out of range for m={self.m}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            norm.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+            _add_edge(self.m, u, v, seen)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
+
+
+def _add_edge(m: int, u: int, v: int, seen: set) -> None:
+    """Add undirected edge (u, v) to `seen` as (min, max).
+
+    Raises ValueError for a self-loop, an index outside [0, m) or an edge
+    already in `seen`.
+    """
+    if u == v:
+        raise ValueError(f"self-loop at variable {u}")
+    if not (0 <= u < m and 0 <= v < m):
+        raise ValueError(f"edge ({u}, {v}) out of range for m={m}")
+    key = (min(u, v), max(u, v))
+    if key in seen:
+        raise ValueError(f"duplicate edge {key}")
+    seen.add(key)
 
 
 def load_skeleton(path: str, m: int) -> Skeleton:
     """Edge-list file: one 'i j' pair per line, 0-based indices; '#' comments."""
     edges = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -66,9 +74,14 @@ def load_skeleton(path: str, m: int) -> Skeleton:
             if len(fields) < 2:
                 raise SkeletonParseError(path, line_no, f"expected 2 fields, got {len(fields)}")
             try:
-                edges.append((int(fields[0]), int(fields[1])))
+                u, v = int(fields[0]), int(fields[1])
             except ValueError as exc:
                 raise SkeletonParseError(path, line_no, f"non-integer field: {exc}") from None
+            try:
+                _add_edge(m, u, v, seen)
+            except ValueError as exc:
+                raise SkeletonParseError(path, line_no, str(exc)) from None
+            edges.append((u, v))
     return Skeleton(m, tuple(edges))
 
 
@@ -147,11 +160,24 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
                   batch_frac: float | None = None,
                   max_positions: int = 50,
                   fit: FitConfig | None = None,
-                  seed: int = 0) -> float:
+                  seed: int = 0,
+                  *, memo: dict | None = None) -> float:
     """Raw measure of variable i's conditional given its parents.
 
-    Roots are fitted as pure noise over a single whole-sample batch.
+    Roots are fitted as pure noise over a single whole-sample batch. The term
+    is a pure function of the family (i, parents) once the data and the other
+    arguments are fixed; `memo`, when given, maps families to terms computed
+    with the same data and arguments, and gains this family's term.
     """
+    if memo is None:
+        return _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed)
+    key = (i, tuple(parents))
+    if key not in memo:
+        memo[key] = _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed)
+    return memo[key]
+
+
+def _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed) -> float:
     n = data.shape[0]
     x_i = np.asarray(data[:, i], dtype=float)
     frac = batch_frac if batch_frac is not None else default_batch_frac(n)
@@ -181,10 +207,12 @@ def multivariate_measure(data: np.ndarray, dag: DagOrientation,
                          batch_frac: float | None = None,
                          max_positions: int = 50,
                          fit: FitConfig | None = None,
-                         seed: int = 0) -> float:
+                         seed: int = 0,
+                         *, memo: dict | None = None) -> float:
     """Sum of per-variable conditional measures under the orientation.
 
-    `sources` may be a single source name or one per variable.
+    `sources` may be a single source name or one per variable. `memo` is
+    handed to every `variable_term`.
     """
     data = np.asarray(data, dtype=float)
     m = data.shape[1]
@@ -194,19 +222,37 @@ def multivariate_measure(data: np.ndarray, dag: DagOrientation,
         sources = ["uniform"] * m
     elif isinstance(sources, str):
         sources = [sources] * m
+    elif len(sources) != m:
+        raise ValueError(f"{len(sources)} sources given for {m} variables")
     return sum(
-        variable_term(data, i, dag.parents(i), sources[i], batch_frac, max_positions, fit, seed)
+        variable_term(data, i, dag.parents(i), sources[i], batch_frac, max_positions, fit, seed,
+                      memo=memo)
         for i in range(m)
     )
 
 
 @dataclass(frozen=True)
 class OrientationResult:
+    """The best orientation and every acyclic orientation ranked by score.
+
+    The ranking is held as two byte strings, `flags` (one byte per sorted
+    skeleton edge and orientation; 0 keeps (u, v) as u->v, 1 reverses it)
+    and `scores` (float64), both best first; `ranking` rebuilds the tuples.
+    """
+
     dag: DagOrientation
     score: float
-    # (direction flags over sorted skeleton edges, score) for every acyclic
-    # orientation; flag 0 keeps (u, v) as u->v, 1 reverses it
-    ranking: tuple[tuple[tuple[int, ...], float], ...]
+    flags: bytes
+    scores: bytes
+
+    @property
+    def ranking(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        """(direction flags, score) for every acyclic orientation, best first."""
+        e = len(self.dag.edges)
+        return tuple(
+            (tuple(self.flags[r * e:(r + 1) * e]), score)
+            for r, score in enumerate(np.frombuffer(self.scores).tolist())
+        )
 
 
 def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
@@ -219,6 +265,8 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
     """Score every acyclic orientation of the skeleton and keep the minimum.
 
     Ties break toward the lexicographically smallest direction-flag vector.
+    Each family term is computed once and reused by every orientation that
+    contains the family.
     """
     edges = skeleton.edges
     if len(edges) > max_edges:
@@ -227,6 +275,7 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
             "orient edges pairwise with the bivariate tool instead"
         )
     data = np.asarray(data, dtype=float)
+    memo = {}
     scored = []
     for flags in itertools.product((0, 1), repeat=len(edges)):
         directed = tuple(
@@ -235,11 +284,15 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
         if not _is_acyclic_edges(skeleton.m, directed):
             continue
         dag = DagOrientation(skeleton.m, directed)
-        score = multivariate_measure(data, dag, sources, batch_frac, max_positions, fit, seed)
+        score = multivariate_measure(data, dag, sources, batch_frac, max_positions, fit, seed,
+                                     memo=memo)
         scored.append((flags, score, dag))
     if not scored:
         raise InsufficientDataError("skeleton admits no acyclic orientation")
     scored.sort(key=lambda t: (t[1], t[0]))
-    best = scored[0]
-    ranking = tuple((flags, score) for flags, score, _ in scored)
-    return OrientationResult(dag=best[2], score=best[1], ranking=ranking)
+    _, best_score, best_dag = scored[0]
+    return OrientationResult(
+        dag=best_dag, score=best_score,
+        flags=bytes(f for flags, _, _ in scored for f in flags),
+        scores=np.array([score for _, score, _ in scored]).tobytes(),
+    )

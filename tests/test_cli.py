@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import divot
 from divot import GeneratorSpec, generate
 from divot.cli import main, resolve_config, build_parser
 
@@ -196,3 +199,28 @@ def test_bench_confounder_schema(tmp_path):
     fcm1 = [r for r in records if r["fcm"] == "1"]
     assert all(r["decision"] == "independent" for r in fcm1)
     assert all(float(r["p_value"]) == 1.0 for r in fcm1)
+
+
+TIED_CONFOUNDER_SUMMARY = """
+from divot import cli
+
+def fake_task(item):
+    config, fcm, mech, wx, wy, trial = item
+    return {"fcm": fcm, "mechanism": mech, "w_x": wx, "w_y": wy, "p_value": 0.5,
+            "decision": ("y->x", "independent", "x->y")[trial]}
+
+cli._confounder_task = fake_task
+_, summary = cli.bench_confounder(cli.RunConfig(seeds=(0, 1, 2)))
+print(sorted({row["majority_decision"] for row in summary}))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "3"])
+def test_confounder_majority_tie_goes_to_first_trial(hash_seed):
+    # every cell's three trials disagree; a tie broken by set order gave
+    # "independent" and "x->y" under these two hash seeds (CPython 3.11)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.path.dirname(os.path.dirname(divot.__file__)))
+    out = subprocess.run([sys.executable, "-c", TIED_CONFOUNDER_SUMMARY], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['y->x']"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +18,8 @@ from divot import (
     score_direction,
     variable_term,
 )
-from divot.multivar import _parent_batches, _standardize, variable_seed
+import divot.multivar
+from divot.multivar import _is_acyclic_edges, _parent_batches, _standardize, variable_seed
 
 
 def zscore(col):
@@ -56,6 +59,9 @@ def test_load_skeleton(tmp_path):
     ("0 1\n2\n", 2),
     ("# header\n0 1\n1 two\n", 3),
     ("0 1.5\n", 1),
+    ("1 1\n", 1),
+    ("0 1\n0 9\n", 2),
+    ("0 1\n1 0\n", 2),
 ])
 def test_load_skeleton_malformed_line_reports_location(tmp_path, text, line_no):
     p = tmp_path / "skel.txt"
@@ -196,6 +202,74 @@ def test_sources_can_vary_per_variable():
     a = multivariate_measure(data, dag, sources="uniform", seed=1)
     b = multivariate_measure(data, dag, sources=["uniform", "normal", "uniform"], seed=1)
     assert a != b
+
+
+@pytest.mark.parametrize("sources", [["uniform"] * 2, ["uniform"] * 4])
+def test_sources_of_wrong_length_rejected(sources):
+    dag = DagOrientation(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=f"{len(sources)} sources given for 3 variables"):
+        multivariate_measure(chain_data(6), dag, sources=sources, seed=1)
+
+
+# ------------------------------------------------------------- family memo
+
+
+def orient_oracle(data, skeleton, seed):
+    """Every acyclic orientation scored by multivariate_measure with no memo."""
+    scored = []
+    for flags in itertools.product((0, 1), repeat=len(skeleton.edges)):
+        directed = tuple((v, u) if f else (u, v) for (u, v), f in zip(skeleton.edges, flags))
+        if _is_acyclic_edges(skeleton.m, directed):
+            dag = DagOrientation(skeleton.m, directed)
+            scored.append((flags, multivariate_measure(data, dag, seed=seed), dag))
+    scored.sort(key=lambda t: (t[1], t[0]))
+    return scored
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.sampled_from(list(itertools.combinations(range(m), 2))),
+                 unique=True, max_size=5),
+    )),
+    st.integers(0, 2**31 - 1),
+    st.integers(30, 80),
+)
+def test_memoised_orientation_matches_unmemoised_oracle(graph, seed, n):
+    m, edges = graph
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, m))
+    for u, v in edges:
+        data[:, v] += np.sin(2.0 * data[:, u])
+    skeleton = Skeleton(m, tuple(edges))
+
+    calls, computed = [], []  # (variable, parents) of each call, of each computation
+    public, private = divot.multivar.variable_term, divot.multivar._variable_term
+
+    def counted_public(data, i, parents, *args, **kwargs):
+        calls.append((i, parents))
+        return public(data, i, parents, *args, **kwargs)
+
+    def counted_private(data, i, parents, *args):
+        computed.append((i, parents))
+        return private(data, i, parents, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divot.multivar, "variable_term", counted_public)
+        mp.setattr(divot.multivar, "_variable_term", counted_private)
+        res = orient_skeleton(data, skeleton, seed=seed)
+        memo_calls, memo_computed = len(calls), len(computed)
+        calls.clear()
+        computed.clear()
+        oracle = orient_oracle(data, skeleton, seed)
+
+    assert res.dag == oracle[0][2]
+    assert res.score == oracle[0][1]
+    assert res.ranking == tuple((flags, score) for flags, score, _ in oracle)
+    assert memo_calls == len(calls) == m * len(oracle)
+    assert memo_computed == len(set(calls))  # one computation per distinct family
+    assert len(computed) == len(calls)
 
 
 # ------------------------------------------------------------ parent batches
