@@ -45,7 +45,7 @@ class ScoreConfig:
             raise ValueError(f"batch_frac must be in (0, 1], got {self.batch_frac}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectionScore:
     direction: str
     measure: MeasureValue
@@ -59,7 +59,7 @@ class DirectionScore:
         return self.measure.normalized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BootstrapResult:
     b: int
     losses_xy: np.ndarray
@@ -68,7 +68,7 @@ class BootstrapResult:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     decision: str
     score_xy: DirectionScore

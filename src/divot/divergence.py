@@ -6,7 +6,9 @@ noise draws, centered by the mean difference, and the residual energy is
 divided by (batch size - 1). The measure averages those terms over batches.
 
 Batches of equal size are stacked into matrices so evaluation is vectorized;
-mixed sizes fall back to one stack per distinct size.
+mixed sizes fall back to one stack per distinct size. A workspace sorts its
+draws and its effect values once; every evaluation without a debias or a
+transform reuses the sorted effects.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ class PnlTransform:
         return (self.omega_a, self.omega_b, self.omega_c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasureValue:
     """Raw measure estimate and its noise-variance-normalized companion."""
 
@@ -76,6 +78,7 @@ class _Stack:
     anchors: np.ndarray  # (g,)
     e: np.ndarray  # (g, k) unscaled draws
     e_sorted: np.ndarray  # (g, k) the draws sorted per row
+    y_sorted: np.ndarray  # (g, k) the effect values sorted per row
     batches: np.ndarray  # (g,) the workspace's batch index of each row
 
     @property
@@ -131,6 +134,13 @@ def _batch_rows(values):
     return [np.asarray(v, dtype=float) for v in values]
 
 
+def _sizes(rows) -> np.ndarray:
+    """Members per batch: from the shape of a matrix, else per vector."""
+    if isinstance(rows, np.ndarray):
+        return np.full(rows.shape[0], rows.shape[1])
+    return np.array([len(r) for r in rows], dtype=int)
+
+
 def _stack(rows, sel: np.ndarray) -> np.ndarray:
     """The vectors `sel` of `rows` as one matrix.
 
@@ -149,38 +159,41 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
     per batch: a sequence of 1-d arrays, or a (g, k) matrix when every batch
     has k members, which becomes the stack itself without a copy. The draws
     come from a single stream seeded once, so repeated evaluations during
-    optimization see the same sample.
+    optimization see the same sample. Each stack's draws and effect values
+    are sorted once, here.
     """
     src = canonical_source(source)
     ys = _batch_rows(ys_per_batch)
-    sizes = [len(y) for y in ys]
-    if any(size < 2 for size in sizes):
+    sizes = _sizes(ys)
+    if (sizes < 2).any():
         raise InsufficientDataError("every batch needs at least 2 members")
     anchors = np.asarray(anchors, dtype=float)
-    if len(anchors) != len(ys):
+    if len(anchors) != len(sizes):
         raise InsufficientDataError("one anchor position per batch required")
     xs = None
     if xs_per_batch is not None:
         xs = _batch_rows(xs_per_batch)
-        if [len(x) for x in xs] != sizes:
+        if not np.array_equal(_sizes(xs), sizes):
             raise InsufficientDataError("xs_per_batch must match ys_per_batch lengths")
     if source_draws is None:
         source_draws = draw_source_batches(src, sizes, seed)
     draws = _batch_rows(source_draws)
-    if [len(e) for e in draws] != sizes:
+    if not np.array_equal(_sizes(draws), sizes):
         raise InsufficientDataError("one source draw per batch member required")
 
     stacks = []
-    for k in sorted(set(sizes)):
-        sel = np.flatnonzero(np.array(sizes) == k)
+    for k in sorted(set(sizes.tolist())):
+        sel = np.flatnonzero(sizes == k)
         e = _stack(draws, sel)
+        y = _stack(ys, sel)
         stacks.append(
             _Stack(
-                y=_stack(ys, sel),
+                y=y,
                 x=_stack(xs, sel) if xs is not None else None,
                 anchors=anchors[sel],
                 e=e,
                 e_sorted=np.sort(e, axis=1),
+                y_sorted=np.sort(y, axis=1),
                 batches=sel,
             )
         )
@@ -190,13 +203,16 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
 def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
                            source_draws=None) -> MeasureWorkspace:
     """Workspace for a SamplePair batched on its x (cause) axis."""
-    if len(set(batches.batch_sizes)) == 1:
-        idx = np.array(batches.batches)  # one gather into the (g, k) stacks
-        return build_workspace(source, batches.positions, pairs.ys[idx], pairs.xs[idx],
-                               seed, source_draws)
-    ys = [pairs.ys[idx] for idx in batches.batches]
-    xs = [pairs.xs[idx] for idx in batches.batches]
-    return build_workspace(source, batches.positions, ys, xs, seed, source_draws)
+    idx = batches.batches
+    if not isinstance(idx, np.ndarray):
+        if len(set(batches.batch_sizes)) != 1:
+            ys = [pairs.ys[b] for b in idx]
+            xs = [pairs.xs[b] for b in idx]
+            return build_workspace(source, batches.positions, ys, xs, seed, source_draws)
+        idx = np.array(idx)
+    # one gather into the (g, k) stacks
+    return build_workspace(source, batches.positions, pairs.ys[idx], pairs.xs[idx],
+                           seed, source_draws)
 
 
 def _debiased(st: _Stack, d: np.ndarray, debias: DebiasFn | None) -> np.ndarray:
@@ -209,15 +225,26 @@ def _debiased(st: _Stack, d: np.ndarray, debias: DebiasFn | None) -> np.ndarray:
     return d - debias.w * st.anchors[:, None]
 
 
+def sorted_effects(st: _Stack, debias: DebiasFn | None = None,
+                   pnl: PnlTransform | None = None) -> np.ndarray:
+    """A stack's effect values, transformed and debiased, sorted per row.
+
+    With neither a debias nor a transform these are the effects the
+    workspace sorted once, so fitting and evaluating share that sort.
+    """
+    if debias is None and pnl is None:
+        return st.y_sorted
+    d = pnl_transform(st.y, pnl) if pnl is not None else st.y
+    return np.sort(_debiased(st, d, debias), axis=1)
+
+
 def measure_value(ws: MeasureWorkspace, theta: float,
                   debias: DebiasFn | None = None,
                   pnl: PnlTransform | None = None) -> float:
     """The raw measure at the given parameters."""
     total = 0.0
     for st in ws.stacks:
-        d = pnl_transform(st.y, pnl) if pnl is not None else st.y
-        d = _debiased(st, d, debias)
-        s = np.sort(d, axis=1) - theta * st.e_sorted
+        s = sorted_effects(st, debias, pnl) - theta * st.e_sorted
         r = s - s.mean(axis=1, keepdims=True)
         total += float((r * r).sum()) / (st.k - 1)
     value = total / ws.n_batches

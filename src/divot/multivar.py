@@ -9,6 +9,7 @@ score wins.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,12 @@ from .errors import (
     SkeletonTooLargeError,
 )
 from .optimize import FitConfig, fit_theta
-from .pairdata import default_batch_frac, nearest_batches, select_position_values
+from .pairdata import (
+    default_batch_frac,
+    k_nearest_rows,
+    nearest_batches,
+    select_position_values,
+)
 
 MAX_EDGES = 12
 
@@ -134,11 +140,12 @@ def _parent_batches(parent_mat: np.ndarray, max_positions: int, batch_frac: floa
 
     One parent reduces to the axis batching of the bivariate path (grid
     positions snapped to values); more parents anchor on rows evenly spaced
-    in lexicographic parent order.
+    in lexicographic parent order. The batches are a (positions, min(k, n))
+    row-index matrix.
     """
     n, d = parent_mat.shape
     z = np.column_stack([_standardize(parent_mat[:, j], f"parent column {j}") for j in range(d)])
-    k = int(np.ceil(batch_frac * n))
+    k = math.ceil(batch_frac * n)
     if d == 1:
         positions = select_position_values(z[:, 0], max_positions)
         batches = nearest_batches(z[:, 0], positions, k)
@@ -151,8 +158,8 @@ def _parent_batches(parent_mat: np.ndarray, max_positions: int, batch_frac: floa
         anchor_rows = anchor_rows[pick]
     anchors = z[anchor_rows]
     dist = np.sqrt(((z[None, :, :] - anchors[:, None, :]) ** 2).sum(axis=2))
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    return anchors, tuple(np.sort(nearest, axis=1))
+    rows = np.broadcast_to(np.arange(n), dist.shape)
+    return anchors, k_nearest_rows(rows, dist, min(k, n))[0]
 
 
 def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
@@ -186,16 +193,14 @@ def _variable_term(data, i, parents, source, batch_frac, max_positions, fit, see
         ws = build_workspace(source, np.zeros(1), [x_i], None, vseed)
         theta = fit_theta(ws, config=fit)
         return measure_value(ws, theta)
-    anchors, batches = _parent_batches(data[:, list(parents)], max_positions, frac)
-    keep = [j for j, b in enumerate(batches) if len(b) >= 2]
-    if not keep:
+    if min(math.ceil(frac * n), n) < 2:
         raise InsufficientDataError(f"variable {i}: every parent-space batch has < 2 members")
-    idx = np.array([batches[j] for j in keep])  # every batch has min(k, n) rows
+    anchors, idx = _parent_batches(data[:, list(parents)], max_positions, frac)
     if len(parents) == 1:
-        anchor_vals = anchors[keep, 0]
+        anchor_vals = anchors[:, 0]
         xs_per_batch = data[idx, parents[0]]
     else:
-        anchor_vals = np.zeros(len(keep))
+        anchor_vals = np.zeros(len(idx))
         xs_per_batch = None
     ws = build_workspace(source, anchor_vals, x_i[idx], xs_per_batch, vseed)
     theta = fit_theta(ws, config=fit)

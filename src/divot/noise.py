@@ -41,7 +41,8 @@ def register_source(name: str, sampler, base_variance: float):
 
     `sampler(rng, n)` must return n i.i.d. unscaled draws and
     `base_variance` their variance; the scale parameter then works exactly
-    as for the built-in sources.
+    as for the built-in sources. A workspace takes all its draws from one
+    sampler call, split in batch order.
     """
     key = name.strip().lower()
     if not base_variance > 0:
@@ -84,16 +85,22 @@ def sample_source(model: NoiseModel, n: int, seed: int) -> np.ndarray:
     return _draw(model.source, np.random.default_rng(seed), n)
 
 
-def draw_source_batches(source: str, sizes, seed: int) -> list[np.ndarray]:
+def draw_source_batches(source: str, sizes, seed: int):
     """Per-batch unscaled source draws from a single stream seeded once.
 
-    The stream is consumed in batch order, so the draws are a deterministic
-    function of (source, sizes, seed) and can be reused across optimizer
-    iterations.
+    One sampler call draws sum(sizes) values, split in batch order, so the
+    draws are a deterministic function of (source, sizes, seed) and can be
+    reused across optimizer iterations. The built-in samplers draw values in
+    sequence, so the split equals one call per batch on the same stream.
+    Equal sizes give a (g, k) matrix, mixed sizes a list of vectors.
     """
-    src = canonical_source(source)
-    rng = np.random.default_rng(seed)
-    return [_draw(src, rng, int(k)) for k in sizes]
+    sizes = np.asarray(sizes, dtype=int).reshape(-1)
+    flat = _draw(canonical_source(source), np.random.default_rng(seed), int(sizes.sum()))
+    if not len(sizes):
+        return []
+    if (sizes == sizes[0]).all():
+        return flat.reshape(len(sizes), sizes[0])
+    return np.split(flat, np.cumsum(sizes)[:-1])
 
 
 def model_variance(model: NoiseModel) -> float:

@@ -20,11 +20,10 @@ from .divergence import (
     MeasureValue,
     MeasureWorkspace,
     PnlTransform,
-    _debiased,
     measure_value,
     measure_with_grad,
     normalized_measure,
-    pnl_transform,
+    sorted_effects,
 )
 from .errors import NumericError
 
@@ -71,9 +70,7 @@ def closed_form_theta(ws: MeasureWorkspace,
     num = 0.0
     den = 0.0
     for st in ws.stacks:
-        d = pnl_transform(st.y, pnl) if pnl is not None else st.y
-        d = _debiased(st, d, debias)
-        ds = np.sort(d, axis=1)
+        ds = sorted_effects(st, debias, pnl)
         dt = ds - ds.mean(axis=1, keepdims=True)
         et = st.e_sorted - st.e_sorted.mean(axis=1, keepdims=True)
         num += float((dt * et).sum()) / (st.k - 1)

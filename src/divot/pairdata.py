@@ -5,15 +5,12 @@ numeric columns; lines starting with '#' are ignored.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError, PairParseError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -49,23 +46,32 @@ class SamplePair:
 
 @dataclass(frozen=True)
 class BatchSet:
-    """Positions on the cause axis and the sample indices batched around them."""
+    """Positions on the cause axis and the sample indices batched around them.
+
+    `batches` is a (g, k) row-index matrix when every batch has k members,
+    as `make_batches` returns it, or one index vector per batch.
+    """
 
     positions: np.ndarray
-    batches: tuple[np.ndarray, ...]
+    batches: np.ndarray | tuple[np.ndarray, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        object.__setattr__(
-            self, "batches", tuple(np.asarray(b, dtype=int) for b in self.batches)
-        )
+        if isinstance(self.batches, np.ndarray) and self.batches.ndim == 2:
+            object.__setattr__(self, "batches", self.batches.astype(int, copy=False))
+        else:
+            object.__setattr__(
+                self, "batches", tuple(np.asarray(b, dtype=int) for b in self.batches)
+            )
         if len(self.positions) != len(self.batches):
             raise InsufficientDataError("positions and batches must align")
-        if any(len(b) < 2 for b in self.batches):
+        if min(self.batch_sizes, default=2) < 2:
             raise InsufficientDataError("every batch needs at least 2 members")
 
     @property
     def batch_sizes(self) -> tuple[int, ...]:
+        if isinstance(self.batches, np.ndarray):
+            return (self.batches.shape[1],) * len(self.batches)
         return tuple(len(b) for b in self.batches)
 
     def __len__(self) -> int:
@@ -186,9 +192,8 @@ def select_position_values(x: np.ndarray, max_positions: int = 50) -> np.ndarray
     step = (hi - lo) / max_positions
     grid = lo + step * np.arange(max_positions)
     # snap each grid point to the nearest available value (ties to the lower)
-    right = np.searchsorted(uniq, grid, side="left")
-    right = np.clip(right, 0, len(uniq) - 1)
-    left = np.clip(right - 1, 0, len(uniq) - 1)
+    right = np.minimum(np.searchsorted(uniq, grid, side="left"), len(uniq) - 1)
+    left = np.maximum(right - 1, 0)
     pick_left = np.abs(grid - uniq[left]) <= np.abs(uniq[right] - grid)
     snapped = np.where(pick_left, uniq[left], uniq[right])
     return np.unique(snapped)
@@ -198,11 +203,28 @@ def select_positions(pairs: SamplePair, max_positions: int = 50) -> np.ndarray:
     return select_position_values(pairs.xs, max_positions)
 
 
-def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """For each position, the indices of the k nearest rows in |x - position|.
+def k_nearest_rows(rows: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per line, the k entries of `rows` with the smallest `dist`, ties to the lowest row.
+
+    `rows` (ascending along each line) holds the row index of each distance,
+    so with rows = arange(n) on every line the result equals
+    np.sort(np.argsort(dist, kind="stable")[:, :k], axis=1). Also returns
+    each line's k-th smallest distance. Needs 1 <= k <= dist.shape[1] and no nan.
+    """
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    nearer = dist < kth
+    tied = dist == kth
+    # rows are in ascending order, so the first tied ones have the smallest indices
+    pick = nearer | (tied & (np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)))
+    return rows[pick].reshape(len(dist), k), kth[:, 0]
+
+
+def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
+    """For each position, the indices of the min(k, n) nearest rows in |x - position|.
 
     Distance ties are broken by smaller row index, as a stable argsort of
-    |x - position| would; each batch is returned in ascending row order.
+    |x - position| would. Returns a (positions, min(k, n)) matrix whose rows
+    list each batch in ascending row order; k < 1 gives empty batches.
 
     x is sorted once, and each position's k nearest are picked from the 2k
     sorted rows around it. |x - p| falls and then rises along sorted x, so
@@ -214,21 +236,17 @@ def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> tuple[np.nd
     positions = np.asarray(positions, dtype=float)
     n = len(x)
     if k >= n:
-        return tuple(np.arange(n) for _ in positions)
-    if k < 1 or not (np.isfinite(x).all() and np.isfinite(positions).all()):
-        return tuple(_nearest_rows(x, p, k) for p in positions)
+        return np.tile(np.arange(n), (len(positions), 1))
+    if k < 1:
+        return np.empty((len(positions), 0), dtype=int)
+    if not (np.isfinite(x).all() and np.isfinite(positions).all()):
+        return np.array([_nearest_rows(x, p, k) for p in positions], dtype=int).reshape(-1, k)
     by_x = np.argsort(x, kind="stable")
     x_sorted = x[by_x]
     width = min(2 * k, n)
-    start = np.clip(np.searchsorted(x_sorted, positions) - k, 0, n - width)
+    start = np.minimum(np.maximum(np.searchsorted(x_sorted, positions) - k, 0), n - width)
     rows = np.sort(by_x[start[:, None] + np.arange(width)], axis=1)
-    dist = np.abs(x[rows] - positions[:, None])
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    nearer = dist < kth
-    tied = dist == kth
-    # rows are in ascending order, so the first tied ones have the smallest indices
-    pick = nearer | (tied & (np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)))
-    out = list(rows[pick].reshape(len(positions), k))
+    out, kth = k_nearest_rows(rows, np.abs(x[rows] - positions[:, None]), k)
     # A window holds k rows on each side of p's insertion point, or runs to
     # an end of x, so no row outside it is nearer than its k-th distance.
     # Equal x sort by row index, so a row before the window that ties it has
@@ -238,11 +256,11 @@ def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> tuple[np.nd
     end = start + width
     before = x_sorted[np.maximum(start - 1, 0)]
     after = x_sorted[np.minimum(end, n - 1)]
-    unsure = ((start > 0) & (np.abs(before - positions) <= kth[:, 0])) | (
-        (end < n) & (np.abs(after - positions) <= kth[:, 0]))
+    unsure = ((start > 0) & (np.abs(before - positions) <= kth)) | (
+        (end < n) & (np.abs(after - positions) <= kth))
     for i in np.flatnonzero(unsure):
         out[i] = _nearest_rows(x, positions[i], k)
-    return tuple(out)
+    return out
 
 
 def _nearest_rows(x: np.ndarray, p: float, k: int) -> np.ndarray:
@@ -253,27 +271,16 @@ def _nearest_rows(x: np.ndarray, p: float, k: int) -> np.ndarray:
 def make_batches(pairs: SamplePair, positions: np.ndarray, batch_frac: float) -> BatchSet:
     """Gather the ceil(batch_frac * n) nearest rows around each position.
 
-    Positions whose batch would have fewer than 2 members are dropped; if
-    every position is dropped the data cannot support the measure.
+    Every batch has min(k, n) rows, so either all positions are kept, as a
+    (g, k) batch matrix, or the batches would have fewer than 2 members and
+    the data cannot support the measure.
     """
     if not 0.0 < batch_frac <= 1.0:
         raise ValueError(f"batch_frac must be in (0, 1], got {batch_frac}")
     positions = np.asarray(positions, dtype=float)
     k = math.ceil(batch_frac * pairs.n)
-    kept_pos = []
-    kept_batches = []
-    dropped = 0
-    for p, batch in zip(positions, nearest_batches(pairs.xs, positions, k)):
-        if len(batch) < 2:
-            dropped += 1
-            continue
-        kept_pos.append(p)
-        kept_batches.append(batch)
-    if dropped:
-        log.info("dropped %d position(s) with batch size < 2", dropped)
-    if not kept_batches:
+    if min(k, pairs.n) < 2 or not len(positions):
         raise InsufficientDataError(
             f"all {len(positions)} batches dropped (batch size {k} < 2)"
         )
-    return BatchSet(np.array(kept_pos), tuple(kept_batches))
-
+    return BatchSet(positions, nearest_batches(pairs.xs, positions, k))

@@ -145,17 +145,19 @@ def stacks_oracle(anchors, ys, xs, draws):
             np.vstack([xs[i] for i in sel]) if xs is not None else None,
             anchors[sel],
             np.vstack([np.sort(draws[i]) for i in sel]),
+            np.vstack([np.sort(ys[i]) for i in sel]),
         ))
     return out
 
 
 def assert_stacks_equal(ws, want):
     assert len(ws.stacks) == len(want)
-    for st_, (y, x, anchors, e_sorted) in zip(ws.stacks, want):
+    for st_, (y, x, anchors, e_sorted, y_sorted) in zip(ws.stacks, want):
         assert np.array_equal(st_.y, y)
         assert (st_.x is None and x is None) or np.array_equal(st_.x, x)
         assert np.array_equal(st_.anchors, anchors)
         assert np.array_equal(st_.e_sorted, e_sorted)
+        assert np.array_equal(st_.y_sorted, y_sorted)
 
 
 @settings(max_examples=150, deadline=None)

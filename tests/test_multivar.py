@@ -20,6 +20,7 @@ from divot import (
 )
 import divot.multivar
 from divot.multivar import _is_acyclic_edges, _parent_batches, _standardize, variable_seed
+from divot.pairdata import k_nearest_rows
 
 
 def zscore(col):
@@ -303,3 +304,21 @@ def test_multi_parent_batches_match_per_anchor_loop(rows, max_positions, batch_f
     anchors, batches = _parent_batches(parent_mat, max_positions, batch_frac)
     want = parent_batches_oracle(parent_mat, anchors, batch_frac)
     assert [b.tolist() for b in batches] == [b.tolist() for b in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-2, 2).map(float), min_size=d, max_size=d),  # integer grid: ties
+        min_size=3, max_size=60)),
+    st.integers(1, 20),
+    st.integers(1, 60),
+)
+def test_multi_parent_pick_matches_full_argsort(rows, n_anchors, k):
+    z = np.array(rows)
+    k = min(k, len(z))
+    anchors = z[np.linspace(0, len(z) - 1, min(n_anchors, len(z))).astype(int)]
+    dist = np.sqrt(((z[None, :, :] - anchors[:, None, :]) ** 2).sum(axis=2))
+    got, _ = k_nearest_rows(np.broadcast_to(np.arange(len(z)), dist.shape), dist, k)
+    want = np.sort(np.argsort(dist, kind="stable")[:, :k])
+    assert got.tolist() == want.tolist()

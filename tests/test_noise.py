@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divot import NoiseModel, SOURCES, draw_source_batches, model_variance, sample_source
+from divot import (
+    NoiseModel,
+    SOURCES,
+    build_workspace,
+    draw_source_batches,
+    model_variance,
+    sample_source,
+)
+from divot.noise import _SAMPLERS
 
 
 def test_uniform_support():
@@ -70,6 +80,47 @@ def test_batch_stream_is_deterministic_and_sequential():
     # one stream consumed in order: first batch equals the first 3 draws
     merged = draw_source_batches("uniform", [10], seed=9)[0]
     assert np.array_equal(batches[0], merged[:3])
+
+
+def per_batch_draws_oracle(source, sizes, seed):
+    """One sampler call per batch on one stream, as draw_source_batches once did."""
+    rng = np.random.default_rng(seed)
+    return [np.asarray(_SAMPLERS[source](rng, k), dtype=float) for k in sizes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["normal", "uniform", "beta", "laplace"]),
+    st.one_of(
+        st.integers(1, 30).flatmap(lambda k: st.lists(st.just(k), min_size=1, max_size=12)),
+        st.lists(st.integers(1, 30), min_size=1, max_size=12),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_call_equals_per_batch_calls(source, sizes, seed):
+    got = draw_source_batches(source, sizes, seed)
+    want = per_batch_draws_oracle(source, sizes, seed)
+    assert [e.tolist() for e in got] == [e.tolist() for e in want]
+    if len(set(sizes)) == 1:
+        assert isinstance(got, np.ndarray) and got.shape == (len(sizes), sizes[0])
+
+
+def test_workspace_draws_from_one_registered_sampler_call():
+    from divot.noise import register_source
+
+    calls = []
+
+    def sampler(rng, n):
+        calls.append(n)
+        return rng.random(n)
+
+    register_source("one-call-test", sampler, 1.0 / 12.0)
+    ws = build_workspace("one-call-test", [0.0, 1.0, 2.0],
+                         [np.arange(3.0), np.arange(4.0), np.arange(3.0)], seed=5)
+    assert calls == [10]
+    flat = np.random.default_rng(5).random(10)
+    assert [e.tolist() for e in ws.draws] == [flat[:3].tolist(), flat[3:7].tolist(),
+                                            flat[7:].tolist()]
 
 
 def test_custom_source_registration():

@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from divot import (
@@ -20,7 +21,7 @@ from divot import (
     subsample,
     trim_outliers,
 )
-from divot.pairdata import nearest_batches, select_position_values
+from divot.pairdata import _nearest_rows, k_nearest_rows, nearest_batches, select_position_values
 
 
 # ------------------------------------------------------------------ loading
@@ -251,6 +252,16 @@ def test_batchset_requires_min_size():
         BatchSet(positions=[0.0], batches=[np.array([1])])
 
 
+def test_batchset_matrix_form():
+    batches = BatchSet(positions=[0.0, 1.0], batches=np.array([[0, 1, 2], [1, 2, 3]]))
+    assert isinstance(batches.batches, np.ndarray)
+    assert batches.batch_sizes == (3, 3) and len(batches) == 2
+    with pytest.raises(InsufficientDataError):
+        BatchSet(positions=[0.0, 1.0], batches=np.array([[0], [1]]))
+    with pytest.raises(InsufficientDataError):
+        BatchSet(positions=[0.0], batches=np.array([[0, 1], [1, 2]]))
+
+
 def test_batch_membership_permutation_invariant():
     # needs tie-free |x - position| values, hence random rather than gridded x
     rng = np.random.default_rng(6)
@@ -332,3 +343,43 @@ def test_nearest_batches_matches_argsort_oracle(case):
     got = nearest_batches(x, positions, k)
     want = nearest_batches_oracle(x, positions, k)
     assert [b.tolist() for b in got] == [b.tolist() for b in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(batching_cases(), st.floats(0.01, 1.0))
+def test_make_batches_matrix_matches_per_position_batches(case, batch_frac):
+    x, positions, _ = case
+    assume(len(x) >= 2 and len(positions) >= 1)
+    pairs = SamplePair(x, np.zeros(len(x)))
+    k = math.ceil(batch_frac * pairs.n)
+    if min(k, pairs.n) < 2:
+        with pytest.raises(InsufficientDataError):
+            make_batches(pairs, positions, batch_frac)
+        return
+    batches = make_batches(pairs, positions, batch_frac)
+    assert isinstance(batches.batches, np.ndarray)
+    assert batches.batches.shape == (len(positions), min(k, pairs.n))
+    assert batches.positions.tolist() == positions.tolist()
+    want = [_nearest_rows(x, p, k) for p in positions]
+    assert [b.tolist() for b in batches.batches] == [b.tolist() for b in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda lines: st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.one_of(st.integers(0, 3).map(float),  # heavy ties
+                                        st.floats(0, 10, allow_nan=False)),
+                              min_size=n, max_size=n),
+                     min_size=lines, max_size=lines),
+            st.integers(1, n))),
+    ),
+)
+def test_k_nearest_rows_matches_stable_argsort(case):
+    dist_lists, k = case
+    dist = np.array(dist_lists)
+    rows = np.broadcast_to(np.arange(dist.shape[1]), dist.shape)
+    got, kth = k_nearest_rows(rows, dist, k)
+    want = np.sort(np.argsort(dist, kind="stable", axis=1)[:, :k], axis=1)
+    assert got.tolist() == want.tolist()
+    assert kth.tolist() == np.sort(dist, axis=1)[:, k - 1].tolist()
