@@ -3,12 +3,12 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-anm --pairs 10
 
 Each pair runs `bench/run.py` once in each checkout, with the same seed and
-run length; the order inside a pair alternates, so a slow drift of the host
+the run length that BENCHMARK.json sets; the order inside a pair alternates, so a slow drift of the host
 falls on both sides alike. The end-to-end metrics and their "better"
 directions come from CHANGE_DIR's BENCHMARK.json. For every metric the
 script records the median and quartiles on each side and how many pairs the
 change won, then merges the workload's entry into BENCH_pipeline.json at the
-root of this repository (or `--out`), beside the entries of other workloads.
+root of this repository, beside the entries of other workloads.
 """
 from __future__ import annotations
 
@@ -84,19 +84,18 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_bench(getattr(args, side), args.workload, args.seed,
-                                        args.seconds))
+                                        seconds))
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{side} {runs[side][-1]['metrics']['verdicts_per_s']['value']:.4g}/s"
             for side in ("parent", "change")), file=sys.stderr)
@@ -105,7 +104,7 @@ def main(argv=None) -> int:
     entry = {
         "pairs": args.pairs,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "nproc": env.get("nproc", os.cpu_count()),
         "cpu_model": env.get("cpu_model"),
         "python": env.get("python"),
@@ -119,9 +118,10 @@ def main(argv=None) -> int:
         "digests": {side: sorted({r.get("digest") for r in runs[side]}) for side in runs},
         "metrics": compare(runs["parent"], runs["change"], spec["end_to_end"]),
     }
-    report = json.loads(args.out.read_text()) if args.out.exists() else {}
+    out = ROOT / "BENCH_pipeline.json"
+    report = json.loads(out.read_text()) if out.exists() else {}
     report.setdefault("workloads", {})[args.workload] = entry
-    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps({name: {"parent": m["parent"]["median"], "change": m["change"]["median"],
                              "pairs_won": m["pairs_won"]}
                       for name, m in entry["metrics"].items()}))

@@ -204,15 +204,12 @@ def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
                            source_draws=None) -> MeasureWorkspace:
     """Workspace for a SamplePair batched on its x (cause) axis."""
     idx = batches.batches
-    if not isinstance(idx, np.ndarray):
-        if len(set(batches.batch_sizes)) != 1:
-            ys = [pairs.ys[b] for b in idx]
-            xs = [pairs.xs[b] for b in idx]
-            return build_workspace(source, batches.positions, ys, xs, seed, source_draws)
-        idx = np.array(idx)
-    # one gather into the (g, k) stacks
-    return build_workspace(source, batches.positions, pairs.ys[idx], pairs.xs[idx],
-                           seed, source_draws)
+    if isinstance(idx, np.ndarray):  # one gather into the (g, k) stacks
+        return build_workspace(source, batches.positions, pairs.ys[idx], pairs.xs[idx],
+                               seed, source_draws)
+    ys = [pairs.ys[b] for b in idx]
+    xs = [pairs.xs[b] for b in idx]
+    return build_workspace(source, batches.positions, ys, xs, seed, source_draws)
 
 
 def _debiased(st: _Stack, d: np.ndarray, debias: DebiasFn | None) -> np.ndarray:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InsufficientDataError
+
 # canonical name -> variance of one unscaled source draw
 _BASE_VARIANCE = {
     "normal": 1.0,
@@ -95,7 +97,10 @@ def draw_source_batches(source: str, sizes, seed: int):
     Equal sizes give a (g, k) matrix, mixed sizes a list of vectors.
     """
     sizes = np.asarray(sizes, dtype=int).reshape(-1)
-    flat = _draw(canonical_source(source), np.random.default_rng(seed), int(sizes.sum()))
+    total = int(sizes.sum())
+    flat = _draw(canonical_source(source), np.random.default_rng(seed), total)
+    if flat.shape != (total,):
+        raise InsufficientDataError("one source draw per batch member required")
     if not len(sizes):
         return []
     if (sizes == sizes[0]).all():

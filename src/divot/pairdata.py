@@ -49,7 +49,8 @@ class BatchSet:
     """Positions on the cause axis and the sample indices batched around them.
 
     `batches` is a (g, k) row-index matrix when every batch has k members,
-    as `make_batches` returns it, or one index vector per batch.
+    as `make_batches` returns it, or one index vector per batch when sizes
+    are mixed.
     """
 
     positions: np.ndarray
@@ -57,12 +58,14 @@ class BatchSet:
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        if isinstance(self.batches, np.ndarray) and self.batches.ndim == 2:
-            object.__setattr__(self, "batches", self.batches.astype(int, copy=False))
-        else:
-            object.__setattr__(
-                self, "batches", tuple(np.asarray(b, dtype=int) for b in self.batches)
-            )
+        batches = self.batches
+        if not (isinstance(batches, np.ndarray) and batches.ndim == 2):
+            batches = tuple(np.asarray(b, dtype=int) for b in batches)
+            if len({len(b) for b in batches}) == 1:
+                batches = np.stack(batches)
+        elif batches.dtype != int:
+            batches = batches.astype(int)
+        object.__setattr__(self, "batches", batches)
         if len(self.positions) != len(self.batches):
             raise InsufficientDataError("positions and batches must align")
         if min(self.batch_sizes, default=2) < 2:
@@ -192,8 +195,9 @@ def select_position_values(x: np.ndarray, max_positions: int = 50) -> np.ndarray
     step = (hi - lo) / max_positions
     grid = lo + step * np.arange(max_positions)
     # snap each grid point to the nearest available value (ties to the lower)
-    right = np.minimum(np.searchsorted(uniq, grid, side="left"), len(uniq) - 1)
-    left = np.maximum(right - 1, 0)
+    right = np.searchsorted(uniq, grid, side="left")
+    right = np.clip(right, 0, len(uniq) - 1)
+    left = np.clip(right - 1, 0, len(uniq) - 1)
     pick_left = np.abs(grid - uniq[left]) <= np.abs(uniq[right] - grid)
     snapped = np.where(pick_left, uniq[left], uniq[right])
     return np.unique(snapped)
@@ -244,7 +248,7 @@ def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
     by_x = np.argsort(x, kind="stable")
     x_sorted = x[by_x]
     width = min(2 * k, n)
-    start = np.minimum(np.maximum(np.searchsorted(x_sorted, positions) - k, 0), n - width)
+    start = np.clip(np.searchsorted(x_sorted, positions) - k, 0, n - width)
     rows = np.sort(by_x[start[:, None] + np.arange(width)], axis=1)
     out, kth = k_nearest_rows(rows, np.abs(x[rows] - positions[:, None]), k)
     # A window holds k rows on each side of p's insertion point, or runs to

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divot import (
+    InsufficientDataError,
     NoiseModel,
     SOURCES,
     build_workspace,
@@ -121,6 +122,13 @@ def test_workspace_draws_from_one_registered_sampler_call():
     flat = np.random.default_rng(5).random(10)
     assert [e.tolist() for e in ws.draws] == [flat[:3].tolist(), flat[3:7].tolist(),
                                             flat[7:].tolist()]
+
+    # a sampler that returns the wrong number of draws is refused, for equal
+    # and for mixed batch sizes
+    register_source("short-draw-test", lambda rng, n: rng.random(n - 1), 1.0 / 12.0)
+    for ys in ([np.arange(3.0)] * 2, [np.arange(3.0), np.arange(4.0)]):
+        with pytest.raises(InsufficientDataError, match="one source draw per batch member"):
+            build_workspace("short-draw-test", [0.0, 1.0], ys, seed=5)
 
 
 def test_custom_source_registration():

@@ -256,6 +256,12 @@ def test_batchset_matrix_form():
     batches = BatchSet(positions=[0.0, 1.0], batches=np.array([[0, 1, 2], [1, 2, 3]]))
     assert isinstance(batches.batches, np.ndarray)
     assert batches.batch_sizes == (3, 3) and len(batches) == 2
+    # equal-size sequences become the same matrix; mixed sizes stay per batch
+    same = BatchSet(positions=[0.0, 1.0], batches=[[0, 1, 2], np.array([1, 2, 3])])
+    assert same.batches.shape == (2, 3)
+    assert np.array_equal(same.batches, batches.batches)
+    mixed = BatchSet(positions=[0.0, 1.0], batches=[[0, 1, 2], [1, 2]])
+    assert isinstance(mixed.batches, tuple) and mixed.batch_sizes == (3, 2)
     with pytest.raises(InsufficientDataError):
         BatchSet(positions=[0.0, 1.0], batches=np.array([[0], [1]]))
     with pytest.raises(InsufficientDataError):
