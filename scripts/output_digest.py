@@ -1,0 +1,159 @@
+"""Print one sha256 per divot output over a fixed set of inputs.
+
+    python3 scripts/output_digest.py [--src DIR]
+
+The outputs are `divot infer` JSON records (six configurations on one pair
+file with tied values and one without), the record and summary CSVs of small
+synthetic and confounder `bench` runs (with the timing columns removed),
+`divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree
+and a 4-cycle. `--src` imports divot from another checkout's `src`
+directory, so running the script once per checkout and diffing the two
+listings shows whether a change kept every output byte-identical.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+INFER_CONFIGS = {
+    "anm-b20": ["--bootstrap", "20"],
+    "anm-debias": ["--debias"],
+    "anm-debias-per-row": ["--debias", "--debias-per-row"],
+    "pnl": ["--mode", "pnl"],
+    "normal": ["--noise", "normal"],
+    "beta-frac0.3": ["--noise", "beta", "--batch-frac", "0.3"],
+}
+TIMING_COLUMNS = {"elapsed_s", "mean_elapsed_s"}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def quiet(fn, *args):
+    """Call fn with stdout and stderr captured and dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return fn(*args)
+
+
+def write_pairs(path: Path, xs, ys, fmt: str) -> Path:
+    with open(path, "w", encoding="utf-8") as fh:
+        for x, y in zip(xs, ys):
+            fh.write(f"{x:{fmt}} {y:{fmt}}\n")
+    return path
+
+
+def csv_without_timing(path: Path) -> bytes:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
+
+
+def infer_digests(divot):
+    """Run in the scratch directory: a record holds its pair file's path as given."""
+    from divot.cli import main
+
+    pairs = divot.generate(divot.GeneratorSpec(mechanism="sine", n=300, seed=5))
+    files = {
+        "distinct": write_pairs(Path("distinct.txt"), pairs.xs, pairs.ys, ".10f"),
+        # one decimal: many rows share x and y values, so batches and sorts tie
+        "ties": write_pairs(Path("ties.txt"), pairs.xs, pairs.ys, ".1f"),
+    }
+    for file_name, path in files.items():
+        for config_name, flags in INFER_CONFIGS.items():
+            out = Path(f"{file_name}-{config_name}.json")
+            code = quiet(main, ["infer", str(path), "--seed", "3", "--out", str(out)] + flags)
+            yield f"infer/{file_name}/{config_name}", (
+                sha(out.read_bytes()) if code == 0 else f"exit {code}")
+
+
+def bench_digests():
+    from divot.cli import main
+
+    runs = {
+        "synthetic": ["--suite", "synthetic", "--sizes", "100,200",
+                      "--mechanisms", "linear,sine", "--reps", "3"],
+        "confounder": ["--suite", "confounder", "--seeds", "0", "--bootstrap", "4"],
+    }
+    for name, flags in runs.items():
+        out = Path(f"{name}.csv")
+        code = quiet(main, ["bench", "--out", str(out)] + flags)
+        if code != 0:
+            yield f"bench/{name}", f"exit {code}"
+            continue
+        yield f"bench/{name}", sha(csv_without_timing(out))
+        yield f"bench/{name}_summary", sha(csv_without_timing(Path(f"{name}_summary.csv")))
+
+
+def verdict_digests(divot):
+    configs = {
+        "anm": divot.ScoreConfig(),
+        "debias-per-row": divot.ScoreConfig(use_debias=True, debias_per_row=True),
+        "pnl": divot.ScoreConfig(mode="pnl", fit=divot.FitConfig(max_iters=60)),
+        "laplace": divot.ScoreConfig(source="laplace", batch_frac=0.2),
+    }
+    for mech in divot.MECHANISMS:
+        for n in (100, 250):
+            pre = divot.preprocess(divot.generate(divot.GeneratorSpec(mechanism=mech, n=n,
+                                                                      seed=n + 7)), seed=1)
+            for name, config in configs.items():
+                verdict = divot.divot(pre, config, seed=2)
+                yield f"divot/{mech}/{n}/{name}", sha(repr(verdict).encode())
+            verdict = divot.divot(pre, configs["anm"], seed=2, bootstrap_b=8)
+            yield f"divot/{mech}/{n}/anm-b8", sha(repr(verdict).encode())
+
+
+def orient_digests(divot):
+    import numpy as np
+
+    rng = np.random.default_rng(17)
+    n = 300
+    x0 = rng.uniform(-1, 1, n)
+    x1 = np.sin(2 * x0) + 0.3 * rng.uniform(-1, 1, n)
+    x2 = x1 ** 3 + 0.3 * rng.uniform(-1, 1, n)
+    x3 = np.tanh(x2) + 0.3 * rng.uniform(-1, 1, n)
+    x4 = x1 + 0.5 * rng.uniform(-1, 1, n)
+    data = np.column_stack([x0, x1, x2, x3, x4])
+    data = (data - data.mean(axis=0)) / data.std(axis=0, ddof=1)
+    skeletons = {
+        "chain": (4, ((0, 1), (1, 2), (2, 3))),
+        "tree": (5, ((0, 1), (1, 2), (1, 4), (2, 3))),
+        "cycle4": (4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+    }
+    for name, (m, edges) in skeletons.items():
+        result = divot.orient_skeleton(data[:, :m], divot.Skeleton(m, edges), seed=4)
+        yield f"orient/{name}", sha(repr(result).encode())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the divot package (default: this checkout's)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import divot
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, digest in (*infer_digests(divot), *bench_digests(),
+                                 *verdict_digests(divot), *orient_digests(divot)):
+                print(f"{digest}  {name}")
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

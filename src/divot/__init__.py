@@ -50,7 +50,6 @@ from .noise import (
     draw_source_batches,
     model_variance,
     register_source,
-    sample_source,
 )
 from .optimize import FitConfig, FitResult, bisect_theta, closed_form_theta, fit_joint, fit_theta
 from .ot1d import w2_squared_1d

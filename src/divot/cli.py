@@ -25,7 +25,7 @@ import numpy as np
 
 from .decide import INDEPENDENT, ScoreConfig, Verdict, divot
 from .divergence import PnlTransform
-from .errors import DivotError
+from .errors import DivotError, ParseError
 from .noise import canonical_source
 from .optimize import FitConfig
 from .pairdata import load_pairs, preprocess
@@ -88,6 +88,7 @@ class RunConfig:
 
 
 def _parse_config_file(path: str) -> dict:
+    """RunConfig values from `key=value` lines; a bad line raises ParseError."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -95,9 +96,15 @@ def _parse_config_file(path: str) -> dict:
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise DivotError(f"{path}:{line_no}: expected key=value")
+                raise ParseError(path, line_no, "expected key=value")
             key, value = stripped.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in RunConfig.__dataclass_fields__:
+                raise ParseError(path, line_no, f"unknown key {key!r}")
+            try:
+                out[key] = _coerce(key, value.strip())
+            except ValueError as exc:
+                raise ParseError(path, line_no, f"{key}: {exc}") from None
     return out
 
 
@@ -128,8 +135,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over defaults."""
     values: dict = {}
     if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            values[key] = _coerce(key, raw)
+        values.update(_parse_config_file(args.config))
     for key in RunConfig.__dataclass_fields__:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -174,21 +180,17 @@ def _verdict_record(verdict: Verdict, config: RunConfig, seed: int, source_file:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    try:
-        pairs = load_pairs(args.pair_file, tuple(args.columns))
-        pre = preprocess(pairs, config.max_n, config.k_std, config.seed)
-        t0 = time.perf_counter()
-        verdict = divot(
-            pre,
-            config.score_config(),
-            seed=config.seed,
-            bootstrap_b=config.bootstrap or None,
-            alpha=config.alpha,
-        )
-        elapsed = time.perf_counter() - t0
-    except (DivotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    pairs = load_pairs(args.pair_file, tuple(args.columns))
+    pre = preprocess(pairs, config.max_n, config.k_std, config.seed)
+    t0 = time.perf_counter()
+    verdict = divot(
+        pre,
+        config.score_config(),
+        seed=config.seed,
+        bootstrap_b=config.bootstrap or None,
+        alpha=config.alpha,
+    )
+    elapsed = time.perf_counter() - t0
     record = _verdict_record(verdict, config, config.seed, args.pair_file)
     text = json.dumps(record, indent=2, sort_keys=True)
     print(text)
@@ -460,17 +462,11 @@ _SUITES = {
 def cmd_bench(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.suite not in _SUITES:
-        print(f"error: unknown suite {config.suite!r}", file=sys.stderr)
-        return 1
+        raise DivotError(f"unknown suite {config.suite!r}")
     if not config.out:
-        print("error: bench requires --out for the CSV report", file=sys.stderr)
-        return 1
+        raise DivotError("bench requires --out for the CSV report")
     t0 = time.perf_counter()
-    try:
-        records, summary = _SUITES[config.suite](config)
-    except (DivotError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records, summary = _SUITES[config.suite](config)
     _write_csv(config.out, records)
     _write_csv(_summary_path(config.out), summary)
     print(f"suite={config.suite} records={len(records)} "
@@ -528,8 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad input or a failed run prints one `error:` line and returns 1."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (DivotError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

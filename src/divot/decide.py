@@ -142,7 +142,10 @@ def divot(pairs: SamplePair, config: ScoreConfig | None = None, seed: int = 0,
     1e-12) are reported as independent. With `bootstrap_b` replicates the
     decision is independent unless the two loss samples differ significantly
     at level alpha, in which case the direction with the smaller loss wins.
+    alpha must lie in (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     config = config or ScoreConfig()
     score_xy = score_direction(pairs, X_TO_Y, config, seed)
     score_yx = score_direction(pairs, Y_TO_X, config, seed)

@@ -5,9 +5,9 @@ post-nonlinear transform, debiased, sorted, matched against sorted scaled
 noise draws, centered by the mean difference, and the residual energy is
 divided by (batch size - 1). The measure averages those terms over batches.
 
-Batches of equal size are stacked into matrices so evaluation is vectorized;
-mixed sizes fall back to one stack per distinct size. A workspace sorts its
-draws and its effect values once; every evaluation without a debias or a
+Every batch has the same size k, so a workspace holds its g batches as (g, k)
+matrices and each kernel is one vectorized pass over them. A workspace sorts
+its draws and its effect values once; every evaluation without a debias or a
 transform reuses the sorted effects.
 """
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, NumericError
 from .noise import NoiseModel, canonical_source, draw_source_batches, model_variance
+from .pairdata import batch_matrix
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,6 @@ class DebiasFn:
     w: float = 0.0
     per_row: bool = False
 
-    def __call__(self, x):
-        return self.w * np.asarray(x, dtype=float)
-
 
 @dataclass(frozen=True)
 class PnlTransform:
@@ -50,9 +48,6 @@ class PnlTransform:
     def invertible(self) -> bool:
         # derivative 1 + a*b*sech^2(.) stays positive everywhere iff a*b > -1
         return self.omega_a * self.omega_b > -1.0
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.omega_a, self.omega_b, self.omega_c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,181 +65,103 @@ def pnl_transform(ys, omega: PnlTransform) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Stack:
-    """Equal-size batches stacked row-wise."""
-
-    y: np.ndarray  # (g, k)
-    x: np.ndarray | None  # (g, k) per-row cause values
-    anchors: np.ndarray  # (g,)
-    e: np.ndarray  # (g, k) unscaled draws
-    e_sorted: np.ndarray  # (g, k) the draws sorted per row
-    y_sorted: np.ndarray  # (g, k) the effect values sorted per row
-    batches: np.ndarray  # (g,) the workspace's batch index of each row
-
-    @property
-    def k(self) -> int:
-        return self.y.shape[1]
-
-    @property
-    def g(self) -> int:
-        return self.y.shape[0]
-
-
-@dataclass(frozen=True)
 class MeasureWorkspace:
-    """Everything fixed during optimization: stacked batch slices and source draws."""
+    """Everything fixed during optimization: the batches and their source draws.
+
+    Row b of each (g, k) matrix belongs to batch b: `ys` its effect values,
+    `xs` its cause values (None when not given), `draws` its unscaled source
+    draws, and `e_sorted` and `y_sorted` the draws and the effect values
+    sorted. `anchors` (g,) holds each batch's position.
+    """
 
     source: str
     anchors: np.ndarray
-    stacks: tuple[_Stack, ...]
+    ys: np.ndarray
+    xs: np.ndarray | None
+    draws: np.ndarray
+    e_sorted: np.ndarray
+    y_sorted: np.ndarray
 
     @property
     def n_batches(self) -> int:
         return len(self.anchors)
 
     @property
-    def ys(self) -> tuple[np.ndarray, ...]:
-        """Effect values per batch, as row views of the stacks."""
-        return self._rows("y")
-
-    @property
-    def xs(self) -> tuple[np.ndarray, ...] | None:
-        """Cause values per batch, as row views of the stacks, if given."""
-        if not self.stacks or self.stacks[0].x is None:
-            return None
-        return self._rows("x")
-
-    @property
-    def draws(self) -> tuple[np.ndarray, ...]:
-        """Unscaled source draws per batch, as row views of the stacks."""
-        return self._rows("e")
-
-    def _rows(self, name: str) -> tuple[np.ndarray, ...]:
-        rows = [None] * self.n_batches
-        for st in self.stacks:
-            for i, row in zip(st.batches, getattr(st, name)):
-                rows[i] = row
-        return tuple(rows)
-
-
-def _batch_rows(values):
-    """One float vector per batch; a 2-d array is kept whole, its rows the vectors."""
-    if isinstance(values, np.ndarray) and values.ndim == 2:
-        return values.astype(float, copy=False)
-    return [np.asarray(v, dtype=float) for v in values]
-
-
-def _sizes(rows) -> np.ndarray:
-    """Members per batch: from the shape of a matrix, else per vector."""
-    if isinstance(rows, np.ndarray):
-        return np.full(rows.shape[0], rows.shape[1])
-    return np.array([len(r) for r in rows], dtype=int)
-
-
-def _stack(rows, sel: np.ndarray) -> np.ndarray:
-    """The vectors `sel` of `rows` as one matrix.
-
-    A matrix holds batches of one size only, so `sel` then selects all of it.
-    """
-    if isinstance(rows, np.ndarray):
-        return rows
-    return np.array([rows[i] for i in sel])
+    def k(self) -> int:
+        return self.ys.shape[1]
 
 
 def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
                     seed: int = 0, source_draws=None) -> MeasureWorkspace:
-    """Stack batches by size and draw one fixed source sample per batch member.
+    """The (g, k) matrices of g batches and one fixed source sample per member.
 
     `ys_per_batch`, `xs_per_batch` and `source_draws` each give one vector
-    per batch: a sequence of 1-d arrays, or a (g, k) matrix when every batch
-    has k members, which becomes the stack itself without a copy. The draws
-    come from a single stream seeded once, so repeated evaluations during
-    optimization see the same sample. Each stack's draws and effect values
-    are sorted once, here.
+    per batch: a (g, k) matrix, which the workspace keeps without a copy, or
+    a sequence of g vectors of one length k. Vectors of mixed lengths raise
+    ShapeError. The draws come from a single stream seeded once, so repeated
+    evaluations during optimization see the same sample. The draws and the
+    effect values are sorted once, here.
     """
     src = canonical_source(source)
-    ys = _batch_rows(ys_per_batch)
-    sizes = _sizes(ys)
-    if (sizes < 2).any():
+    ys = batch_matrix(ys_per_batch, float)
+    g, k = ys.shape
+    if k < 2:
         raise InsufficientDataError("every batch needs at least 2 members")
     anchors = np.asarray(anchors, dtype=float)
-    if len(anchors) != len(sizes):
+    if len(anchors) != g:
         raise InsufficientDataError("one anchor position per batch required")
     xs = None
     if xs_per_batch is not None:
-        xs = _batch_rows(xs_per_batch)
-        if not np.array_equal(_sizes(xs), sizes):
+        xs = batch_matrix(xs_per_batch, float)
+        if xs.shape != ys.shape:
             raise InsufficientDataError("xs_per_batch must match ys_per_batch lengths")
     if source_draws is None:
-        source_draws = draw_source_batches(src, sizes, seed)
-    draws = _batch_rows(source_draws)
-    if not np.array_equal(_sizes(draws), sizes):
+        source_draws = draw_source_batches(src, np.full(g, k), seed)
+    draws = batch_matrix(source_draws, float)
+    if draws.shape != ys.shape:
         raise InsufficientDataError("one source draw per batch member required")
-
-    stacks = []
-    for k in sorted(set(sizes.tolist())):
-        sel = np.flatnonzero(sizes == k)
-        e = _stack(draws, sel)
-        y = _stack(ys, sel)
-        stacks.append(
-            _Stack(
-                y=y,
-                x=_stack(xs, sel) if xs is not None else None,
-                anchors=anchors[sel],
-                e=e,
-                e_sorted=np.sort(e, axis=1),
-                y_sorted=np.sort(y, axis=1),
-                batches=sel,
-            )
-        )
-    return MeasureWorkspace(src, anchors, tuple(stacks))
+    return MeasureWorkspace(src, anchors, ys, xs, draws,
+                            np.sort(draws, axis=1), np.sort(ys, axis=1))
 
 
 def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
                            source_draws=None) -> MeasureWorkspace:
-    """Workspace for a SamplePair batched on its x (cause) axis."""
+    """Workspace for a SamplePair batched on its x (cause) axis, one gather per matrix."""
     idx = batches.batches
-    if isinstance(idx, np.ndarray):  # one gather into the (g, k) stacks
-        return build_workspace(source, batches.positions, pairs.ys[idx], pairs.xs[idx],
-                               seed, source_draws)
-    ys = [pairs.ys[b] for b in idx]
-    xs = [pairs.xs[b] for b in idx]
-    return build_workspace(source, batches.positions, ys, xs, seed, source_draws)
+    return build_workspace(source, batches.positions, pairs.ys[idx], pairs.xs[idx],
+                           seed, source_draws)
 
 
-def _debiased(st: _Stack, d: np.ndarray, debias: DebiasFn | None) -> np.ndarray:
+def _debiased(ws: MeasureWorkspace, d: np.ndarray, debias: DebiasFn | None) -> np.ndarray:
     if debias is None:
         return d
     if debias.per_row:
-        if st.x is None:
+        if ws.xs is None:
             raise InsufficientDataError("per-row debiasing needs per-batch x values")
-        return d - debias.w * st.x
-    return d - debias.w * st.anchors[:, None]
+        return d - debias.w * ws.xs
+    return d - debias.w * ws.anchors[:, None]
 
 
-def sorted_effects(st: _Stack, debias: DebiasFn | None = None,
+def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
                    pnl: PnlTransform | None = None) -> np.ndarray:
-    """A stack's effect values, transformed and debiased, sorted per row.
+    """The effect values, transformed and debiased, sorted per batch.
 
     With neither a debias nor a transform these are the effects the
     workspace sorted once, so fitting and evaluating share that sort.
     """
     if debias is None and pnl is None:
-        return st.y_sorted
-    d = pnl_transform(st.y, pnl) if pnl is not None else st.y
-    return np.sort(_debiased(st, d, debias), axis=1)
+        return ws.y_sorted
+    d = pnl_transform(ws.ys, pnl) if pnl is not None else ws.ys
+    return np.sort(_debiased(ws, d, debias), axis=1)
 
 
 def measure_value(ws: MeasureWorkspace, theta: float,
                   debias: DebiasFn | None = None,
                   pnl: PnlTransform | None = None) -> float:
     """The raw measure at the given parameters."""
-    total = 0.0
-    for st in ws.stacks:
-        s = sorted_effects(st, debias, pnl) - theta * st.e_sorted
-        r = s - s.mean(axis=1, keepdims=True)
-        total += float((r * r).sum()) / (st.k - 1)
-    value = total / ws.n_batches
+    s = sorted_effects(ws, debias, pnl) - theta * ws.e_sorted
+    r = s - s.mean(axis=1, keepdims=True)
+    value = (0.0 + float((r * r).sum()) / (ws.k - 1)) / ws.n_batches
     if not np.isfinite(value):
         raise NumericError(f"measure is non-finite at theta={theta}")
     return value
@@ -260,34 +177,32 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
     subgradient induced by the stable sort.
     """
     g = {"theta": 0.0, "w": 0.0, "omega_a": 0.0, "omega_b": 0.0, "omega_c": 0.0}
-    total = 0.0
-    for st in ws.stacks:
-        if pnl is not None:
-            t = np.tanh(pnl.omega_b * st.y + pnl.omega_c)
-            d = st.y + pnl.omega_a * t
+    if pnl is not None:
+        t = np.tanh(pnl.omega_b * ws.ys + pnl.omega_c)
+        d = ws.ys + pnl.omega_a * t
+    else:
+        t = None
+        d = ws.ys
+    d = _debiased(ws, d, debias)
+    order = np.argsort(d, kind="stable", axis=1)
+    s = np.take_along_axis(d, order, axis=1) - theta * ws.e_sorted
+    r = s - s.mean(axis=1, keepdims=True)
+    scale = 2.0 / (ws.k - 1)
+    total = 0.0 + float((r * r).sum()) / (ws.k - 1)
+    g["theta"] += scale * float((r * (-ws.e_sorted)).sum())
+    if debias is not None:
+        if debias.per_row:
+            xi = np.take_along_axis(ws.xs, order, axis=1)
         else:
-            t = None
-            d = st.y
-        d = _debiased(st, d, debias)
-        order = np.argsort(d, kind="stable", axis=1)
-        s = np.take_along_axis(d, order, axis=1) - theta * st.e_sorted
-        r = s - s.mean(axis=1, keepdims=True)
-        scale = 2.0 / (st.k - 1)
-        total += float((r * r).sum()) / (st.k - 1)
-        g["theta"] += scale * float((r * (-st.e_sorted)).sum())
-        if debias is not None:
-            if debias.per_row:
-                xi = np.take_along_axis(st.x, order, axis=1)
-            else:
-                xi = np.broadcast_to(st.anchors[:, None], d.shape)
-            g["w"] += scale * float((r * (-xi)).sum())
-        if pnl is not None:
-            t_s = np.take_along_axis(t, order, axis=1)
-            y_s = np.take_along_axis(st.y, order, axis=1)
-            sech2 = 1.0 - t_s**2
-            g["omega_a"] += scale * float((r * t_s).sum())
-            g["omega_b"] += scale * float((r * (pnl.omega_a * y_s * sech2)).sum())
-            g["omega_c"] += scale * float((r * (pnl.omega_a * sech2)).sum())
+            xi = np.broadcast_to(ws.anchors[:, None], d.shape)
+        g["w"] += scale * float((r * (-xi)).sum())
+    if pnl is not None:
+        t_s = np.take_along_axis(t, order, axis=1)
+        y_s = np.take_along_axis(ws.ys, order, axis=1)
+        sech2 = 1.0 - t_s**2
+        g["omega_a"] += scale * float((r * t_s).sum())
+        g["omega_b"] += scale * float((r * (pnl.omega_a * y_s * sech2)).sum())
+        g["omega_c"] += scale * float((r * (pnl.omega_a * sech2)).sum())
     nb = ws.n_batches
     value = total / nb
     if not np.isfinite(value):

@@ -150,6 +150,8 @@ def _parent_batches(parent_mat: np.ndarray, max_positions: int, batch_frac: floa
         positions = select_position_values(z[:, 0], max_positions)
         batches = nearest_batches(z[:, 0], positions, k)
         return positions.reshape(-1, 1), batches
+    if max_positions < 1:  # one parent: select_position_values checks it
+        raise ValueError(f"max_positions must be >= 1, got {max_positions}")
     order = np.lexsort(tuple(z[:, j] for j in reversed(range(d))))
     uniq_rows, uniq_idx = np.unique(z[order], axis=0, return_index=True)
     anchor_rows = order[np.sort(uniq_idx)]

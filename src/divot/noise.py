@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
+from .pairdata import batch_size
 
 # canonical name -> variance of one unscaled source draw
 _BASE_VARIANCE = {
@@ -44,7 +45,7 @@ def register_source(name: str, sampler, base_variance: float):
     `sampler(rng, n)` must return n i.i.d. unscaled draws and
     `base_variance` their variance; the scale parameter then works exactly
     as for the built-in sources. A workspace takes all its draws from one
-    sampler call, split in batch order.
+    sampler call, laid out batch by batch.
     """
     key = name.strip().lower()
     if not base_variance > 0:
@@ -80,32 +81,22 @@ def _draw(source: str, rng: np.random.Generator, n: int) -> np.ndarray:
     return np.asarray(_SAMPLERS[source](rng, n), dtype=float)
 
 
-def sample_source(model: NoiseModel, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws from the unscaled source distribution."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _draw(model.source, np.random.default_rng(seed), n)
+def draw_source_batches(source: str, sizes, seed: int) -> np.ndarray:
+    """Unscaled source draws for g batches of k members, as one (g, k) matrix.
 
-
-def draw_source_batches(source: str, sizes, seed: int):
-    """Per-batch unscaled source draws from a single stream seeded once.
-
-    One sampler call draws sum(sizes) values, split in batch order, so the
-    draws are a deterministic function of (source, sizes, seed) and can be
-    reused across optimizer iterations. The built-in samplers draw values in
-    sequence, so the split equals one call per batch on the same stream.
-    Equal sizes give a (g, k) matrix, mixed sizes a list of vectors.
+    `sizes` gives each batch's size; they must all be k (mixed sizes raise
+    ShapeError). One sampler call on a stream seeded once draws the g * k
+    values, row by row, so the draws are a deterministic function of
+    (source, sizes, seed) and can be reused across optimizer iterations. The
+    built-in samplers draw values in sequence, so row b equals batch b's
+    draws from one call per batch on the same stream.
     """
-    sizes = np.asarray(sizes, dtype=int).reshape(-1)
-    total = int(sizes.sum())
-    flat = _draw(canonical_source(source), np.random.default_rng(seed), total)
-    if flat.shape != (total,):
+    g = len(sizes)
+    k = batch_size(sizes)
+    flat = _draw(canonical_source(source), np.random.default_rng(seed), g * k)
+    if flat.shape != (g * k,):
         raise InsufficientDataError("one source draw per batch member required")
-    if not len(sizes):
-        return []
-    if (sizes == sizes[0]).all():
-        return flat.reshape(len(sizes), sizes[0])
-    return np.split(flat, np.cumsum(sizes)[:-1])
+    return flat.reshape(g, k)
 
 
 def model_variance(model: NoiseModel) -> float:

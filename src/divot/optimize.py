@@ -64,17 +64,14 @@ def closed_form_theta(ws: MeasureWorkspace,
     """Exact minimizer of the quadratic-in-theta objective, clamped to range.
 
     With the sort order frozen the objective is
-    sum_b ||d_b - theta * e_b||^2 / (k_b - 1) over batch-centered sorted
-    vectors, so theta* = sum_b <d_b, e_b>/(k_b-1) / sum_b ||e_b||^2/(k_b-1).
+    sum_b ||d_b - theta * e_b||^2 / (k - 1) over batch-centered sorted
+    vectors, so theta* = sum_b <d_b, e_b> / sum_b ||e_b||^2.
     """
-    num = 0.0
-    den = 0.0
-    for st in ws.stacks:
-        ds = sorted_effects(st, debias, pnl)
-        dt = ds - ds.mean(axis=1, keepdims=True)
-        et = st.e_sorted - st.e_sorted.mean(axis=1, keepdims=True)
-        num += float((dt * et).sum()) / (st.k - 1)
-        den += float((et * et).sum()) / (st.k - 1)
+    ds = sorted_effects(ws, debias, pnl)
+    dt = ds - ds.mean(axis=1, keepdims=True)
+    et = ws.e_sorted - ws.e_sorted.mean(axis=1, keepdims=True)
+    num = 0.0 + float((dt * et).sum()) / (ws.k - 1)
+    den = 0.0 + float((et * et).sum()) / (ws.k - 1)
     if den <= 0.0:
         return theta_range[0]
     theta = num / den

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateDataError, InsufficientDataError, PairParseError
+from .errors import DegenerateDataError, InsufficientDataError, PairParseError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -44,38 +44,51 @@ class SamplePair:
         return SamplePair(self.ys, self.xs, self.provenance + ("swap",))
 
 
+def batch_size(sizes) -> int:
+    """The one size shared by every batch, 0 for no batches.
+
+    Batches of different sizes raise ShapeError naming two of the sizes.
+    """
+    sizes = np.asarray(sizes, dtype=int).reshape(-1)
+    mixed = np.flatnonzero(sizes != sizes[:1])
+    if len(mixed):
+        raise ShapeError(f"batches of mixed sizes {sizes[0]} and {sizes[mixed[0]]}; "
+                         "every batch needs the same size")
+    return int(sizes[0]) if len(sizes) else 0
+
+
+def batch_matrix(rows, dtype) -> np.ndarray:
+    """One vector per batch as a (g, k) matrix of `dtype`.
+
+    A 2-d array is that matrix already and is not copied unless cast; a
+    sequence of vectors must have one length (see `batch_size`).
+    """
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return rows.astype(dtype, copy=False)
+    rows = [np.asarray(r, dtype=dtype) for r in rows]
+    k = batch_size([len(r) for r in rows])
+    return np.array(rows, dtype=dtype).reshape(len(rows), k)
+
+
 @dataclass(frozen=True)
 class BatchSet:
     """Positions on the cause axis and the sample indices batched around them.
 
-    `batches` is a (g, k) row-index matrix when every batch has k members,
-    as `make_batches` returns it, or one index vector per batch when sizes
-    are mixed.
+    `batches` is a (g, k) row-index matrix, one row per position, as
+    `make_batches` returns it; a sequence of g index vectors of one length
+    becomes that matrix.
     """
 
     positions: np.ndarray
-    batches: np.ndarray | tuple[np.ndarray, ...]
+    batches: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        batches = self.batches
-        if not (isinstance(batches, np.ndarray) and batches.ndim == 2):
-            batches = tuple(np.asarray(b, dtype=int) for b in batches)
-            if len({len(b) for b in batches}) == 1:
-                batches = np.stack(batches)
-        elif batches.dtype != int:
-            batches = batches.astype(int)
-        object.__setattr__(self, "batches", batches)
+        object.__setattr__(self, "batches", batch_matrix(self.batches, int))
         if len(self.positions) != len(self.batches):
             raise InsufficientDataError("positions and batches must align")
-        if min(self.batch_sizes, default=2) < 2:
+        if len(self.batches) and self.batches.shape[1] < 2:
             raise InsufficientDataError("every batch needs at least 2 members")
-
-    @property
-    def batch_sizes(self) -> tuple[int, ...]:
-        if isinstance(self.batches, np.ndarray):
-            return (self.batches.shape[1],) * len(self.batches)
-        return tuple(len(b) for b in self.batches)
 
     def __len__(self) -> int:
         return len(self.batches)
@@ -185,8 +198,11 @@ def select_position_values(x: np.ndarray, max_positions: int = 50) -> np.ndarray
 
     With n <= max_positions every distinct value is used; otherwise anchors
     are laid out every (max-min)/max_positions and snapped to the nearest
-    data value. Returned sorted ascending and deduplicated.
+    data value. Returned sorted ascending and deduplicated. A max_positions
+    below 1 raises ValueError.
     """
+    if max_positions < 1:
+        raise ValueError(f"max_positions must be >= 1, got {max_positions}")
     x = np.asarray(x, dtype=float)
     uniq = np.unique(x)
     if len(x) <= max_positions:
@@ -282,8 +298,10 @@ def make_batches(pairs: SamplePair, positions: np.ndarray, batch_frac: float) ->
     if not 0.0 < batch_frac <= 1.0:
         raise ValueError(f"batch_frac must be in (0, 1], got {batch_frac}")
     positions = np.asarray(positions, dtype=float)
+    if not len(positions):
+        raise InsufficientDataError("no positions to batch around")
     k = math.ceil(batch_frac * pairs.n)
-    if min(k, pairs.n) < 2 or not len(positions):
+    if min(k, pairs.n) < 2:
         raise InsufficientDataError(
             f"all {len(positions)} batches dropped (batch size {k} < 2)"
         )

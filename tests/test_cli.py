@@ -80,6 +80,30 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
     assert record["pnl_invertible_xy"] in (True, False)
 
 
+@pytest.mark.parametrize("flags, config, message", [
+    (["--bootstrap", "1"], None, "at least 2 bootstrap replicates"),
+    (["--batch-frac", "2"], None, "batch_frac must be in"),
+    (["--max-iters", "0"], None, "max_iters must be >= 1"),
+    (["--noise", "cauchy"], None, "unknown noise source"),
+    (["--positions", "0"], None, "max_positions must be >= 1"),
+    (["--positions", "-3"], None, "max_positions must be >= 1"),
+    (["--alpha", "2", "--bootstrap", "4"], None, "alpha must be in"),
+    ([], "seed=1\nmax_positions=3\n", "run.cfg:2: unknown key 'max_positions'"),
+    ([], "# comment\npositions = abc\n", "run.cfg:2: positions: invalid literal"),
+])
+def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
+    pair = write_pair_file(tmp_path / "pair.txt", n=100)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        flags = flags + ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "verdict.json"
+    assert main(["infer", str(pair), "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- config
 
 

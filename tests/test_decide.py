@@ -42,6 +42,19 @@ def test_invalid_direction():
         score_direction(make_linear(), "xy", CFG)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05])
+def test_alpha_outside_unit_interval_rejected(alpha):
+    # at alpha >= 1 a bootstrap could never report "independent"
+    with pytest.raises(ValueError, match="alpha must be in"):
+        divot(make_linear(n=100), CFG, seed=0, bootstrap_b=4, alpha=alpha)
+
+
+@pytest.mark.parametrize("max_positions", [0, -3])
+def test_position_count_below_one_rejected(max_positions):
+    with pytest.raises(ValueError, match="max_positions must be >= 1"):
+        divot(make_linear(n=100), ScoreConfig(max_positions=max_positions), seed=0)
+
+
 def test_linear_anm_recovery_rate():
     wins = 0
     for rep in range(100):

@@ -14,6 +14,7 @@ from divot import (
     measure_with_grad,
     model_variance,
     pnl_transform,
+    ShapeError,
     variance_divergence,
     workspace_from_batches,
 )
@@ -115,7 +116,7 @@ def test_normalization_is_exact_division():
 def test_nonnegative_on_random_instances():
     rng = np.random.default_rng(3)
     for trial in range(20):
-        sizes = rng.integers(2, 9, size=4).tolist()
+        sizes = [int(rng.integers(2, 9))] * 4
         draws = draw_source_batches("laplace", sizes, seed=trial)
         offsets = np.cumsum([0] + sizes)
         b = BatchSet(positions=np.arange(4.0),
@@ -134,64 +135,60 @@ def test_batch_below_min_size_rejected():
 # --------------------------------------------------------------- workspaces
 
 
-def stacks_oracle(anchors, ys, xs, draws):
-    """The per-size stacking with one copy per batch that build_workspace replaced."""
-    sizes = [len(y) for y in ys]
-    out = []
-    for k in sorted(set(sizes)):
-        sel = [i for i, size in enumerate(sizes) if size == k]
-        out.append((
-            np.vstack([ys[i] for i in sel]),
-            np.vstack([xs[i] for i in sel]) if xs is not None else None,
-            anchors[sel],
-            np.vstack([np.sort(draws[i]) for i in sel]),
-            np.vstack([np.sort(ys[i]) for i in sel]),
-        ))
-    return out
+def workspace_oracle(anchors, ys, xs, draws):
+    """The per-batch copies and sorts that build_workspace does as matrix operations."""
+    return (
+        anchors,
+        np.vstack(ys),
+        np.vstack(xs) if xs is not None else None,
+        np.vstack(draws),
+        np.vstack([np.sort(e) for e in draws]),
+        np.vstack([np.sort(y) for y in ys]),
+    )
 
 
-def assert_stacks_equal(ws, want):
-    assert len(ws.stacks) == len(want)
-    for st_, (y, x, anchors, e_sorted, y_sorted) in zip(ws.stacks, want):
-        assert np.array_equal(st_.y, y)
-        assert (st_.x is None and x is None) or np.array_equal(st_.x, x)
-        assert np.array_equal(st_.anchors, anchors)
-        assert np.array_equal(st_.e_sorted, e_sorted)
-        assert np.array_equal(st_.y_sorted, y_sorted)
+def assert_workspace_equal(ws, want):
+    anchors, ys, xs, draws, e_sorted, y_sorted = want
+    assert np.array_equal(ws.anchors, anchors)
+    assert np.array_equal(ws.ys, ys)
+    assert (ws.xs is None and xs is None) or np.array_equal(ws.xs, xs)
+    assert np.array_equal(ws.draws, draws)
+    assert np.array_equal(ws.e_sorted, e_sorted)
+    assert np.array_equal(ws.y_sorted, y_sorted)
+    assert ws.n_batches == len(anchors) and ws.k == ys.shape[1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.one_of(
-        st.integers(2, 6).flatmap(lambda k: st.lists(st.just(k), min_size=1, max_size=7)),
-        st.lists(st.integers(2, 6), min_size=1, max_size=7),
-    ),
+    st.integers(2, 6),
+    st.integers(1, 7),
     st.sampled_from(["uniform", "normal", "beta", "laplace"]),
     st.integers(0, 2**32 - 1),
     st.booleans(),
     st.booleans(),
 )
-def test_workspace_stacks_match_per_batch_oracle(sizes, source, seed, with_xs, explicit_draws):
+def test_workspace_stacks_match_per_batch_oracle(k, g, source, seed, with_xs, explicit_draws):
+    sizes = [k] * g
     rng = np.random.default_rng(seed)
-    anchors = rng.normal(size=len(sizes))
-    ys = [rng.normal(size=k) for k in sizes]
-    xs = [rng.normal(size=k) for k in sizes] if with_xs else None
+    anchors = rng.normal(size=g)
+    ys = [rng.normal(size=k) for _ in sizes]
+    xs = [rng.normal(size=k) for _ in sizes] if with_xs else None
     drawn = draw_source_batches(source, sizes, seed)
-    draws = [rng.normal(size=k) for k in sizes] if explicit_draws else drawn
+    draws = [rng.normal(size=k) for _ in sizes] if explicit_draws else list(drawn)
     ws = build_workspace(source, anchors, ys, xs, seed,
                          source_draws=draws if explicit_draws else None)
-    assert_stacks_equal(ws, stacks_oracle(anchors, ys, xs, draws))
+    assert_workspace_equal(ws, workspace_oracle(anchors, ys, xs, draws))
     assert [y.tolist() for y in ws.ys] == [y.tolist() for y in ys]
     assert ws.xs is None if xs is None else [x.tolist() for x in ws.xs] == [x.tolist() for x in xs]
     assert [e.tolist() for e in ws.draws] == [e.tolist() for e in draws]
-    if len(set(sizes)) == 1:  # the (g, k) matrix form gives the same workspace
-        ws_matrix = build_workspace(source, anchors, np.array(ys),
-                                    None if xs is None else np.array(xs), seed,
-                                    source_draws=np.array(draws) if explicit_draws else None)
-        assert_stacks_equal(ws_matrix, stacks_oracle(anchors, ys, xs, draws))
+    # the (g, k) matrix form gives the same workspace
+    ws_matrix = build_workspace(source, anchors, np.array(ys),
+                                None if xs is None else np.array(xs), seed,
+                                source_draws=np.array(draws) if explicit_draws else None)
+    assert_workspace_equal(ws_matrix, workspace_oracle(anchors, ys, xs, draws))
 
 
-@pytest.mark.parametrize("sizes", [[5, 5, 5], [3, 5, 3, 4]])
+@pytest.mark.parametrize("sizes", [[5, 5, 5], [4, 4, 4, 4]])
 def test_workspace_from_batches_gathers_each_batch(sizes):
     rng = np.random.default_rng(11)
     pairs = SamplePair(rng.normal(size=12), rng.normal(size=12))
@@ -201,7 +198,36 @@ def test_workspace_from_batches_gathers_each_batch(sizes):
     ys = [pairs.ys[b] for b in batches.batches]
     xs = [pairs.xs[b] for b in batches.batches]
     draws = draw_source_batches("uniform", sizes, 4)
-    assert_stacks_equal(ws, stacks_oracle(batches.positions, ys, xs, draws))
+    assert_workspace_equal(ws, workspace_oracle(batches.positions, ys, xs, draws))
+
+
+def _mixed_batch_set():
+    BatchSet(positions=[0.0, 1.0], batches=[[0, 1, 2], [1, 2]])
+
+
+def _mixed_ys():
+    build_workspace("uniform", [0.0, 1.0], [np.arange(3.0), np.arange(2.0)])
+
+
+def _mixed_xs():
+    build_workspace("uniform", [0.0, 1.0], [np.arange(3.0)] * 2,
+                    [np.arange(3.0), np.arange(2.0)])
+
+
+def _mixed_source_draws():
+    build_workspace("uniform", [0.0, 1.0], [np.arange(3.0)] * 2,
+                    source_draws=[np.arange(3.0), np.arange(2.0)])
+
+
+def _mixed_draw_sizes():
+    draw_source_batches("uniform", [3, 2], seed=0)
+
+
+@pytest.mark.parametrize("build", [_mixed_batch_set, _mixed_ys, _mixed_xs,
+                                   _mixed_source_draws, _mixed_draw_sizes])
+def test_mixed_batch_sizes_raise_shape_error(build):
+    with pytest.raises(ShapeError, match="mixed sizes 3 and 2"):
+        build()
 
 
 # ------------------------------------------------------------------- debias
@@ -235,9 +261,11 @@ def test_per_row_debias_without_xs_raises():
 
 
 def test_debias_form():
-    fn = DebiasFn(2.5)
-    assert fn(0.0) == 0.0
-    assert fn(np.array([1.0, -2.0])).tolist() == [2.5, -5.0]
+    # per-row debiasing subtracts g(x) = w * x from each effect value
+    ws = _ws()
+    shifted = build_workspace("uniform", ws.anchors, ws.ys - 2.5 * ws.xs, ws.xs,
+                              source_draws=ws.draws)
+    assert measure_value(ws, 1.3, DebiasFn(2.5, per_row=True)) == measure_value(shifted, 1.3)
 
 
 # ------------------------------------------------------------------ gradients

@@ -182,6 +182,13 @@ def test_degenerate_batches_error_names_variable():
         variable_term(data, 1, (0,), batch_frac=0.001, seed=0)
 
 
+@pytest.mark.parametrize("edges", [((0, 1), (1, 2)), ((0, 2), (1, 2))])
+def test_position_count_below_one_rejected(edges):
+    # the second skeleton's first orientation gives variable 2 two parents
+    with pytest.raises(ValueError, match="max_positions must be >= 1"):
+        orient_skeleton(chain_data(3, n=100), Skeleton(3, edges), max_positions=0)
+
+
 def test_multivariate_ranking_sorted_and_ties_lexicographic():
     data = chain_data(5)
     res = orient_skeleton(data, Skeleton(3, ((0, 1), (1, 2))), seed=2)

@@ -73,7 +73,7 @@ def _conditional(ys, draws, theta):
 
 
 def test_conditional_identity_coupling_zero():
-    draws = [np.array([0.1, 0.7, 0.4]), np.array([0.9, 0.2])]
+    draws = [np.array([0.1, 0.7, 0.4]), np.array([0.9, 0.2, 0.5])]
     ys = [2.0 * d for d in draws]
     assert _conditional(ys, draws, 2.0) == 0.0
 

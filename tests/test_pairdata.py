@@ -241,6 +241,18 @@ def test_all_batches_dropped_raises():
         make_batches(pairs, np.array([5.0]), batch_frac=0.05)  # k = 1
 
 
+def test_make_batches_without_positions_says_so():
+    pairs = SamplePair(np.arange(10.0), np.zeros(10))
+    with pytest.raises(InsufficientDataError, match="no positions"):
+        make_batches(pairs, np.array([]), batch_frac=0.5)
+
+
+@pytest.mark.parametrize("max_positions", [0, -3])
+def test_position_count_below_one_raises(max_positions):
+    with pytest.raises(ValueError, match="max_positions must be >= 1"):
+        select_position_values(np.arange(100.0), max_positions)
+
+
 def test_batch_frac_out_of_range():
     pairs = SamplePair(np.arange(10.0), np.zeros(10))
     with pytest.raises(ValueError):
@@ -255,13 +267,12 @@ def test_batchset_requires_min_size():
 def test_batchset_matrix_form():
     batches = BatchSet(positions=[0.0, 1.0], batches=np.array([[0, 1, 2], [1, 2, 3]]))
     assert isinstance(batches.batches, np.ndarray)
-    assert batches.batch_sizes == (3, 3) and len(batches) == 2
-    # equal-size sequences become the same matrix; mixed sizes stay per batch
+    assert batches.batches.shape == (2, 3) and len(batches) == 2
+    # equal-size sequences become the same matrix (mixed sizes raise
+    # ShapeError, see test_mixed_batch_sizes_raise_shape_error)
     same = BatchSet(positions=[0.0, 1.0], batches=[[0, 1, 2], np.array([1, 2, 3])])
     assert same.batches.shape == (2, 3)
     assert np.array_equal(same.batches, batches.batches)
-    mixed = BatchSet(positions=[0.0, 1.0], batches=[[0, 1, 2], [1, 2]])
-    assert isinstance(mixed.batches, tuple) and mixed.batch_sizes == (3, 2)
     with pytest.raises(InsufficientDataError):
         BatchSet(positions=[0.0, 1.0], batches=np.array([[0], [1]]))
     with pytest.raises(InsufficientDataError):
