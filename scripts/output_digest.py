@@ -2,7 +2,7 @@
 
     python3 scripts/output_digest.py [--src DIR]
 
-The outputs are `divot infer` JSON records (six configurations on one pair
+The outputs are `divot infer` JSON records (eight configurations on one pair
 file with tied values and one without), the record and summary CSVs of small
 synthetic and confounder `bench` runs (with the timing columns removed),
 `divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree
@@ -29,6 +29,8 @@ INFER_CONFIGS = {
     "anm-debias": ["--debias"],
     "anm-debias-per-row": ["--debias", "--debias-per-row"],
     "pnl": ["--mode", "pnl"],
+    "pnl-debias": ["--mode", "pnl", "--debias"],
+    "pnl-debias-per-row": ["--mode", "pnl", "--debias", "--debias-per-row"],
     "normal": ["--noise", "normal"],
     "beta-frac0.3": ["--noise", "beta", "--batch-frac", "0.3"],
 }

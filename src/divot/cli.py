@@ -65,6 +65,13 @@ class RunConfig:
     meta: str | None = None
     out: str | None = None
 
+    def __post_init__(self):
+        # the bench suites average over reps and seeds
+        if self.reps < 1:
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed")
+
     def score_config(self) -> ScoreConfig:
         return ScoreConfig(
             mode=self.mode,
@@ -110,6 +117,8 @@ def _parse_config_file(path: str) -> dict:
 
 _LIST_FIELDS = {"seeds": int, "sizes": int, "mechanisms": str, "weights": float}
 _BOOL_FIELDS = {"debias", "debias_per_row"}
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
 _INT_FIELDS = {"positions", "max_n", "bootstrap", "max_iters", "seed", "workers", "reps"}
 _FLOAT_FIELDS = {"alpha", "k_std", "step_size"}
 
@@ -121,7 +130,11 @@ def _coerce(key: str, value):
         cast = _LIST_FIELDS[key]
         return tuple(cast(tok) for tok in value.replace(",", " ").split())
     if key in _BOOL_FIELDS:
-        return value.lower() in ("1", "true", "yes", "on")
+        word = value.lower()
+        if word not in _TRUE_WORDS + _FALSE_WORDS:
+            known = ", ".join(_TRUE_WORDS + _FALSE_WORDS)
+            raise ValueError(f"expected one of {known}, got {value!r}")
+        return word in _TRUE_WORDS
     if key in _INT_FIELDS:
         return int(value)
     if key in _FLOAT_FIELDS:

@@ -126,12 +126,30 @@ def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
         losses_yx[i] = score_direction(sample, Y_TO_X, config, rep_seed).loss
     if losses_xy.var(ddof=1) == 0.0 and losses_yx.var(ddof=1) == 0.0:
         return BootstrapResult(b, losses_xy, losses_yx, 1.0, degenerate=True)
-    # imported here, not at module level: scipy.stats outweighs the rest of
-    # divot in import time and memory, and only the bootstrap test uses it
-    from scipy import stats
+    return BootstrapResult(b, losses_xy, losses_yx, welch_p_value(losses_xy, losses_yx))
 
-    p = float(stats.ttest_ind(losses_xy, losses_yx, equal_var=False).pvalue)
-    return BootstrapResult(b, losses_xy, losses_yx, p)
+
+def welch_p_value(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sided p-value of Welch's unequal-variance t-test of two samples.
+
+    The steps are those of `scipy.stats.ttest_ind(a, b, equal_var=False)`,
+    so the result is the same float; only the Student t tail comes from
+    scipy, from `scipy.special.stdtr`.
+    """
+    # imported here, not at module level: only the bootstrap test needs it
+    from scipy.special import stdtr
+
+    n1, n2 = len(a), len(b)
+    v1 = np.mean((a - np.mean(a)) ** 2) * (n1 / (n1 - 1))
+    v2 = np.mean((b - np.mean(b)) ** 2) * (n2 / (n2 - 1))
+    vn1, vn2 = v1 / n1, v2 / n2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = (vn1 + vn2) ** 2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
+        t = (np.mean(a) - np.mean(b)) / np.sqrt(vn1 + vn2)
+    # a NaN df means both variances are zero; any df then gives the same p
+    if np.isnan(df):
+        df = 1.0
+    return float(2 * stdtr(df, -np.abs(t)))
 
 
 def divot(pairs: SamplePair, config: ScoreConfig | None = None, seed: int = 0,

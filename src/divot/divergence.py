@@ -7,12 +7,17 @@ divided by (batch size - 1). The measure averages those terms over batches.
 
 Every batch has the same size k, so a workspace holds its g batches as (g, k)
 matrices and each kernel is one vectorized pass over them. A workspace sorts
-its draws and its effect values once; every evaluation without a debias or a
-transform reuses the sorted effects.
+its draws and its effect values once. An evaluation applies the transform and
+an anchor debias to the sorted effects elementwise and skips the sort when
+every rise of a row stays a strict rise: a stable sort would then return the
+same values in the same pairing. Only a per-row debias, or a transform or
+debias that reorders or ties distinct effects (a non-invertible transform, or
+rounding), sorts again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +95,12 @@ class MeasureWorkspace:
     def k(self) -> int:
         return self.ys.shape[1]
 
+    @cached_property
+    def y_tied(self) -> np.ndarray:
+        """(g, k - 1): True where a sorted effect has the same bits as the one before it."""
+        bits = self.y_sorted.view(np.int64)
+        return bits[:, 1:] == bits[:, :-1]
+
 
 def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
                     seed: int = 0, source_draws=None) -> MeasureWorkspace:
@@ -142,17 +153,47 @@ def _debiased(ws: MeasureWorkspace, d: np.ndarray, debias: DebiasFn | None) -> n
     return d - debias.w * ws.anchors[:, None]
 
 
+def _transformed(ws: MeasureWorkspace, y: np.ndarray, debias: DebiasFn | None,
+                 pnl: PnlTransform | None):
+    """(t, d) elementwise: t = tanh(b * y + c) (None without a transform) and
+    the effects d = y + a * t, debiased."""
+    if pnl is None:
+        return None, _debiased(ws, y, debias)
+    t = np.tanh(pnl.omega_b * y + pnl.omega_c)
+    return t, _debiased(ws, y + pnl.omega_a * t, debias)
+
+
+def _order_kept(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None):
+    """(t, d) of the workspace's sorted effects when they stay sorted, else None.
+
+    The effects stay sorted when d rises strictly wherever the sorted effect
+    values change; equal values give bit-equal d, t and y. A stable sort of
+    the transformed effects would then return d unchanged, with the same t and
+    y beside each value. A per-row debias shifts each member by its own x, so
+    it always needs the sort.
+    """
+    if debias is not None and debias.per_row:
+        return None
+    t, d = _transformed(ws, ws.y_sorted, debias, pnl)
+    if ((d[:, 1:] > d[:, :-1]) | ws.y_tied).all():
+        return t, d
+    return None
+
+
 def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
                    pnl: PnlTransform | None = None) -> np.ndarray:
     """The effect values, transformed and debiased, sorted per batch.
 
     With neither a debias nor a transform these are the effects the
-    workspace sorted once, so fitting and evaluating share that sort.
+    workspace sorted once. A transform or an anchor debias that keeps each
+    batch's order is applied to them without a sort.
     """
     if debias is None and pnl is None:
         return ws.y_sorted
-    d = pnl_transform(ws.ys, pnl) if pnl is not None else ws.ys
-    return np.sort(_debiased(ws, d, debias), axis=1)
+    kept = _order_kept(ws, debias, pnl)
+    if kept is not None:
+        return kept[1]
+    return np.sort(_transformed(ws, ws.ys, debias, pnl)[1], axis=1)
 
 
 def measure_value(ws: MeasureWorkspace, theta: float,
@@ -175,30 +216,34 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
     Returns (value, grads) where grads maps 'theta', 'w', 'omega_a',
     'omega_b', 'omega_c' to partial derivatives. At sorting ties this is the
     subgradient induced by the stable sort.
+
+    The sort is skipped when the transform and an anchor debias keep every
+    batch's order: the workspace's sorted effects, transformed, are then what
+    the stable sort would return. A per-row debias, or a transform or debias
+    that reorders or ties distinct effects, falls back to a stable argsort.
+    Both give bit-identical results.
     """
     g = {"theta": 0.0, "w": 0.0, "omega_a": 0.0, "omega_b": 0.0, "omega_c": 0.0}
-    if pnl is not None:
-        t = np.tanh(pnl.omega_b * ws.ys + pnl.omega_c)
-        d = ws.ys + pnl.omega_a * t
+    kept = _order_kept(ws, debias, pnl)
+    if kept is not None:
+        t_s, d_s = kept
+        y_s, x_s = ws.y_sorted, None
     else:
-        t = None
-        d = ws.ys
-    d = _debiased(ws, d, debias)
-    order = np.argsort(d, kind="stable", axis=1)
-    s = np.take_along_axis(d, order, axis=1) - theta * ws.e_sorted
+        t, d = _transformed(ws, ws.ys, debias, pnl)
+        order = np.argsort(d, kind="stable", axis=1)
+        flat = order + np.arange(0, d.size, ws.k)[:, None]
+        d_s, y_s = d.take(flat), ws.ys.take(flat)
+        t_s = t.take(flat) if t is not None else None
+        x_s = ws.xs.take(flat) if debias is not None and debias.per_row else None
+    s = d_s - theta * ws.e_sorted
     r = s - s.mean(axis=1, keepdims=True)
     scale = 2.0 / (ws.k - 1)
     total = 0.0 + float((r * r).sum()) / (ws.k - 1)
     g["theta"] += scale * float((r * (-ws.e_sorted)).sum())
     if debias is not None:
-        if debias.per_row:
-            xi = np.take_along_axis(ws.xs, order, axis=1)
-        else:
-            xi = np.broadcast_to(ws.anchors[:, None], d.shape)
+        xi = x_s if debias.per_row else np.broadcast_to(ws.anchors[:, None], d_s.shape)
         g["w"] += scale * float((r * (-xi)).sum())
     if pnl is not None:
-        t_s = np.take_along_axis(t, order, axis=1)
-        y_s = np.take_along_axis(ws.ys, order, axis=1)
         sech2 = 1.0 - t_s**2
         g["omega_a"] += scale * float((r * t_s).sum())
         g["omega_b"] += scale * float((r * (pnl.omega_a * y_s * sech2)).sum())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import divot
-from divot import GeneratorSpec, generate
+from divot import GeneratorSpec, ParseError, generate
 from divot.cli import main, resolve_config, build_parser
 
 
@@ -90,6 +90,11 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
     (["--alpha", "2", "--bootstrap", "4"], None, "alpha must be in"),
     ([], "seed=1\nmax_positions=3\n", "run.cfg:2: unknown key 'max_positions'"),
     ([], "# comment\npositions = abc\n", "run.cfg:2: positions: invalid literal"),
+    ([], "seed=1\ndebias = ture\n", "run.cfg:2: debias: expected one of"),
+    (["bench", "--suite", "synthetic", "--sizes", "100", "--reps", "0"], None,
+     "reps must be >= 1"),
+    (["bench", "--suite", "confounder", "--seeds", ""], None,
+     "seeds must name at least one seed"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)
@@ -97,7 +102,9 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message
         (tmp_path / "run.cfg").write_text(config)
         flags = flags + ["--config", str(tmp_path / "run.cfg")]
     out = tmp_path / "verdict.json"
-    assert main(["infer", str(pair), "--out", str(out)] + flags) == 1
+    # flags that start with the bench command are a whole bench command line
+    command = [] if flags[:1] == ["bench"] else ["infer", str(pair)]
+    assert main(command + flags + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
@@ -116,6 +123,26 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert resolved.noise == "normal"  # from file
     assert resolved.seed == 8  # flag wins
     assert resolved.batch_frac == 0.1
+
+
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("true", True), ("Yes", True), ("on", True),
+    ("0", False), ("false", False), ("NO", False), ("off", False),
+])
+def test_config_boolean_words(tmp_path, word, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"debias = {word}\n")
+    args = build_parser().parse_args(["infer", "x.txt", "--config", str(cfg)])
+    assert resolve_config(args).debias is value
+
+
+@pytest.mark.parametrize("word", ["ture", "on1", "y", ""])
+def test_config_unknown_boolean_word_names_its_line(tmp_path, word):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 2\ndebias-per-row = {word}\n")
+    args = build_parser().parse_args(["infer", "x.txt", "--config", str(cfg)])
+    with pytest.raises(ParseError, match="run.cfg:2: debias_per_row: expected one of"):
+        resolve_config(args)
 
 
 def test_config_auto_batch_frac(tmp_path):

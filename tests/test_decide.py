@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divot import (
     GeneratorSpec,
@@ -12,6 +16,7 @@ from divot import (
     score_direction,
 )
 from divot import decide as decide_mod
+from divot.decide import welch_p_value
 
 CFG = ScoreConfig(source="uniform")
 
@@ -178,3 +183,24 @@ def test_independent_pairs_p_values_exceed_causal_ones():
     assert np.median(p_indep) > 0.05
     assert np.median(p_causal) < 0.01
     assert np.median(p_indep) > np.median(p_causal)
+
+
+samples = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples, samples, st.sampled_from(["neither", "a", "b", "both"]))
+def test_welch_p_value_matches_scipy_ttest(a, b, constant):
+    from scipy import stats
+
+    a, b = np.array(a), np.array(b)
+    if constant in ("a", "both"):
+        a = np.full(len(a), a[0])  # zero variance
+    if constant in ("b", "both"):
+        b = np.full(len(b), b[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = float(stats.ttest_ind(a, b, equal_var=False).pvalue)
+    got = welch_p_value(a, b)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

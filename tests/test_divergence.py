@@ -18,6 +18,7 @@ from divot import (
     variance_divergence,
     workspace_from_batches,
 )
+from divot.divergence import sorted_effects
 from divot.pairdata import BatchSet, SamplePair
 
 
@@ -312,3 +313,105 @@ def test_anchor_mode_w_gradient_is_null():
     ws = _ws()
     _, grads = measure_with_grad(ws, 1.0, DebiasFn(0.7))
     assert abs(grads["w"]) < 1e-12
+
+
+# ---------------------------------------------- sort-free vs argsort kernel
+
+
+def argsort_measure_with_grad(ws, theta, debias=None, pnl=None):
+    """The measure and its gradients with a stable argsort on every call."""
+    g = {"theta": 0.0, "w": 0.0, "omega_a": 0.0, "omega_b": 0.0, "omega_c": 0.0}
+    if pnl is not None:
+        t = np.tanh(pnl.omega_b * ws.ys + pnl.omega_c)
+        d = ws.ys + pnl.omega_a * t
+    else:
+        t = None
+        d = ws.ys
+    if debias is not None:
+        d = d - debias.w * (ws.xs if debias.per_row else ws.anchors[:, None])
+    order = np.argsort(d, kind="stable", axis=1)
+    s = np.take_along_axis(d, order, axis=1) - theta * ws.e_sorted
+    r = s - s.mean(axis=1, keepdims=True)
+    scale = 2.0 / (ws.k - 1)
+    total = 0.0 + float((r * r).sum()) / (ws.k - 1)
+    g["theta"] += scale * float((r * (-ws.e_sorted)).sum())
+    if debias is not None:
+        if debias.per_row:
+            xi = np.take_along_axis(ws.xs, order, axis=1)
+        else:
+            xi = np.broadcast_to(ws.anchors[:, None], d.shape)
+        g["w"] += scale * float((r * (-xi)).sum())
+    if pnl is not None:
+        t_s = np.take_along_axis(t, order, axis=1)
+        y_s = np.take_along_axis(ws.ys, order, axis=1)
+        sech2 = 1.0 - t_s**2
+        g["omega_a"] += scale * float((r * t_s).sum())
+        g["omega_b"] += scale * float((r * (pnl.omega_a * y_s * sech2)).sum())
+        g["omega_c"] += scale * float((r * (pnl.omega_a * sech2)).sum())
+    nb = ws.n_batches
+    return total / nb, {key: val / nb for key, val in g.items()}
+
+
+def argsort_sorted_effects(ws, debias=None, pnl=None):
+    if debias is None and pnl is None:
+        return ws.y_sorted
+    d = pnl_transform(ws.ys, pnl) if pnl is not None else ws.ys
+    if debias is not None:
+        d = d - debias.w * (ws.xs if debias.per_row else ws.anchors[:, None])
+    return np.sort(d, axis=1)
+
+
+def bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@st.composite
+def measure_cases(draw):
+    g, k = draw(st.integers(1, 4)), draw(st.integers(2, 9))
+    if draw(st.booleans()):
+        # an integer grid: many effect values in a row are equal
+        values = st.integers(-3, 3).map(float)
+    else:
+        values = st.floats(-4, 4, allow_nan=False)
+    ys = np.array(draw(st.lists(values, min_size=g * k, max_size=g * k))).reshape(g, k)
+    with_xs = draw(st.booleans())
+    xs = (np.array(draw(st.lists(st.floats(-2, 2), min_size=g * k, max_size=g * k)))
+          .reshape(g, k) if with_xs else None)
+    anchors = np.array(draw(st.lists(st.floats(-2, 2), min_size=g, max_size=g)))
+    ws = build_workspace("uniform", anchors, ys, xs, seed=draw(st.integers(0, 99)))
+    debias = draw(st.sampled_from(["none", "anchor", "per_row"] if with_xs else ["none", "anchor"]))
+    debias = None if debias == "none" else DebiasFn(draw(st.floats(-2, 2)), debias == "per_row")
+    shape = draw(st.sampled_from(["none", "invertible", "non-invertible"]))
+    pnl = None
+    if shape != "none":
+        a, b = draw(st.floats(0.05, 3)), draw(st.floats(0.05, 3))
+        if shape == "non-invertible":
+            a, b = -max(a, 1.5), max(b, 1.5)  # a * b < -1
+        pnl = PnlTransform(a, b, draw(st.floats(-2, 2)))
+    return ws, draw(st.floats(0.01, 3)), debias, pnl
+
+
+@settings(max_examples=400, deadline=None)
+@given(measure_cases())
+def test_measure_matches_argsort_kernel_bit_for_bit(case):
+    ws, theta, debias, pnl = case
+    value, grads = measure_with_grad(ws, theta, debias, pnl)
+    want_value, want_grads = argsort_measure_with_grad(ws, theta, debias, pnl)
+    assert bits(value) == bits(want_value)
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        assert bits(grads[name]) == bits(want), name
+    assert bits(sorted_effects(ws, debias, pnl)) == bits(argsort_sorted_effects(ws, debias, pnl))
+
+
+def test_sort_is_skipped_only_while_the_order_is_kept(monkeypatch):
+    calls = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    ws = _ws()
+    measure_with_grad(ws, 1.0, DebiasFn(0.3), PnlTransform(0.8, 1.2, 0.1))
+    assert calls == []
+    measure_with_grad(ws, 1.0, None, PnlTransform(-3.0, 2.0, 0.0))  # a * b < -1
+    assert calls == [1]
+    measure_with_grad(ws, 1.0, DebiasFn(0.3, per_row=True), PnlTransform(0.8, 1.2, 0.1))
+    assert calls == [1, 1]
