@@ -5,10 +5,12 @@
 The outputs are `divot infer` JSON records (eight configurations on one pair
 file with tied values and one without), the record and summary CSVs of small
 synthetic and confounder `bench` runs (with the timing columns removed),
-`divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree
-and a 4-cycle. `--src` imports divot from another checkout's `src`
-directory, so running the script once per checkout and diffing the two
-listings shows whether a change kept every output byte-identical.
+`divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree,
+a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows) and a
+star of 8 leaves (families of up to 8 parents). `--src` imports divot from
+another checkout's `src` directory, so running the script once per checkout
+and diffing the two listings shows whether a change kept every output
+byte-identical.
 """
 from __future__ import annotations
 
@@ -132,8 +134,17 @@ def orient_digests(divot):
         "tree": (5, ((0, 1), (1, 2), (1, 4), (2, 3))),
         "cycle4": (4, ((0, 1), (1, 2), (2, 3), (0, 3))),
     }
-    for name, (m, edges) in skeletons.items():
-        result = divot.orient_skeleton(data[:, :m], divot.Skeleton(m, edges), seed=4)
+    inputs = {name: (data[:, :m], m, edges) for name, (m, edges) in skeletons.items()}
+    # one decimal: parent rows repeat, so anchors dedupe and distances tie
+    inputs["cycle4-ties"] = (np.round(data[:, :4], 1), 4, skeletons["cycle4"][1])
+    # centre 0 with 8 leaves: families of up to 8 parents
+    leaves = rng.uniform(-1, 1, (n, 8))
+    centre = np.sin(2 * leaves).sum(axis=1) + 0.3 * rng.uniform(-1, 1, n)
+    star = np.column_stack([centre, leaves])
+    star = (star - star.mean(axis=0)) / star.std(axis=0, ddof=1)
+    inputs["star8"] = (star, 9, tuple((0, j) for j in range(1, 9)))
+    for name, (columns, m, edges) in inputs.items():
+        result = divot.orient_skeleton(columns, divot.Skeleton(m, edges), seed=4)
         yield f"orient/{name}", sha(repr(result).encode())
 
 

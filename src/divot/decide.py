@@ -15,7 +15,7 @@ import numpy as np
 from .divergence import MeasureValue, MeasureWorkspace, workspace_from_batches
 from .noise import canonical_source
 from .optimize import FitConfig, FitResult, fit_joint
-from .pairdata import SamplePair, default_batch_frac, make_batches, select_positions
+from .pairdata import SamplePair, check_pair, default_batch_frac, make_batches, select_positions
 
 X_TO_Y = "x->y"
 Y_TO_X = "y->x"
@@ -160,10 +160,13 @@ def divot(pairs: SamplePair, config: ScoreConfig | None = None, seed: int = 0,
     1e-12) are reported as independent. With `bootstrap_b` replicates the
     decision is independent unless the two loss samples differ significantly
     at level alpha, in which case the direction with the smaller loss wins.
-    alpha must lie in (0, 1).
+    alpha must lie in (0, 1). A nan or infinite value, or a constant column,
+    raises DegenerateDataError naming the column (and the row); the columns
+    are checked once, not per bootstrap replicate.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_pair(pairs)
     config = config or ScoreConfig()
     score_xy = score_direction(pairs, X_TO_Y, config, seed)
     score_yx = score_direction(pairs, Y_TO_X, config, seed)

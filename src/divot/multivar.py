@@ -23,6 +23,7 @@ from .errors import (
 )
 from .optimize import FitConfig, fit_theta
 from .pairdata import (
+    check_column,
     default_batch_frac,
     k_nearest_rows,
     nearest_batches,
@@ -135,33 +136,86 @@ def _standardize(col: np.ndarray, what: str) -> np.ndarray:
     return (col - col.mean()) / sd
 
 
-def _parent_batches(parent_mat: np.ndarray, max_positions: int, batch_frac: float):
+def _parent_batches(data: np.ndarray, parents: tuple[int, ...], max_positions: int,
+                    batch_frac: float):
     """Anchor rows and k-NN batches in standardized Euclidean parent space.
 
-    One parent reduces to the axis batching of the bivariate path (grid
-    positions snapped to values); more parents anchor on rows evenly spaced
-    in lexicographic parent order. The batches are a (positions, min(k, n))
-    row-index matrix.
+    Each parent's data column is z-scored; a constant one raises
+    DegenerateDataError naming that data column. One parent reduces to the
+    axis batching of the bivariate path (grid positions snapped to values).
+    More parents anchor on rows evenly spaced in lexicographic parent order,
+    taken from the first row of each run of equal rows in that order. The
+    distance from an anchor to a row is the square root of its d squared
+    parent differences summed in the grouping numpy's `.sum(axis=-1)` uses
+    (see `_column_sum`), one parent column at a time over all anchors and
+    rows. The batches are a (positions, min(k, n)) row-index matrix.
     """
-    n, d = parent_mat.shape
-    z = np.column_stack([_standardize(parent_mat[:, j], f"parent column {j}") for j in range(d)])
+    n = data.shape[0]
+    cols = [_standardize(data[:, p], f"data column {p}") for p in parents]
     k = math.ceil(batch_frac * n)
-    if d == 1:
-        positions = select_position_values(z[:, 0], max_positions)
-        batches = nearest_batches(z[:, 0], positions, k)
+    if len(cols) == 1:
+        positions = select_position_values(cols[0], max_positions)
+        batches = nearest_batches(cols[0], positions, k)
         return positions.reshape(-1, 1), batches
     if max_positions < 1:  # one parent: select_position_values checks it
         raise ValueError(f"max_positions must be >= 1, got {max_positions}")
-    order = np.lexsort(tuple(z[:, j] for j in reversed(range(d))))
-    uniq_rows, uniq_idx = np.unique(z[order], axis=0, return_index=True)
-    anchor_rows = order[np.sort(uniq_idx)]
+    order = np.lexsort(cols[::-1])
+    run_start = np.zeros(n, dtype=bool)
+    run_start[0] = True
+    for col in cols:
+        in_order = col[order]
+        run_start[1:] |= in_order[1:] != in_order[:-1]
+    anchor_rows = order[run_start]
     if len(anchor_rows) > max_positions:
         pick = np.unique(np.round(np.linspace(0, len(anchor_rows) - 1, max_positions)).astype(int))
         anchor_rows = anchor_rows[pick]
-    anchors = z[anchor_rows]
-    dist = np.sqrt(((z[None, :, :] - anchors[:, None, :]) ** 2).sum(axis=2))
+    anchors = np.column_stack([col[anchor_rows] for col in cols])
+
+    def squared_gap(j, out=None):
+        gap = np.subtract(cols[j], anchors[:, j, None], out=out)
+        return np.multiply(gap, gap, out=gap)
+
+    dist = _column_sum(squared_gap, 0, len(cols))
+    np.sqrt(dist, out=dist)
     rows = np.broadcast_to(np.arange(n), dist.shape)
     return anchors, k_nearest_rows(rows, dist, min(k, n))[0]
+
+
+def _column_sum(term, lo: int, hi: int) -> np.ndarray:
+    """The sum of the arrays term(j), lo <= j < hi, grouped as numpy's pairwise
+    summation groups a length hi - lo axis, so it equals `.sum(axis=-1)` of
+    their stack bit for bit. term(j) returns a new array; term(j, out)
+    writes into `out` and returns it.
+
+    Fewer than 8 terms are added in order. Up to 128 terms go to 8 partial
+    sums (term j to partial j % 8, for all but the last (hi - lo) % 8
+    terms), which are added as ((0+1)+(2+3))+((4+5)+(6+7)) before the
+    leftover terms are added in order. More terms split at half the count,
+    rounded down to a multiple of 8, and each half is summed this way.
+    """
+    count = hi - lo
+    if count > 128:
+        half = count // 2
+        half -= half % 8
+        total = _column_sum(term, lo, lo + half)
+        total += _column_sum(term, lo + half, hi)
+        return total
+    if count < 8:
+        total, full = term(lo), lo + 1
+    else:
+        part = [term(lo + j) for j in range(8)]
+        full = lo + count - count % 8
+        buf = np.empty_like(part[0])
+        for j in range(lo + 8, full):
+            part[(j - lo) % 8] += term(j, buf)
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            part[a] += part[b]
+        total = part[0]
+    if hi > full:
+        buf = np.empty_like(total)
+        for j in range(full, hi):
+            total += term(j, buf)
+    return total
 
 
 def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
@@ -197,7 +251,7 @@ def _variable_term(data, i, parents, source, batch_frac, max_positions, fit, see
         return measure_value(ws, theta)
     if min(math.ceil(frac * n), n) < 2:
         raise InsufficientDataError(f"variable {i}: every parent-space batch has < 2 members")
-    anchors, idx = _parent_batches(data[:, list(parents)], max_positions, frac)
+    anchors, idx = _parent_batches(data, parents, max_positions, frac)
     if len(parents) == 1:
         anchor_vals = anchors[:, 0]
         xs_per_batch = data[idx, parents[0]]
@@ -273,7 +327,8 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
 
     Ties break toward the lexicographically smallest direction-flag vector.
     Each family term is computed once and reused by every orientation that
-    contains the family.
+    contains the family. A nan or infinite cell, or a constant column,
+    raises DegenerateDataError naming the data column (and the row).
     """
     edges = skeleton.edges
     if len(edges) > max_edges:
@@ -282,6 +337,8 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
             "orient edges pairwise with the bivariate tool instead"
         )
     data = np.asarray(data, dtype=float)
+    for j in range(data.shape[1]):
+        check_column(data[:, j], f"data column {j}")
     memo = {}
     scored = []
     for flags in itertools.product((0, 1), repeat=len(edges)):

@@ -126,21 +126,35 @@ def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
     return SamplePair(np.array(xs), np.array(ys), (f"load:{path}",))
 
 
+def check_column(col: np.ndarray, label: str) -> None:
+    """Raise DegenerateDataError if `col` holds a nan or infinite value (naming
+    the first such row) or one value only; `label` names the column."""
+    lo, hi = col.min(), col.max()  # a nan or inf shows in one of them
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        row = int(np.flatnonzero(~np.isfinite(col))[0])
+        raise DegenerateDataError(f"{label} has non-finite value {col[row]} at row {row}")
+    if lo == hi:
+        raise DegenerateDataError(f"{label} is constant")
+
+
+def check_pair(pairs: SamplePair) -> None:
+    """`check_column` on column x, then on column y."""
+    check_column(pairs.xs, "column x")
+    check_column(pairs.ys, "column y")
+
+
 def normalize(pairs: SamplePair) -> SamplePair:
     """Z-score both columns (sample std, n-1 denominator).
 
-    A nan or infinite value, or a constant column, raises DegenerateDataError.
+    A nan or infinite value, a constant column, or a standard deviation that
+    underflows to 0 or overflows raises DegenerateDataError.
     """
+    check_pair(pairs)
     out = []
     for name, col in (("x", pairs.xs), ("y", pairs.ys)):
-        bad = np.flatnonzero(~np.isfinite(col))
-        if len(bad):
-            raise DegenerateDataError(
-                f"column {name} has non-finite value {col[bad[0]]} at row {bad[0]}"
-            )
         sd = col.std(ddof=1)
         if sd == 0.0 or not np.isfinite(sd):
-            raise DegenerateDataError(f"column {name} has zero standard deviation")
+            raise DegenerateDataError(f"column {name} has standard deviation {sd}")
         out.append((col - col.mean()) / sd)
     return SamplePair(out[0], out[1], pairs.provenance + ("normalize",))
 
@@ -234,8 +248,12 @@ def k_nearest_rows(rows: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarr
     kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
     nearer = dist < kth
     tied = dist == kth
-    # rows are in ascending order, so the first tied ones have the smallest indices
-    pick = nearer | (tied & (np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)))
+    pick = nearer | tied
+    # every line picks at least k; more than k in all means some line has more
+    # rows tied at its k-th distance than it needs, and each line then keeps
+    # its first tied rows, which have the smallest indices
+    if np.count_nonzero(pick) > k * len(dist):
+        pick = nearer | (tied & (np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)))
     return rows[pick].reshape(len(dist), k), kth[:, 0]
 
 

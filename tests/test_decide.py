@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divot import (
+    DegenerateDataError,
     GeneratorSpec,
     SamplePair,
     ScoreConfig,
@@ -86,6 +87,36 @@ def test_exact_tie_reports_independent():
     v = divot(pairs, CFG, seed=0)
     assert v.score_xy.loss == v.score_yx.loss
     assert v.decision == "independent"
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_constant_column_raises(column):
+    rng = np.random.default_rng(6)
+    cols = {"x": rng.normal(size=200), "y": rng.normal(size=200)}
+    cols[column] = np.ones(200)
+    with pytest.raises(DegenerateDataError, match=f"^column {column} is constant$"):
+        divot(SamplePair(cols["x"], cols["y"]), CFG, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_non_finite_value_names_column_and_row(bad, column):
+    rng = np.random.default_rng(7)
+    cols = {"x": rng.normal(size=50), "y": rng.normal(size=50)}
+    cols[column][[12, 30]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError,
+                           match=f"^column {column} has non-finite value {bad} at row 12$"):
+            divot(SamplePair(cols["x"], cols["y"]), CFG, seed=0)
+
+
+def test_bootstrap_checks_the_columns_once(monkeypatch):
+    checked = []
+    check = decide_mod.check_pair
+    monkeypatch.setattr(decide_mod, "check_pair", lambda pairs: checked.append(1) or check(pairs))
+    divot(make_linear(n=200), CFG, seed=0, bootstrap_b=4)
+    assert checked == [1]
 
 
 def test_normalization_consistency():

@@ -1,12 +1,15 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divot import (
     DagOrientation,
+    DegenerateDataError,
     SamplePair,
     ScoreConfig,
     Skeleton,
@@ -19,7 +22,13 @@ from divot import (
     variable_term,
 )
 import divot.multivar
-from divot.multivar import _is_acyclic_edges, _parent_batches, _standardize, variable_seed
+from divot.multivar import (
+    _column_sum,
+    _is_acyclic_edges,
+    _parent_batches,
+    _standardize,
+    variable_seed,
+)
 from divot.pairdata import k_nearest_rows
 
 
@@ -182,6 +191,27 @@ def test_degenerate_batches_error_names_variable():
         variable_term(data, 1, (0,), batch_frac=0.001, seed=0)
 
 
+def test_constant_parent_column_named_by_data_column():
+    data = chain_data(4, n=100)
+    data[:, 2] = 1.0
+    with pytest.raises(DegenerateDataError, match="^data column 2 has zero standard deviation$"):
+        variable_term(data, 0, (1, 2), seed=0)
+    with pytest.raises(DegenerateDataError, match="^data column 2 is constant$"):
+        orient_skeleton(data, Skeleton(3, ((0, 2), (1, 2))), seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cell_named_by_data_column_and_row(bad):
+    data = chain_data(4, n=100)
+    data[7, 1] = bad
+    data[9, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError,
+                           match=f"^data column 1 has non-finite value {bad} at row 7$"):
+            orient_skeleton(data, Skeleton(3, ((0, 1), (1, 2))), seed=0)
+
+
 @pytest.mark.parametrize("edges", [((0, 1), (1, 2)), ((0, 2), (1, 2))])
 def test_position_count_below_one_rejected(edges):
     # the second skeleton's first orientation gives variable 2 two parents
@@ -283,34 +313,80 @@ def test_memoised_orientation_matches_unmemoised_oracle(graph, seed, n):
 # ------------------------------------------------------------ parent batches
 
 
-def parent_batches_oracle(parent_mat, anchors, batch_frac):
-    """The per-anchor distance loop that the multi-parent batching replaced."""
+def parent_batches_oracle(parent_mat, max_positions, batch_frac):
+    """The multi-parent batching as first written: anchors from np.unique(axis=0)
+    of the lexsorted rows, distances from one .sum(axis=2) over a
+    (positions, n, d) stack, and a stable argsort of each anchor's distances."""
     n, d = parent_mat.shape
     z = np.column_stack([_standardize(parent_mat[:, j], "p") for j in range(d)])
-    k = int(np.ceil(batch_frac * n))
-    batches = []
-    for a in anchors:
-        dist = np.sqrt(((z - a) ** 2).sum(axis=1))
-        batches.append(np.array(sorted(np.argsort(dist, kind="stable")[:k])))
-    return batches
+    k = math.ceil(batch_frac * n)
+    order = np.lexsort(tuple(z[:, j] for j in reversed(range(d))))
+    _, uniq_idx = np.unique(z[order], axis=0, return_index=True)
+    anchor_rows = order[np.sort(uniq_idx)]
+    if len(anchor_rows) > max_positions:
+        pick = np.unique(np.round(np.linspace(0, len(anchor_rows) - 1, max_positions)).astype(int))
+        anchor_rows = anchor_rows[pick]
+    anchors = z[anchor_rows]
+    dist = np.sqrt(((z[None, :, :] - anchors[:, None, :]) ** 2).sum(axis=2))
+    return anchors, np.sort(np.argsort(dist, kind="stable", axis=1)[:, :min(k, n)], axis=1)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(2, 3).flatmap(lambda d: st.lists(
-        st.lists(st.one_of(st.integers(-3, 3).map(float),
-                           st.floats(-5, 5).map(lambda v: round(v, 3))),
-                 min_size=d, max_size=d),
-        min_size=3, max_size=40)),
-    st.integers(1, 12),
-    st.floats(0.01, 1.0),
-)
-def test_multi_parent_batches_match_per_anchor_loop(rows, max_positions, batch_frac):
-    parent_mat = np.array(rows)
-    assume(all(parent_mat[:, j].std(ddof=1) > 0 for j in range(parent_mat.shape[1])))
-    anchors, batches = _parent_batches(parent_mat, max_positions, batch_frac)
-    want = parent_batches_oracle(parent_mat, anchors, batch_frac)
-    assert [b.tolist() for b in batches] == [b.tolist() for b in want]
+@st.composite
+def parent_matrices(draw):
+    """2 to 12 parent columns with the rows optionally resampled, so that whole
+    rows repeat. Each column is on an integer grid (rows tie) or of rounded
+    floats; or every column permutes one zero-sum integer column, so that
+    the z-scores share values and a row's distance sums the same squares as
+    its permutations do, in another order: whether they tie then depends on
+    the summation order."""
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(3, 40))
+    if draw(st.booleans()):
+        half = draw(st.lists(st.integers(-2, 2).map(float), min_size=n // 2, max_size=n // 2))
+        base = half + [-v for v in half] + [0.0] * (n % 2)
+        cols = [draw(st.permutations(base)) for _ in range(d)]
+    else:
+        cols = []
+        for _ in range(d):
+            values = draw(st.sampled_from([
+                st.integers(-2, 2).map(float),
+                st.floats(-5, 5).map(lambda v: round(v, 3)),
+            ]))
+            cols.append(draw(st.lists(values, min_size=n, max_size=n)))
+    mat = np.array(cols).T
+    if draw(st.booleans()):
+        mat = mat[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(parent_matrices(), st.integers(1, 50), st.floats(0.01, 1.0))
+def test_multi_parent_batches_match_per_anchor_loop(parent_mat, max_positions, batch_frac):
+    d = parent_mat.shape[1]
+    constant = [j for j in range(d) if parent_mat[:, j].std(ddof=1) == 0.0]
+    if constant:
+        with pytest.raises(DegenerateDataError, match=f"data column {constant[0]} "):
+            _parent_batches(parent_mat, tuple(range(d)), max_positions, batch_frac)
+        return
+    anchors, batches = _parent_batches(parent_mat, tuple(range(d)), max_positions, batch_frac)
+    want_anchors, want_batches = parent_batches_oracle(parent_mat, max_positions, batch_frac)
+    assert anchors.shape == want_anchors.shape
+    assert anchors.tobytes() == want_anchors.tobytes()
+    assert batches.tolist() == want_batches.tolist()
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 9, 15, 16, 17, 23, 128, 129, 136, 300])
+def test_column_sum_matches_numpy_sum_over_last_axis(d):
+    rng = np.random.default_rng(d)
+    terms = rng.normal(size=(4, 6, d)) ** 2
+
+    def term(j, out=None):
+        if out is None:
+            return terms[..., j].copy()
+        out[...] = terms[..., j]
+        return out
+
+    assert _column_sum(term, 0, d).tobytes() == terms.sum(axis=-1).tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -392,6 +392,10 @@ def test_make_batches_matrix_matches_per_position_batches(case, batch_frac):
             st.integers(1, n))),
     ),
 )
+# every line holds exactly the tied rows it needs at its k-th distance
+@example(([[0.0, 1.0, 1.0, 2.0], [3.0, 1.0, 2.0, 2.0]], 3))
+# the second line has three rows tied at its k-th distance and needs one
+@example(([[0.0, 1.0, 2.0, 3.0], [2.0, 2.0, 2.0, 1.0]], 2))
 def test_k_nearest_rows_matches_stable_argsort(case):
     dist_lists, k = case
     dist = np.array(dist_lists)
