@@ -4,7 +4,8 @@
 
 The outputs are `divot infer` JSON records (eight configurations on one pair
 file with tied values and one without), the record and summary CSVs of small
-synthetic and confounder `bench` runs (with the timing columns removed),
+synthetic, confounder, significance and tuebingen `bench` runs (with the timing
+columns removed; the tuebingen corpus is three generated pair files),
 `divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree,
 a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows) and a
 star of 8 leaves (families of up to 8 parents). `--src` imports divot from
@@ -81,13 +82,30 @@ def infer_digests(divot):
                 sha(out.read_bytes()) if code == 0 else f"exit {code}")
 
 
-def bench_digests():
+def write_corpus(divot) -> list[str]:
+    """Three pair files, the middle one swapped, and their metadata CSV."""
+    Path("corpus").mkdir()
+    rows = ["file,direction"]
+    for i, mech in enumerate(("linear", "sine", "cubic")):
+        pairs = divot.generate(divot.GeneratorSpec(mechanism=mech, n=200, seed=40 + i))
+        swap = i == 1
+        xs, ys = (pairs.ys, pairs.xs) if swap else (pairs.xs, pairs.ys)
+        write_pairs(Path(f"corpus/p{i}.txt"), xs, ys, ".10f")
+        rows.append(f"p{i}.txt,{'y->x' if swap else 'x->y'}")
+    Path("meta.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return ["--data-dir", "corpus", "--meta", "meta.csv"]
+
+
+def bench_digests(divot):
     from divot.cli import main
 
     runs = {
         "synthetic": ["--suite", "synthetic", "--sizes", "100,200",
                       "--mechanisms", "linear,sine", "--reps", "3"],
         "confounder": ["--suite", "confounder", "--seeds", "0", "--bootstrap", "4"],
+        "significance": ["--suite", "significance", "--mechanisms", "linear,sine",
+                         "--weights", "0.02,0.1", "--seeds", "0,1", "--bootstrap", "4"],
+        "tuebingen": ["--suite", "tuebingen", "--seeds", "0,1"] + write_corpus(divot),
     }
     for name, flags in runs.items():
         out = Path(f"{name}.csv")
@@ -160,7 +178,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, digest in (*infer_digests(divot), *bench_digests(),
+            for name, digest in (*infer_digests(divot), *bench_digests(divot),
                                  *verdict_digests(divot), *orient_digests(divot)):
                 print(f"{digest}  {name}")
         finally:

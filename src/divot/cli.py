@@ -5,8 +5,19 @@ Subcommands:
   bench              run a suite (synthetic | tuebingen | confounder | significance)
                      and write per-record plus summary CSVs
 
-All randomness flows from --seed/--seeds; records carry a digest of the
-resolved configuration so reports are reproducible and self-describing.
+Both score a pair the same way: `_score` preprocesses it and times one
+`divot()` call, and `_verdict_record` maps the verdict to its fields. infer
+writes all of them; each bench suite is one `_SUITES` entry (its items, its
+record columns and its summary rows), and one item runner loads or generates
+every item's pairs and scores them.
+
+All randomness flows from --seed/--seeds. synthetic scores reps 0..reps-1,
+tuebingen scores every pair once per seed, and confounder and significance
+use each seed as a trial index that also seeds the trial's generated data.
+A repeated value in --seeds, --sizes, --mechanisms or --weights is an error,
+and so is a metadata row without an `x->y`/`y->x` direction. Records carry a
+digest of the resolved configuration so reports are reproducible and
+self-describing.
 """
 from __future__ import annotations
 
@@ -17,13 +28,13 @@ import json
 import os
 import sys
 import time
-from collections import defaultdict
+from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .decide import INDEPENDENT, ScoreConfig, Verdict, divot
+from .decide import INDEPENDENT, X_TO_Y, Y_TO_X, ScoreConfig, Verdict, divot
 from .divergence import PnlTransform
 from .errors import DivotError, ParseError
 from .noise import canonical_source
@@ -66,11 +77,16 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        # the bench suites average over reps and seeds
+        # the bench suites average over reps and seeds, each value once
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
+        for name in ("seeds", "sizes", "mechanisms", "weights"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                listed = ",".join(map(str, values))
+                raise ValueError(f"{name} must not repeat a value, got {listed}")
 
     def score_config(self) -> ScoreConfig:
         return ScoreConfig(
@@ -158,7 +174,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
+def _score(pairs, config: RunConfig, seed: int, max_n: int | None = None,
+           default_b: int | None = None):
+    """Preprocess `pairs`, then time one divot() call: (verdict, rows used, seconds).
+
+    `max_n` replaces config.max_n, and `default_b` is the bootstrap size when
+    config.bootstrap is 0.
+    """
+    pre = preprocess(pairs, max_n or config.max_n, config.k_std, seed)
+    t0 = time.perf_counter()
+    verdict = divot(pre, config.score_config(), seed=seed,
+                    bootstrap_b=config.bootstrap or default_b, alpha=config.alpha)
+    return verdict, pre.n, time.perf_counter() - t0
+
+
 def _verdict_record(verdict: Verdict, config: RunConfig, seed: int, source_file: str | None):
+    """Every field of a verdict: infer writes all of them, a suite picks its columns."""
     def omega_fields(score):
         if score.omega is None:
             return None, None
@@ -183,7 +214,7 @@ def _verdict_record(verdict: Verdict, config: RunConfig, seed: int, source_file:
         "pnl_invertible_yx": inv_yx,
         "p_value": verdict.p_value,
         "alpha": verdict.alpha,
-        "bootstrap_b": config.bootstrap or None,
+        "bootstrap_b": verdict.bootstrap.b if verdict.bootstrap else None,
         "mode": config.mode,
         "noise": config.noise,
         "seed": seed,
@@ -194,16 +225,7 @@ def _verdict_record(verdict: Verdict, config: RunConfig, seed: int, source_file:
 def cmd_infer(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     pairs = load_pairs(args.pair_file, tuple(args.columns))
-    pre = preprocess(pairs, config.max_n, config.k_std, config.seed)
-    t0 = time.perf_counter()
-    verdict = divot(
-        pre,
-        config.score_config(),
-        seed=config.seed,
-        bootstrap_b=config.bootstrap or None,
-        alpha=config.alpha,
-    )
-    elapsed = time.perf_counter() - t0
+    verdict, _, elapsed = _score(pairs, config, config.seed)
     record = _verdict_record(verdict, config, config.seed, args.pair_file)
     text = json.dumps(record, indent=2, sort_keys=True)
     print(text)
@@ -232,14 +254,20 @@ def _summary_path(out: str) -> str:
 
 
 def _group(records, *fields) -> dict:
-    """Records grouped by their values of `fields`, in order of first appearance.
-
-    Looking up a key with no records gives an empty list.
-    """
-    cells = defaultdict(list)
+    """Records grouped by their values of `fields`, in order of first appearance."""
+    cells: dict = {}
     for r in records:
-        cells[tuple(r[f] for f in fields)].append(r)
+        cells.setdefault(tuple(r[f] for f in fields), []).append(r)
     return cells
+
+
+def _cells(key: tuple[str, ...], stats):
+    """A summary with one row per cell of records that agree on `key`.
+
+    A row holds the cell's `key` values, then the fields of `stats(cell)`.
+    """
+    return lambda records: [{**dict(zip(key, values)), **stats(cell)}
+                            for values, cell in _group(records, *key).items()]
 
 
 def _majority(votes: list[str]) -> str:
@@ -247,27 +275,154 @@ def _majority(votes: list[str]) -> str:
     return max(dict.fromkeys(votes), key=votes.count)
 
 
-def _synthetic_task(item):
-    config, mech, n, rep = item
-    spec = GeneratorSpec(mechanism=mech, n=n, seed=1000 * rep + n)
-    pre = preprocess(generate(spec), config.max_n, config.k_std, seed=rep)
-    t0 = time.perf_counter()
-    verdict = divot(pre, config.score_config(), seed=rep,
-                    bootstrap_b=config.bootstrap or None, alpha=config.alpha)
-    return {
-        "suite": "synthetic",
-        "mechanism": mech,
-        "n": n,
-        "rep": rep,
-        "seed": 1000 * rep + n,
-        "decision": verdict.decision,
-        "correct": int(verdict.decision == "x->y"),
-        "loss_xy": verdict.score_xy.loss,
-        "loss_yx": verdict.score_yx.loss,
-        "p_value": verdict.p_value,
-        "elapsed_s": round(time.perf_counter() - t0, 6),
-        "config_digest": config.digest(),
-    }
+def _accuracy(cell) -> float:
+    return sum(r["correct"] for r in cell) / len(cell)
+
+
+def _median_p(cell) -> float:
+    return float(np.median([r["p_value"] for r in cell]))
+
+
+def load_truth_table(meta_path: str) -> dict:
+    """Metadata CSV mapping pair file name -> ground truth ('x->y' | 'y->x').
+
+    A row without a direction, or with any other direction, raises ParseError
+    naming the file and line.
+    """
+    truth = {}
+    with open(meta_path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].strip().startswith("#"):
+                continue
+            if row[0].strip().lower() in ("file", "filename", "pair"):
+                continue
+            if len(row) < 2:
+                raise ParseError(meta_path, reader.line_num, "expected file,direction")
+            direction = row[1].strip()
+            if direction not in (X_TO_Y, Y_TO_X):
+                raise ParseError(meta_path, reader.line_num,
+                                 f"direction must be {X_TO_Y} or {Y_TO_X}, got {direction!r}")
+            truth[row[0].strip()] = direction
+    return truth
+
+
+# Each suite's items are (data, seed, fields): `data` is a pair file path or a
+# GeneratorSpec, `seed` seeds preprocess and divot, and `fields` are the
+# item's own record fields (they override the verdict's; `truth` sets `correct`).
+
+
+def _synthetic_items(config: RunConfig):
+    for mech in config.mechanisms:
+        for n in config.sizes:
+            for rep in range(config.reps):
+                seed = 1000 * rep + n
+                yield (GeneratorSpec(mechanism=mech, n=n, seed=seed), rep,
+                       {"mechanism": mech, "n": n, "rep": rep, "seed": seed, "truth": X_TO_Y})
+
+
+def _tuebingen_items(config: RunConfig):
+    if not config.data_dir or not config.meta:
+        raise DivotError("tuebingen suite needs --data-dir and --meta")
+    truth = load_truth_table(config.meta)
+    if not truth:
+        raise DivotError(f"no ground-truth entries in {config.meta}")
+    for name in sorted(truth):
+        path = os.path.join(config.data_dir, name)
+        if not os.path.exists(path):
+            raise DivotError(f"pair file missing from corpus: {path}")
+        for seed in config.seeds:
+            yield path, seed, {"file": name, "truth": truth[name]}
+
+
+def _confounder_items(config: RunConfig):
+    cells = [(1, "linear", 0.0, 0.0)]
+    cells += [(2, "linear", wx, wy) for wx in FCM2_GRID for wy in FCM2_GRID]
+    cells += [(3, mech, wx, wy) for mech in ("linear", "sine")
+              for wx in FCM3_GRID for wy in FCM3_GRID]
+    for fcm, mech, wx, wy in cells:
+        for trial in config.seeds:
+            seed = 3571 * trial + 17
+            spec = GeneratorSpec(mechanism=mech, confounder=(wx, wy, fcm), n=1000, seed=seed)
+            yield spec, trial, {"fcm": fcm, "mechanism": mech if fcm == 3 else "",
+                                "w_x": wx, "w_y": wy, "trial": trial, "seed": seed}
+
+
+def _significance_items(config: RunConfig):
+    for mech in config.mechanisms:
+        for weight in config.weights:
+            for trial in config.seeds:
+                seed = 1009 * trial + 13
+                yield (GeneratorSpec(mechanism=mech, weight=weight, n=1000, seed=seed), trial,
+                       {"mechanism": mech, "weight": weight, "trial": trial, "seed": seed})
+
+
+def _tuebingen_summary(records):
+    rows = [{"scope": f"seed={seed}", "pairs": len(cell), "accuracy": _accuracy(cell),
+             "accuracy_std": ""} for (seed,), cell in _group(records, "seed").items()]
+    per_seed = [row["accuracy"] for row in rows]
+    rows.append({"scope": "overall", "pairs": len(_group(records, "file")),
+                 "accuracy": float(np.mean(per_seed)), "accuracy_std": float(np.std(per_seed))})
+    return rows
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """A bench suite. Every record and summary row starts with `suite` and
+    ends with `config_digest`; `columns` are the record columns between them."""
+
+    items: Callable[[RunConfig], Iterable[tuple]]
+    columns: tuple[str, ...]
+    summary: Callable[[list[dict]], list[dict]]
+    max_n: int | None = None  # a fixed subsample cap in place of --max-n
+    default_b: int | None = None  # bootstrap replicates when --bootstrap is 0
+
+
+_SUITES = {
+    "synthetic": _Suite(
+        _synthetic_items,
+        ("mechanism", "n", "rep", "seed", "decision", "correct", "loss_xy", "loss_yx",
+         "p_value", "elapsed_s"),
+        _cells(("mechanism", "n"), lambda cell: {
+            "reps": len(cell), "accuracy": _accuracy(cell),
+            "mean_elapsed_s": round(float(np.mean([r["elapsed_s"] for r in cell])), 6)})),
+    "tuebingen": _Suite(
+        _tuebingen_items,
+        ("file", "seed", "decision", "truth", "correct", "loss_xy", "loss_yx", "p_value",
+         "n_used", "elapsed_s"),
+        _tuebingen_summary),
+    "confounder": _Suite(
+        _confounder_items,
+        ("fcm", "mechanism", "w_x", "w_y", "trial", "seed", "p_value", "decision", "elapsed_s"),
+        _cells(("fcm", "mechanism", "w_x", "w_y"), lambda cell: {
+            "trials": len(cell),
+            "majority_decision": _majority([r["decision"] for r in cell]),
+            "median_p": _median_p(cell)}),
+        max_n=1000, default_b=50),
+    "significance": _Suite(
+        _significance_items,
+        ("mechanism", "weight", "trial", "seed", "p_value", "decision", "elapsed_s"),
+        _cells(("mechanism", "weight"), lambda cell: {
+            "trials": len(cell), "median_p": _median_p(cell),
+            "frac_independent": sum(r["decision"] == INDEPENDENT for r in cell) / len(cell)}),
+        max_n=1000, default_b=50),
+}
+
+
+def _row(config: RunConfig, fields: dict) -> dict:
+    return {"suite": config.suite, **fields, "config_digest": config.digest()}
+
+
+def _run_item(item) -> dict:
+    """One suite record: load or generate the pairs, then score them."""
+    config, data, seed, fields = item
+    suite = _SUITES[config.suite]
+    pairs = load_pairs(data) if isinstance(data, str) else generate(data)
+    verdict, n_used, elapsed = _score(pairs, config, seed, suite.max_n, suite.default_b)
+    record = {**_verdict_record(verdict, config, seed, None),
+              "correct": int(verdict.decision == fields.get("truth")),
+              "n_used": n_used, "elapsed_s": round(elapsed, 6), **fields}
+    return _row(config, {name: record[name] for name in suite.columns})
 
 
 def _map_tasks(fn, items, workers: int):
@@ -277,201 +432,6 @@ def _map_tasks(fn, items, workers: int):
         return list(pool.map(fn, items, chunksize=4))
 
 
-def bench_synthetic(config: RunConfig):
-    items = [
-        (config, mech, n, rep)
-        for mech in config.mechanisms
-        for n in config.sizes
-        for rep in range(config.reps)
-    ]
-    records = _map_tasks(_synthetic_task, items, config.workers)
-    cells = _group(records, "mechanism", "n")
-    summary = []
-    for mech in config.mechanisms:
-        for n in config.sizes:
-            cell = cells[mech, n]
-            summary.append({
-                "suite": "synthetic",
-                "mechanism": mech,
-                "n": n,
-                "reps": len(cell),
-                "accuracy": sum(r["correct"] for r in cell) / len(cell),
-                "mean_elapsed_s": round(float(np.mean([r["elapsed_s"] for r in cell])), 6),
-                "config_digest": config.digest(),
-            })
-    return records, summary
-
-
-def load_truth_table(meta_path: str) -> dict:
-    """Metadata CSV mapping pair file name -> ground truth ('x->y' | 'y->x')."""
-    truth = {}
-    with open(meta_path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if row[0].strip().lower() in ("file", "filename", "pair"):
-                continue
-            truth[row[0].strip()] = row[1].strip()
-    return truth
-
-
-def _tuebingen_task(item):
-    config, path, name, truth, seed = item
-    pairs = load_pairs(path)
-    pre = preprocess(pairs, config.max_n, config.k_std, seed)
-    t0 = time.perf_counter()
-    verdict = divot(pre, config.score_config(), seed=seed,
-                    bootstrap_b=config.bootstrap or None, alpha=config.alpha)
-    return {
-        "suite": "tuebingen",
-        "file": name,
-        "seed": seed,
-        "decision": verdict.decision,
-        "truth": truth,
-        "correct": int(verdict.decision == truth),
-        "loss_xy": verdict.score_xy.loss,
-        "loss_yx": verdict.score_yx.loss,
-        "p_value": verdict.p_value,
-        "n_used": pre.n,
-        "elapsed_s": round(time.perf_counter() - t0, 6),
-        "config_digest": config.digest(),
-    }
-
-
-def bench_tuebingen(config: RunConfig):
-    if not config.data_dir or not config.meta:
-        raise DivotError("tuebingen suite needs --data-dir and --meta")
-    truth = load_truth_table(config.meta)
-    if not truth:
-        raise DivotError(f"no ground-truth entries in {config.meta}")
-    items = []
-    for name in sorted(truth):
-        path = os.path.join(config.data_dir, name)
-        if not os.path.exists(path):
-            raise DivotError(f"pair file missing from corpus: {path}")
-        for seed in config.seeds:
-            items.append((config, path, name, truth[name], seed))
-    records = _map_tasks(_tuebingen_task, items, config.workers)
-    cells = _group(records, "seed")
-    summary = []
-    per_seed = []
-    for seed in config.seeds:
-        rows = cells[(seed,)]
-        acc = sum(r["correct"] for r in rows) / len(rows)
-        per_seed.append(acc)
-        summary.append({
-            "suite": "tuebingen", "scope": f"seed={seed}", "pairs": len(rows),
-            "accuracy": acc, "accuracy_std": "",
-            "config_digest": config.digest(),
-        })
-    summary.append({
-        "suite": "tuebingen", "scope": "overall", "pairs": len(truth),
-        "accuracy": float(np.mean(per_seed)),
-        "accuracy_std": float(np.std(per_seed)),
-        "config_digest": config.digest(),
-    })
-    return records, summary
-
-
-def _confounder_task(item):
-    config, fcm, mech, wx, wy, trial = item
-    seed = 3571 * trial + 17
-    spec = GeneratorSpec(mechanism=mech, confounder=(wx, wy, fcm), n=1000, seed=seed)
-    pre = preprocess(generate(spec), max_n=1000, k_std=config.k_std, seed=trial)
-    t0 = time.perf_counter()
-    verdict = divot(pre, config.score_config(), seed=trial,
-                    bootstrap_b=config.bootstrap or 50, alpha=config.alpha)
-    return {
-        "suite": "confounder",
-        "fcm": fcm,
-        "mechanism": mech if fcm == 3 else "",
-        "w_x": wx,
-        "w_y": wy,
-        "trial": trial,
-        "seed": seed,
-        "p_value": verdict.p_value,
-        "decision": verdict.decision,
-        "elapsed_s": round(time.perf_counter() - t0, 6),
-        "config_digest": config.digest(),
-    }
-
-
-def bench_confounder(config: RunConfig):
-    trials = range(len(config.seeds))
-    items = [(config, 1, "linear", 0.0, 0.0, t) for t in trials]
-    for wx in FCM2_GRID:
-        for wy in FCM2_GRID:
-            items += [(config, 2, "linear", wx, wy, t) for t in trials]
-    for mech in ("linear", "sine"):
-        for wx in FCM3_GRID:
-            for wy in FCM3_GRID:
-                items += [(config, 3, mech, wx, wy, t) for t in trials]
-    records = _map_tasks(_confounder_task, items, config.workers)
-    summary = []
-    for key, cell in _group(records, "fcm", "mechanism", "w_x", "w_y").items():
-        summary.append({
-            "suite": "confounder", "fcm": key[0], "mechanism": key[1],
-            "w_x": key[2], "w_y": key[3], "trials": len(cell),
-            "majority_decision": _majority([q["decision"] for q in cell]),
-            "median_p": float(np.median([q["p_value"] for q in cell])),
-            "config_digest": config.digest(),
-        })
-    return records, summary
-
-
-def _significance_task(item):
-    config, mech, weight, trial = item
-    seed = 1009 * trial + 13
-    spec = GeneratorSpec(mechanism=mech, weight=weight, n=1000, seed=seed)
-    pre = preprocess(generate(spec), max_n=1000, k_std=config.k_std, seed=trial)
-    t0 = time.perf_counter()
-    verdict = divot(pre, config.score_config(), seed=trial,
-                    bootstrap_b=config.bootstrap or 50, alpha=config.alpha)
-    return {
-        "suite": "significance",
-        "mechanism": mech,
-        "weight": weight,
-        "trial": trial,
-        "seed": seed,
-        "p_value": verdict.p_value,
-        "decision": verdict.decision,
-        "elapsed_s": round(time.perf_counter() - t0, 6),
-        "config_digest": config.digest(),
-    }
-
-
-def bench_significance(config: RunConfig):
-    trials = range(len(config.seeds))
-    items = [
-        (config, mech, w, t)
-        for mech in config.mechanisms
-        for w in config.weights
-        for t in trials
-    ]
-    records = _map_tasks(_significance_task, items, config.workers)
-    cells = _group(records, "mechanism", "weight")
-    summary = []
-    for mech in config.mechanisms:
-        for w in config.weights:
-            cell = cells[mech, w]
-            summary.append({
-                "suite": "significance", "mechanism": mech, "weight": w,
-                "trials": len(cell),
-                "median_p": float(np.median([r["p_value"] for r in cell])),
-                "frac_independent": sum(r["decision"] == INDEPENDENT for r in cell) / len(cell),
-                "config_digest": config.digest(),
-            })
-    return records, summary
-
-
-_SUITES = {
-    "synthetic": bench_synthetic,
-    "tuebingen": bench_tuebingen,
-    "confounder": bench_confounder,
-    "significance": bench_significance,
-}
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if config.suite not in _SUITES:
@@ -479,7 +439,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not config.out:
         raise DivotError("bench requires --out for the CSV report")
     t0 = time.perf_counter()
-    records, summary = _SUITES[config.suite](config)
+    suite = _SUITES[config.suite]
+    items = [(config, *item) for item in suite.items(config)]
+    records = _map_tasks(_run_item, items, config.workers)
+    summary = [_row(config, row) for row in suite.summary(records)]
     _write_csv(config.out, records)
     _write_csv(_summary_path(config.out), summary)
     print(f"suite={config.suite} records={len(records)} "

@@ -101,14 +101,11 @@ class DagOrientation:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if not self._is_acyclic():
+        if not _is_acyclic_edges(self.m, self.edges):
             raise ValueError("orientation contains a cycle")
 
     def parents(self, i: int) -> tuple[int, ...]:
         return tuple(sorted(u for u, v in self.edges if v == i))
-
-    def _is_acyclic(self) -> bool:
-        return _is_acyclic_edges(self.m, self.edges)
 
 
 def _is_acyclic_edges(m: int, edges) -> bool:
@@ -345,9 +342,10 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
         directed = tuple(
             (v, u) if flip else (u, v) for (u, v), flip in zip(edges, flags)
         )
-        if not _is_acyclic_edges(skeleton.m, directed):
+        try:
+            dag = DagOrientation(skeleton.m, directed)
+        except ValueError:  # the orientation has a cycle
             continue
-        dag = DagOrientation(skeleton.m, directed)
         score = multivariate_measure(data, dag, sources, batch_frac, max_positions, fit, seed,
                                      memo=memo)
         scored.append((flags, score, dag))

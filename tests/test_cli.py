@@ -27,6 +27,31 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# each suite's record and summary CSV headers, names and order
+HEADERS = {
+    "synthetic": (
+        "suite,mechanism,n,rep,seed,decision,correct,loss_xy,loss_yx,p_value,elapsed_s,"
+        "config_digest",
+        "suite,mechanism,n,reps,accuracy,mean_elapsed_s,config_digest"),
+    "tuebingen": (
+        "suite,file,seed,decision,truth,correct,loss_xy,loss_yx,p_value,n_used,elapsed_s,"
+        "config_digest",
+        "suite,scope,pairs,accuracy,accuracy_std,config_digest"),
+    "confounder": (
+        "suite,fcm,mechanism,w_x,w_y,trial,seed,p_value,decision,elapsed_s,config_digest",
+        "suite,fcm,mechanism,w_x,w_y,trials,majority_decision,median_p,config_digest"),
+    "significance": (
+        "suite,mechanism,weight,trial,seed,p_value,decision,elapsed_s,config_digest",
+        "suite,mechanism,weight,trials,median_p,frac_independent,config_digest"),
+}
+
+
+def assert_headers(out, suite):
+    summary = out.with_name(out.stem + "_summary.csv")
+    headers = tuple(path.read_text().splitlines()[0] for path in (out, summary))
+    assert headers == HEADERS[suite]
+
+
 # --------------------------------------------------------------------- infer
 
 
@@ -95,12 +120,28 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
      "reps must be >= 1"),
     (["bench", "--suite", "confounder", "--seeds", ""], None,
      "seeds must name at least one seed"),
+    (["bench", "--suite", "synthetic", "--sizes", "100,100"], None,
+     "sizes must not repeat a value, got 100,100"),
+    (["bench", "--suite", "significance", "--seeds", "0,2,0"], None,
+     "seeds must not repeat a value"),
+    (["bench", "--suite", "synthetic", "--mechanisms", "sine,linear,sine"], None,
+     "mechanisms must not repeat a value"),
+    (["bench", "--suite", "significance", "--weights", "0.01,0.010"], None,
+     "weights must not repeat a value"),
+    (["bench", "--suite", "tuebingen", "--data-dir", ".", "--meta"], "file,direction\na.txt\n",
+     "meta.csv:2: expected file,direction"),
+    (["bench", "--suite", "tuebingen", "--data-dir", ".", "--meta"],
+     "file,direction\na.txt,x->y\nb.txt,x-->y\n",
+     "meta.csv:3: direction must be x->y or y->x, got 'x-->y'"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)
     if config is not None:
-        (tmp_path / "run.cfg").write_text(config)
-        flags = flags + ["--config", str(tmp_path / "run.cfg")]
+        # the text is a config file, or the metadata CSV when the flags end in --meta
+        meta = flags[-1:] == ["--meta"]
+        path = tmp_path / ("meta.csv" if meta else "run.cfg")
+        path.write_text(config)
+        flags = flags + ([] if meta else ["--config"]) + [str(path)]
     out = tmp_path / "verdict.json"
     # flags that start with the bench command are a whole bench command line
     command = [] if flags[:1] == ["bench"] else ["infer", str(pair)]
@@ -162,8 +203,7 @@ def test_bench_synthetic_csv_schema(tmp_path):
     assert code == 0
     records = read_csv(out)
     assert len(records) == 10
-    assert {"suite", "mechanism", "n", "rep", "seed", "decision", "correct",
-            "loss_xy", "loss_yx", "elapsed_s", "config_digest"} <= set(records[0])
+    assert_headers(out, "synthetic")
     summary = read_csv(tmp_path / "synth_summary.csv")
     assert len(summary) == 2
     assert all(0.0 <= float(row["accuracy"]) <= 1.0 for row in summary)
@@ -210,7 +250,7 @@ def test_bench_tuebingen_reports_per_pair(tmp_path):
     assert code == 0
     records = read_csv(out)
     assert len(records) == 8  # 4 pairs x 2 seeds
-    assert {"file", "seed", "decision", "truth", "correct"} <= set(records[0])
+    assert_headers(out, "tuebingen")
     summary = read_csv(tmp_path / "tueb_summary.csv")
     overall = [r for r in summary if r["scope"] == "overall"]
     assert len(overall) == 1 and overall[0]["accuracy_std"] != ""
@@ -235,8 +275,17 @@ def test_bench_significance_schema(tmp_path):
     records = read_csv(out)
     assert len(records) == 4
     assert all(0.0 <= float(r["p_value"]) <= 1.0 for r in records)
-    summary = read_csv(tmp_path / "sig_summary.csv")
-    assert {"mechanism", "weight", "median_p", "frac_independent"} <= set(summary[0])
+    assert_headers(out, "significance")
+
+
+def test_bench_trials_are_the_listed_seeds(tmp_path):
+    out = tmp_path / "sig.csv"
+    code = main(["bench", "--suite", "significance", "--mechanisms", "linear",
+                 "--weights", "0.05", "--seeds", "5,2", "--bootstrap", "4",
+                 "--out", str(out)])
+    assert code == 0
+    records = read_csv(out)
+    assert [(r["trial"], r["seed"]) for r in records] == [("5", "5058"), ("2", "2031")]
 
 
 def test_bench_confounder_schema(tmp_path):
@@ -244,6 +293,7 @@ def test_bench_confounder_schema(tmp_path):
     code = main(["bench", "--suite", "confounder", "--seeds", "0",
                  "--bootstrap", "6", "--out", str(out)])
     assert code == 0
+    assert_headers(out, "confounder")
     records = read_csv(out)
     fcm_values = {r["fcm"] for r in records}
     assert fcm_values == {"1", "2", "3"}
@@ -253,25 +303,30 @@ def test_bench_confounder_schema(tmp_path):
 
 
 TIED_CONFOUNDER_SUMMARY = """
+import csv, dataclasses
 from divot import cli
 
-def fake_task(item):
-    config, fcm, mech, wx, wy, trial = item
-    return {"fcm": fcm, "mechanism": mech, "w_x": wx, "w_y": wy, "p_value": 0.5,
-            "decision": ("y->x", "independent", "x->y")[trial]}
+real_divot = cli.divot
 
-cli._confounder_task = fake_task
-_, summary = cli.bench_confounder(cli.RunConfig(seeds=(0, 1, 2)))
-print(sorted({row["majority_decision"] for row in summary}))
+def tied_divot(pairs, config, seed, **_):
+    # trials 0, 1 and 2 of every cell vote three different ways
+    verdict = real_divot(pairs, config, seed=seed)
+    return dataclasses.replace(verdict, decision=("y->x", "independent", "x->y")[seed],
+                               p_value=0.5)
+
+cli.divot = tied_divot
+assert cli.main(["bench", "--suite", "confounder", "--seeds", "0,1,2", "--out", "conf.csv"]) == 0
+with open("conf_summary.csv", newline="") as fh:
+    print(sorted({row["majority_decision"] for row in csv.DictReader(fh)}))
 """
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "3"])
-def test_confounder_majority_tie_goes_to_first_trial(hash_seed):
+def test_confounder_majority_tie_goes_to_first_trial(tmp_path, hash_seed):
     # every cell's three trials disagree; a tie broken by set order gave
     # "independent" and "x->y" under these two hash seeds (CPython 3.11)
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.path.dirname(os.path.dirname(divot.__file__)))
-    out = subprocess.run([sys.executable, "-c", TIED_CONFOUNDER_SUMMARY], env=env,
+    out = subprocess.run([sys.executable, "-c", TIED_CONFOUNDER_SUMMARY], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "['y->x']"
+    assert out.splitlines()[-1] == "['y->x']"
