@@ -286,8 +286,8 @@ def _median_p(cell) -> float:
 def load_truth_table(meta_path: str) -> dict:
     """Metadata CSV mapping pair file name -> ground truth ('x->y' | 'y->x').
 
-    A row without a direction, or with any other direction, raises ParseError
-    naming the file and line.
+    A row without a direction, or with any other direction, or a file name
+    already given on an earlier row, raises ParseError naming the file and line.
     """
     truth = {}
     with open(meta_path, "r", encoding="utf-8", newline="") as fh:
@@ -303,7 +303,10 @@ def load_truth_table(meta_path: str) -> dict:
             if direction not in (X_TO_Y, Y_TO_X):
                 raise ParseError(meta_path, reader.line_num,
                                  f"direction must be {X_TO_Y} or {Y_TO_X}, got {direction!r}")
-            truth[row[0].strip()] = direction
+            name = row[0].strip()
+            if name in truth:
+                raise ParseError(meta_path, reader.line_num, f"pair file {name!r} listed twice")
+            truth[name] = direction
     return truth
 
 

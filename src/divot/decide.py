@@ -109,8 +109,13 @@ def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
                    seed: int = 0) -> BootstrapResult:
     """Welch two-sample t-test on per-replicate direction losses.
 
-    Replicate i resamples rows with replacement and scores both directions;
-    replicate seeds are seed XOR i.
+    Replicate i draws n row indices with replacement and scores both
+    directions; replicate seeds are seed XOR i. The replicate holds the drawn
+    rows sorted by index, each as often as drawn: a resample is a multiset of
+    rows, so sorting leaves its law unchanged, and it lets each replicate
+    take its stable x- and y-orders from the parent's (`SamplePair.resample`)
+    instead of sorting both columns again. Equal values in a replicate
+    therefore come in parent row order.
     """
     if b < 2:
         raise ValueError(f"need at least 2 bootstrap replicates, got {b}")
@@ -119,9 +124,8 @@ def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
     for i in range(b):
         rep_seed = seed ^ i
         rng = np.random.default_rng(rep_seed)
-        idx = rng.integers(0, pairs.n, pairs.n)
-        sample = SamplePair(pairs.xs[idx], pairs.ys[idx],
-                            pairs.provenance + (f"bootstrap:{i}",))
+        counts = np.bincount(rng.integers(0, pairs.n, pairs.n), minlength=pairs.n)
+        sample = pairs.resample(counts, f"bootstrap:{i}")
         losses_xy[i] = score_direction(sample, X_TO_Y, config, rep_seed).loss
         losses_yx[i] = score_direction(sample, Y_TO_X, config, rep_seed).loss
     if losses_xy.var(ddof=1) == 0.0 and losses_yx.var(ddof=1) == 0.0:

@@ -151,8 +151,9 @@ def _parent_batches(data: np.ndarray, parents: tuple[int, ...], max_positions: i
     cols = [_standardize(data[:, p], f"data column {p}") for p in parents]
     k = math.ceil(batch_frac * n)
     if len(cols) == 1:
-        positions = select_position_values(cols[0], max_positions)
-        batches = nearest_batches(cols[0], positions, k)
+        order = np.argsort(cols[0], kind="stable")
+        positions = select_position_values(cols[0], max_positions, order)
+        batches = nearest_batches(cols[0], positions, k, order)
         return positions.reshape(-1, 1), batches
     if max_positions < 1:  # one parent: select_position_values checks it
         raise ValueError(f"max_positions must be >= 1, got {max_positions}")
@@ -228,13 +229,27 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
     is a pure function of the family (i, parents) once the data and the other
     arguments are fixed; `memo`, when given, maps families to terms computed
     with the same data and arguments, and gains this family's term.
+
+    Without `memo` the columns it reads are checked first: a nan or infinite
+    cell, or a constant column i, raises DegenerateDataError naming the data
+    column (and the row); a constant parent column raises one when it is
+    z-scored. A caller passing `memo` has checked every column.
     """
     if memo is None:
+        check_column(data[:, i], f"data column {i}")
+        for p in parents:
+            check_column(data[:, p], f"data column {p}", constant_ok=True)
         return _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed)
     key = (i, tuple(parents))
     if key not in memo:
         memo[key] = _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed)
     return memo[key]
+
+
+def _check_columns(data: np.ndarray) -> None:
+    """`check_column` on every data column, labelled by its index."""
+    for j in range(data.shape[1]):
+        check_column(data[:, j], f"data column {j}")
 
 
 def _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed) -> float:
@@ -270,12 +285,17 @@ def multivariate_measure(data: np.ndarray, dag: DagOrientation,
     """Sum of per-variable conditional measures under the orientation.
 
     `sources` may be a single source name or one per variable. `memo` is
-    handed to every `variable_term`.
+    handed to every `variable_term`. Without `memo` every data column is
+    checked once, as `variable_term` checks its own, and the terms share a
+    fresh memo so that none checks again.
     """
     data = np.asarray(data, dtype=float)
     m = data.shape[1]
     if dag.m != m:
         raise ValueError(f"orientation is over {dag.m} variables, data has {m} columns")
+    if memo is None:
+        _check_columns(data)
+        memo = {}
     if sources is None:
         sources = ["uniform"] * m
     elif isinstance(sources, str):
@@ -334,8 +354,7 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
             "orient edges pairwise with the bivariate tool instead"
         )
     data = np.asarray(data, dtype=float)
-    for j in range(data.shape[1]):
-        check_column(data[:, j], f"data column {j}")
+    _check_columns(data)
     memo = {}
     scored = []
     for flags in itertools.product((0, 1), repeat=len(edges)):

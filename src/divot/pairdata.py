@@ -6,7 +6,7 @@ numeric columns; lines starting with '#' are ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,12 +18,16 @@ class SamplePair:
     """An ordered dataset of (x, y) observations.
 
     Arrays are treated as immutable after construction; `provenance` records
-    the preprocessing steps that produced this view of the data.
+    the preprocessing steps that produced this view of the data. `x_order`
+    and `y_order`, when given, must be the stable argsorts of `xs` and `ys`;
+    otherwise `by_x` and `by_y` compute them on first use and keep them.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     provenance: tuple[str, ...] = field(default_factory=tuple)
+    x_order: np.ndarray | None = field(default=None, repr=False, compare=False)
+    y_order: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -39,9 +43,51 @@ class SamplePair:
     def n(self) -> int:
         return len(self.xs)
 
+    @property
+    def by_x(self) -> np.ndarray:
+        """The stable argsort of `xs`, computed once."""
+        if self.x_order is None:
+            object.__setattr__(self, "x_order", np.argsort(self.xs, kind="stable"))
+        return self.x_order
+
+    @property
+    def by_y(self) -> np.ndarray:
+        """The stable argsort of `ys`, computed once."""
+        if self.y_order is None:
+            object.__setattr__(self, "y_order", np.argsort(self.ys, kind="stable"))
+        return self.y_order
+
     def swapped(self) -> "SamplePair":
-        """The same dataset with the roles of x and y exchanged."""
-        return SamplePair(self.ys, self.xs, self.provenance + ("swap",))
+        """The same dataset with the roles of x and y exchanged (and of their orders)."""
+        return SamplePair(self.ys, self.xs, self.provenance + ("swap",),
+                          self.y_order, self.x_order)
+
+    def resample(self, counts: np.ndarray, step: str) -> "SamplePair":
+        """Each row r taken counts[r] times, in row order, as a new pair with
+        `step` appended to its provenance. Its stable orders come from this
+        pair's in O(n) (see `_expand_order`), not from new sorts."""
+        if len(counts) != self.n:
+            raise ValueError(f"need one count per row ({self.n}), got {len(counts)}")
+        idx = np.repeat(np.arange(self.n), counts)
+        first = counts.cumsum() - counts
+        return SamplePair(self.xs[idx], self.ys[idx], self.provenance + (step,),
+                          _expand_order(self.by_x, counts, first),
+                          _expand_order(self.by_y, counts, first))
+
+
+def _expand_order(order: np.ndarray, counts: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The stable argsort of a resampled column, from the column's own `order`.
+
+    The resample takes row r of the column counts[r] times, as the run of
+    rows that starts at first[r], with the runs in row order. Equal values
+    keep their row order in both sorts, so listing each row's run in the
+    order of `order` gives np.argsort(resample, kind="stable") exactly,
+    ties included.
+    """
+    runs = counts[order]
+    # each run counts up from its first row, offset from where it lands
+    offset = np.repeat(first[order] - (runs.cumsum() - runs), runs)
+    return offset + np.arange(len(offset))
 
 
 def batch_size(sizes) -> int:
@@ -126,14 +172,15 @@ def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
     return SamplePair(np.array(xs), np.array(ys), (f"load:{path}",))
 
 
-def check_column(col: np.ndarray, label: str) -> None:
+def check_column(col: np.ndarray, label: str, constant_ok: bool = False) -> None:
     """Raise DegenerateDataError if `col` holds a nan or infinite value (naming
-    the first such row) or one value only; `label` names the column."""
+    the first such row) or, unless `constant_ok`, one value only; `label`
+    names the column."""
     lo, hi = col.min(), col.max()  # a nan or inf shows in one of them
     if not (np.isfinite(lo) and np.isfinite(hi)):
         row = int(np.flatnonzero(~np.isfinite(col))[0])
         raise DegenerateDataError(f"{label} has non-finite value {col[row]} at row {row}")
-    if lo == hi:
+    if lo == hi and not constant_ok:
         raise DegenerateDataError(f"{label} is constant")
 
 
@@ -207,34 +254,52 @@ def default_batch_frac(n: int) -> float:
     return 0.05
 
 
-def select_position_values(x: np.ndarray, max_positions: int = 50) -> np.ndarray:
+def select_position_values(x: np.ndarray, max_positions: int = 50,
+                           order: np.ndarray | None = None) -> np.ndarray:
     """Anchor values along the x-range, snapped to actual data values.
 
     With n <= max_positions every distinct value is used; otherwise anchors
     are laid out every (max-min)/max_positions and snapped to the nearest
     data value. Returned sorted ascending and deduplicated. A max_positions
     below 1 raises ValueError.
+
+    `order`, when given, must be the stable argsort of x; the distinct values
+    are then read off x[order] instead of sorting x again. That equals
+    np.unique(x) bit for bit, except that where x holds both 0.0 and -0.0
+    the zero kept is the first in row order (np.unique keeps whichever its
+    unstable sort puts first).
     """
     if max_positions < 1:
         raise ValueError(f"max_positions must be >= 1, got {max_positions}")
     x = np.asarray(x, dtype=float)
-    uniq = np.unique(x)
+    uniq = _distinct(x[order] if order is not None else np.sort(x))
     if len(x) <= max_positions:
         return uniq
     lo, hi = uniq[0], uniq[-1]
-    step = (hi - lo) / max_positions
-    grid = lo + step * np.arange(max_positions)
+    step = (float(hi) - float(lo)) / max_positions  # a float overflow is inf, with no warning
+    if step < math.inf:
+        grid = lo + step * np.arange(max_positions)
+    else:  # the range exceeds the largest float: lay the grid out at half scale
+        grid = 2 * (lo / 2 + (hi / 2 - lo / 2) / max_positions * np.arange(max_positions))
     # snap each grid point to the nearest available value (ties to the lower)
     right = np.searchsorted(uniq, grid, side="left")
     right = np.clip(right, 0, len(uniq) - 1)
     left = np.clip(right - 1, 0, len(uniq) - 1)
     pick_left = np.abs(grid - uniq[left]) <= np.abs(uniq[right] - grid)
-    snapped = np.where(pick_left, uniq[left], uniq[right])
-    return np.unique(snapped)
+    # the grid ascends and snapping keeps its order, so only repeats remain
+    return _distinct(np.where(pick_left, uniq[left], uniq[right]))
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The first value of each run of equal values, as np.unique marks them."""
+    keep = np.empty(len(ascending), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ascending[1:], ascending[:-1], out=keep[1:])
+    return ascending[keep]
 
 
 def select_positions(pairs: SamplePair, max_positions: int = 50) -> np.ndarray:
-    return select_position_values(pairs.xs, max_positions)
+    return select_position_values(pairs.xs, max_positions, pairs.by_x)
 
 
 def k_nearest_rows(rows: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,14 +322,16 @@ def k_nearest_rows(rows: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarr
     return rows[pick].reshape(len(dist), k), kth[:, 0]
 
 
-def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
+def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int,
+                    order: np.ndarray | None = None) -> np.ndarray:
     """For each position, the indices of the min(k, n) nearest rows in |x - position|.
 
     Distance ties are broken by smaller row index, as a stable argsort of
     |x - position| would. Returns a (positions, min(k, n)) matrix whose rows
     list each batch in ascending row order; k < 1 gives empty batches.
 
-    x is sorted once, and each position's k nearest are picked from the 2k
+    x is sorted once (or `order`, the stable argsort of x, is taken as
+    given), and each position's k nearest are picked from the 2k
     sorted rows around it. |x - p| falls and then rises along sorted x, so
     that window holds the exact answer unless a row just outside it is no
     farther than the window's k-th distance; such a position (and any
@@ -279,7 +346,7 @@ def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
         return np.empty((len(positions), 0), dtype=int)
     if not (np.isfinite(x).all() and np.isfinite(positions).all()):
         return np.array([_nearest_rows(x, p, k) for p in positions], dtype=int).reshape(-1, k)
-    by_x = np.argsort(x, kind="stable")
+    by_x = order if order is not None else np.argsort(x, kind="stable")
     x_sorted = x[by_x]
     width = min(2 * k, n)
     start = np.clip(np.searchsorted(x_sorted, positions) - k, 0, n - width)
@@ -323,4 +390,4 @@ def make_batches(pairs: SamplePair, positions: np.ndarray, batch_frac: float) ->
         raise InsufficientDataError(
             f"all {len(positions)} batches dropped (batch size {k} < 2)"
         )
-    return BatchSet(positions, nearest_batches(pairs.xs, positions, k))
+    return BatchSet(positions, nearest_batches(pairs.xs, positions, k, pairs.by_x))

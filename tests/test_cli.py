@@ -133,6 +133,9 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
     (["bench", "--suite", "tuebingen", "--data-dir", ".", "--meta"],
      "file,direction\na.txt,x->y\nb.txt,x-->y\n",
      "meta.csv:3: direction must be x->y or y->x, got 'x-->y'"),
+    (["bench", "--suite", "tuebingen", "--data-dir", ".", "--meta"],
+     "file,direction\na.txt,x->y\n# comment\nb.txt,x->y\n a.txt ,y->x\n",
+     "meta.csv:5: pair file 'a.txt' listed twice"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)

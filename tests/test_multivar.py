@@ -212,6 +212,30 @@ def test_non_finite_cell_named_by_data_column_and_row(bad):
             orient_skeleton(data, Skeleton(3, ((0, 1), (1, 2))), seed=0)
 
 
+@pytest.mark.parametrize("family", [(1, ()), (1, (0,)), (0, (1,)), (2, (0, 1))])
+def test_standalone_family_term_names_a_non_finite_cell(family):
+    data = chain_data(4, n=100)
+    data[5, 1] = np.nan
+    i, parents = family
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError,
+                           match="^data column 1 has non-finite value nan at row 5$"):
+            variable_term(data, i, parents, seed=0)
+        dag = DagOrientation(3, ((0, 1), (1, 2)))
+        with pytest.raises(DegenerateDataError,
+                           match="^data column 1 has non-finite value nan at row 5$"):
+            multivariate_measure(data, dag, seed=0)
+
+
+def test_standalone_family_term_rejects_a_constant_child():
+    data = chain_data(4, n=100)
+    data[:, 1] = 2.0
+    for parents in ((), (0,)):
+        with pytest.raises(DegenerateDataError, match="^data column 1 is constant$"):
+            variable_term(data, 1, parents, seed=0)
+
+
 @pytest.mark.parametrize("edges", [((0, 1), (1, 2)), ((0, 2), (1, 2))])
 def test_position_count_below_one_rejected(edges):
     # the second skeleton's first orientation gives variable 2 two parents

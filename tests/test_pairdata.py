@@ -21,7 +21,12 @@ from divot import (
     subsample,
     trim_outliers,
 )
-from divot.pairdata import _nearest_rows, k_nearest_rows, nearest_batches, select_position_values
+from divot.pairdata import (
+    _nearest_rows,
+    k_nearest_rows,
+    nearest_batches,
+    select_position_values,
+)
 
 
 # ------------------------------------------------------------------ loading
@@ -247,6 +252,16 @@ def test_make_batches_without_positions_says_so():
         make_batches(pairs, np.array([]), batch_frac=0.5)
 
 
+@pytest.mark.parametrize("max_positions", [3, 50])
+def test_positions_ascend_over_a_range_past_the_largest_float(max_positions):
+    xs = np.array([-1e308, 1e308, 0.0, 1.0, 2.0, -5.0] * 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos = select_position_values(xs, max_positions, np.argsort(xs, kind="stable"))
+    assert pos[0] == -1e308 and len(pos) >= 2
+    assert np.all(np.diff(pos) > 0)
+
+
 @pytest.mark.parametrize("max_positions", [0, -3])
 def test_position_count_below_one_raises(max_positions):
     with pytest.raises(ValueError, match="max_positions must be >= 1"):
@@ -333,6 +348,7 @@ _values = st.one_of(
     st.integers(-4, 4).map(float),  # heavy ties and duplicates
     st.floats(-10, 10).map(lambda v: round(v, 1)),
     st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0]),  # equal values with different bits
 )
 
 
@@ -404,3 +420,94 @@ def test_k_nearest_rows_matches_stable_argsort(case):
     want = np.sort(np.argsort(dist, kind="stable", axis=1)[:, :k], axis=1)
     assert got.tolist() == want.tolist()
     assert kth.tolist() == np.sort(dist, axis=1)[:, k - 1].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(batching_cases())
+@example((np.array([0.0, -0.0, 1.0, -0.0]), np.array([0.0, -0.0, 0.5]), 2))
+def test_nearest_batches_given_the_order_match_the_sorting_path(case):
+    x, positions, k = case
+    want = nearest_batches(x, positions, k)
+    got = nearest_batches(x, positions, k, np.argsort(x, kind="stable"))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------------- shared orders
+
+
+@st.composite
+def columns(draw, min_size=1):
+    """A column of continuous, integer-grid or signed-zero values, and in half
+    the cases a resample of it with repeated rows."""
+    x = np.array(draw(st.lists(_values, min_size=min_size, max_size=60)))
+    if draw(st.booleans()):
+        x = x[draw(st.lists(st.integers(0, len(x) - 1), min_size=len(x), max_size=len(x)))]
+    return x
+
+
+def select_position_values_oracle(x, max_positions):
+    """The np.unique path that the diff mask over sorted x replaced."""
+    uniq = np.unique(x)
+    if len(x) <= max_positions:
+        return uniq
+    lo, hi = uniq[0], uniq[-1]
+    step = (hi - lo) / max_positions
+    grid = lo + step * np.arange(max_positions)
+    right = np.clip(np.searchsorted(uniq, grid, side="left"), 0, len(uniq) - 1)
+    left = np.clip(right - 1, 0, len(uniq) - 1)
+    pick_left = np.abs(grid - uniq[left]) <= np.abs(uniq[right] - grid)
+    return np.unique(np.where(pick_left, uniq[left], uniq[right]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns(), st.integers(1, 50))
+@example(np.array([0.0, -0.0, 1.0, -0.0, 2.0]), 50)
+@example(np.array([-0.0, 0.0] * 20 + [3.0]), 4)
+def test_select_position_values_given_the_order_match_the_unique_path(x, max_positions):
+    want = select_position_values_oracle(x, max_positions)
+    assert select_position_values(x, max_positions).tobytes() == want.tobytes()
+    got = select_position_values(x, max_positions, np.argsort(x, kind="stable"))
+    assert got.tolist() == want.tolist()
+    zeros = x[x == 0.0]
+    if len(set(np.signbit(zeros).tolist())) == 2:
+        # np.unique keeps whichever zero its unstable sort puts first; the
+        # stable order keeps the first zero in row order
+        want[want == 0.0] = zeros[0]
+    assert got.tobytes() == want.tobytes()
+
+
+
+@st.composite
+def resamples(draw):
+    """Two columns and how often each row is drawn (at least twice in all)."""
+    x = draw(columns(min_size=2))
+    y = np.array(draw(st.lists(_values, min_size=len(x), max_size=len(x))))
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=len(x), max_size=len(x))))
+    assume(counts.sum() >= 2)
+    return x, y, counts
+
+
+@settings(max_examples=400, deadline=None)
+@given(resamples())
+@example((np.array([0.0, -0.0, 1.0, -0.0]), np.array([2.0, 2.0, -0.0, 0.0]),
+          np.array([2, 1, 0, 3])))
+def test_resample_orders_equal_the_stable_argsort(case):
+    x, y, counts = case
+    idx = np.repeat(np.arange(len(x)), counts)
+    sample = SamplePair(x, y).resample(counts, "bootstrap:0")
+    assert sample.xs.tobytes() == x[idx].tobytes() and sample.ys.tobytes() == y[idx].tobytes()
+    assert sample.by_x.tolist() == np.argsort(x[idx], kind="stable").tolist()
+    assert sample.by_y.tolist() == np.argsort(y[idx], kind="stable").tolist()
+    swapped = sample.swapped()
+    assert swapped.by_x is sample.by_y and swapped.by_y is sample.by_x
+
+
+def test_resample_rows_are_the_sorted_draws():
+    pairs = SamplePair(np.arange(5.0), 10.0 + np.arange(5.0))
+    draws = np.array([3, 0, 3, 4, 1])
+    sample = pairs.resample(np.bincount(draws, minlength=5), "bootstrap:0")
+    assert sample.xs.tolist() == np.sort(draws).astype(float).tolist()
+    assert sample.provenance[-1] == "bootstrap:0"
+    with pytest.raises(ValueError, match="one count per row"):
+        pairs.resample(np.array([1, 1]), "bootstrap:0")
