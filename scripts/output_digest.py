@@ -7,8 +7,9 @@ file with tied values and one without), the record and summary CSVs of small
 synthetic, confounder, significance and tuebingen `bench` runs (with the timing
 columns removed; the tuebingen corpus is three generated pair files),
 `divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree,
-a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows) and a
-star of 8 leaves (families of up to 8 parents). `--src` imports divot from
+a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows), a
+star of 8 leaves (families of up to 8 parents) and the chain in raw units
+with one column scaled by 10. `--src` imports divot from
 another checkout's `src` directory, so running the script once per checkout
 and diffing the two listings shows whether a change kept every output
 byte-identical.
@@ -145,8 +146,8 @@ def orient_digests(divot):
     x2 = x1 ** 3 + 0.3 * rng.uniform(-1, 1, n)
     x3 = np.tanh(x2) + 0.3 * rng.uniform(-1, 1, n)
     x4 = x1 + 0.5 * rng.uniform(-1, 1, n)
-    data = np.column_stack([x0, x1, x2, x3, x4])
-    data = (data - data.mean(axis=0)) / data.std(axis=0, ddof=1)
+    raw = np.column_stack([x0, x1, x2, x3, x4])
+    data = (raw - raw.mean(axis=0)) / raw.std(axis=0, ddof=1)
     skeletons = {
         "chain": (4, ((0, 1), (1, 2), (2, 3))),
         "tree": (5, ((0, 1), (1, 2), (1, 4), (2, 3))),
@@ -161,6 +162,8 @@ def orient_digests(divot):
     star = np.column_stack([centre, leaves])
     star = (star - star.mean(axis=0)) / star.std(axis=0, ddof=1)
     inputs["star8"] = (star, 9, tuple((0, j) for j in range(1, 9)))
+    # the chain in raw units, one column x10: orient_skeleton z-scores it itself
+    inputs["chain-raw"] = (raw[:, :4] * [1.0, 10.0, 1.0, 1.0], 4, skeletons["chain"][1])
     for name, (columns, m, edges) in inputs.items():
         result = divot.orient_skeleton(columns, divot.Skeleton(m, edges), seed=4)
         yield f"orient/{name}", sha(repr(result).encode())

@@ -15,7 +15,14 @@ import numpy as np
 from .divergence import MeasureValue, MeasureWorkspace, workspace_from_batches
 from .noise import canonical_source
 from .optimize import FitConfig, FitResult, fit_joint
-from .pairdata import SamplePair, check_pair, default_batch_frac, make_batches, select_positions
+from .pairdata import (
+    SamplePair,
+    check_batch_frac,
+    check_pair,
+    default_batch_frac,
+    make_batches,
+    select_positions,
+)
 
 X_TO_Y = "x->y"
 Y_TO_X = "y->x"
@@ -41,8 +48,7 @@ class ScoreConfig:
         if self.mode not in ("anm", "pnl"):
             raise ValueError(f"mode must be 'anm' or 'pnl', got {self.mode!r}")
         object.__setattr__(self, "source", canonical_source(self.source))
-        if self.batch_frac is not None and not 0.0 < self.batch_frac <= 1.0:
-            raise ValueError(f"batch_frac must be in (0, 1], got {self.batch_frac}")
+        check_batch_frac(self.batch_frac)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,10 +1,10 @@
 """Orient a causal skeleton by scoring every acyclic orientation.
 
-Each variable contributes the raw transport-mismatch of its conditional given
-its parents (k-nearest-neighbor batches in standardized parent space, scale
-fitted per variable); roots contribute a single whole-sample noise fit. The
-DAG score is the sum over variables, and the orientation with the minimum
-score wins.
+The data columns are z-scored once per call. Each variable contributes the
+raw transport-mismatch of its conditional given its parents (k-nearest-neighbor
+batches in parent space, scale fitted per variable; a root is one whole-sample
+batch). The DAG score, the sum over variables, does not depend on column
+units, and the orientation with the minimum score wins.
 """
 from __future__ import annotations
 
@@ -16,18 +16,19 @@ import numpy as np
 
 from .divergence import build_workspace, measure_value
 from .errors import (
-    DegenerateDataError,
     InsufficientDataError,
     SkeletonParseError,
     SkeletonTooLargeError,
 )
 from .optimize import FitConfig, fit_theta
 from .pairdata import (
+    check_batch_frac,
     check_column,
     default_batch_frac,
     k_nearest_rows,
     nearest_batches,
     select_position_values,
+    standardize,
 )
 
 MAX_EDGES = 12
@@ -126,94 +127,55 @@ def _is_acyclic_edges(m: int, edges) -> bool:
     return seen == m
 
 
-def _standardize(col: np.ndarray, what: str) -> np.ndarray:
-    sd = col.std(ddof=1)
-    if sd == 0.0 or not np.isfinite(sd):
-        raise DegenerateDataError(f"{what} has zero standard deviation")
-    return (col - col.mean()) / sd
+def _standardized(data: np.ndarray, batch_frac: float | None) -> np.ndarray:
+    """`check_batch_frac`, then `check_column` and `standardize` on each data
+    column (labelled "data column j"), into one Fortran-order matrix whose
+    columns are contiguous."""
+    check_batch_frac(batch_frac)
+    data = np.asarray(data, dtype=float)
+    z = np.empty(data.shape, order="F")
+    for j in range(data.shape[1]):
+        label = f"data column {j}"
+        check_column(data[:, j], label)
+        z[:, j] = standardize(data[:, j], label)
+    return z
 
 
-def _parent_batches(data: np.ndarray, parents: tuple[int, ...], max_positions: int,
-                    batch_frac: float):
-    """Anchor rows and k-NN batches in standardized Euclidean parent space.
+def _parent_batches(z: np.ndarray, parents: tuple[int, ...], max_positions: int,
+                    k: int) -> np.ndarray:
+    """k-NN batches in the z-scored parent space, a (positions, min(k, n)) row-index matrix.
 
-    Each parent's data column is z-scored; a constant one raises
-    DegenerateDataError naming that data column. One parent reduces to the
-    axis batching of the bivariate path (grid positions snapped to values).
-    More parents anchor on rows evenly spaced in lexicographic parent order,
-    taken from the first row of each run of equal rows in that order. The
-    distance from an anchor to a row is the square root of its d squared
-    parent differences summed in the grouping numpy's `.sum(axis=-1)` uses
-    (see `_column_sum`), one parent column at a time over all anchors and
-    rows. The batches are a (positions, min(k, n)) row-index matrix.
+    One parent reduces to the axis batching of the bivariate path (grid
+    positions snapped to values). More parents anchor on rows evenly spaced
+    in lexicographic parent order, taken from the first row of each run of
+    equal rows in that order. The distance from an anchor to a row is the
+    square root of its squared parent gaps, added in parent order, one
+    parent column at a time over all anchors and rows.
     """
-    n = data.shape[0]
-    cols = [_standardize(data[:, p], f"data column {p}") for p in parents]
-    k = math.ceil(batch_frac * n)
-    if len(cols) == 1:
-        order = np.argsort(cols[0], kind="stable")
-        positions = select_position_values(cols[0], max_positions, order)
-        batches = nearest_batches(cols[0], positions, k, order)
-        return positions.reshape(-1, 1), batches
+    n = z.shape[0]
+    if len(parents) == 1:
+        col = z[:, parents[0]]
+        order = np.argsort(col, kind="stable")
+        return nearest_batches(col, select_position_values(col, max_positions, order), k, order)
     if max_positions < 1:  # one parent: select_position_values checks it
         raise ValueError(f"max_positions must be >= 1, got {max_positions}")
-    order = np.lexsort(cols[::-1])
-    run_start = np.zeros(n, dtype=bool)
-    run_start[0] = True
-    for col in cols:
-        in_order = col[order]
-        run_start[1:] |= in_order[1:] != in_order[:-1]
-    anchor_rows = order[run_start]
+    cols = z[:, list(parents)]
+    order = np.lexsort(cols.T[::-1])
+    in_order = cols[order]
+    anchor_rows = order[np.r_[True, (in_order[1:] != in_order[:-1]).any(axis=1)]]
     if len(anchor_rows) > max_positions:
         pick = np.unique(np.round(np.linspace(0, len(anchor_rows) - 1, max_positions)).astype(int))
         anchor_rows = anchor_rows[pick]
-    anchors = np.column_stack([col[anchor_rows] for col in cols])
-
-    def squared_gap(j, out=None):
-        gap = np.subtract(cols[j], anchors[:, j, None], out=out)
-        return np.multiply(gap, gap, out=gap)
-
-    dist = _column_sum(squared_gap, 0, len(cols))
+    dist = np.zeros((len(anchor_rows), n))
+    gap = np.empty_like(dist)
+    for p in parents:
+        np.subtract(z[:, p], z[anchor_rows, p, None], out=gap)
+        gap *= gap
+        dist += gap
+    del gap  # with it, dist and the copy k_nearest_rows makes all live, a family took 1.4x
     np.sqrt(dist, out=dist)
     rows = np.broadcast_to(np.arange(n), dist.shape)
-    return anchors, k_nearest_rows(rows, dist, min(k, n))[0]
-
-
-def _column_sum(term, lo: int, hi: int) -> np.ndarray:
-    """The sum of the arrays term(j), lo <= j < hi, grouped as numpy's pairwise
-    summation groups a length hi - lo axis, so it equals `.sum(axis=-1)` of
-    their stack bit for bit. term(j) returns a new array; term(j, out)
-    writes into `out` and returns it.
-
-    Fewer than 8 terms are added in order. Up to 128 terms go to 8 partial
-    sums (term j to partial j % 8, for all but the last (hi - lo) % 8
-    terms), which are added as ((0+1)+(2+3))+((4+5)+(6+7)) before the
-    leftover terms are added in order. More terms split at half the count,
-    rounded down to a multiple of 8, and each half is summed this way.
-    """
-    count = hi - lo
-    if count > 128:
-        half = count // 2
-        half -= half % 8
-        total = _column_sum(term, lo, lo + half)
-        total += _column_sum(term, lo + half, hi)
-        return total
-    if count < 8:
-        total, full = term(lo), lo + 1
-    else:
-        part = [term(lo + j) for j in range(8)]
-        full = lo + count - count % 8
-        buf = np.empty_like(part[0])
-        for j in range(lo + 8, full):
-            part[(j - lo) % 8] += term(j, buf)
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            part[a] += part[b]
-        total = part[0]
-    if hi > full:
-        buf = np.empty_like(total)
-        for j in range(full, hi):
-            total += term(j, buf)
-    return total
+    return k_nearest_rows(rows, dist, min(k, n))[0]
 
 
 def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
@@ -223,60 +185,39 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
                   fit: FitConfig | None = None,
                   seed: int = 0,
                   *, memo: dict | None = None) -> float:
-    """Raw measure of variable i's conditional given its parents.
+    """Raw measure of variable i's z-scored conditional given its z-scored parents.
 
-    Roots are fitted as pure noise over a single whole-sample batch. The term
-    is a pure function of the family (i, parents) once the data and the other
-    arguments are fixed; `memo`, when given, maps families to terms computed
-    with the same data and arguments, and gains this family's term.
-
-    Without `memo` the columns it reads are checked first: a nan or infinite
-    cell, or a constant column i, raises DegenerateDataError naming the data
-    column (and the row); a constant parent column raises one when it is
-    z-scored. A caller passing `memo` has checked every column.
+    The term is a pure function of the family (i, parents) once the data and
+    the other arguments are fixed. Without `memo` the call checks and
+    z-scores `data` (`_standardized`): a nan or infinite cell, or a constant
+    column, raises DegenerateDataError naming the data column (and the row).
+    `memo` maps families to terms computed with the same arguments, and
+    gains this family's term; with it, `data` must be the z-scored matrix.
     """
     if memo is None:
-        check_column(data[:, i], f"data column {i}")
-        for p in parents:
-            check_column(data[:, p], f"data column {p}", constant_ok=True)
-        return _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed)
+        data, memo = _standardized(data, batch_frac), {}
     key = (i, tuple(parents))
     if key not in memo:
         memo[key] = _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed)
     return memo[key]
 
 
-def _check_columns(data: np.ndarray) -> None:
-    """`check_column` on every data column, labelled by its index."""
-    for j in range(data.shape[1]):
-        check_column(data[:, j], f"data column {j}")
-
-
-def _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed) -> float:
-    n = data.shape[0]
-    x_i = np.asarray(data[:, i], dtype=float)
-    frac = batch_frac if batch_frac is not None else default_batch_frac(n)
-    vseed = variable_seed(seed, i)
-    if not parents:
-        ws = build_workspace(source, np.zeros(1), [x_i], None, vseed)
-        theta = fit_theta(ws, config=fit)
-        return measure_value(ws, theta)
-    if min(math.ceil(frac * n), n) < 2:
-        raise InsufficientDataError(f"variable {i}: every parent-space batch has < 2 members")
-    anchors, idx = _parent_batches(data, parents, max_positions, frac)
-    if len(parents) == 1:
-        anchor_vals = anchors[:, 0]
-        xs_per_batch = data[idx, parents[0]]
+def _variable_term(z, i, parents, source, batch_frac, max_positions, fit, seed) -> float:
+    n = z.shape[0]
+    if parents:
+        frac = batch_frac if batch_frac is not None else default_batch_frac(n)
+        k = math.ceil(frac * n)
+        if min(k, n) < 2:
+            raise InsufficientDataError(f"variable {i}: every parent-space batch has < 2 members")
+        idx = _parent_batches(z, parents, max_positions, k)
     else:
-        anchor_vals = np.zeros(len(idx))
-        xs_per_batch = None
-    ws = build_workspace(source, anchor_vals, x_i[idx], xs_per_batch, vseed)
-    theta = fit_theta(ws, config=fit)
-    return measure_value(ws, theta)
+        idx = np.arange(n)[None]
+    ws = build_workspace(source, np.zeros(len(idx)), z[:, i][idx], None, variable_seed(seed, i))
+    return measure_value(ws, fit_theta(ws, config=fit))
 
 
 def multivariate_measure(data: np.ndarray, dag: DagOrientation,
-                         sources=None,
+                         source: str = "uniform",
                          batch_frac: float | None = None,
                          max_positions: int = 50,
                          fit: FitConfig | None = None,
@@ -284,26 +225,17 @@ def multivariate_measure(data: np.ndarray, dag: DagOrientation,
                          *, memo: dict | None = None) -> float:
     """Sum of per-variable conditional measures under the orientation.
 
-    `sources` may be a single source name or one per variable. `memo` is
-    handed to every `variable_term`. Without `memo` every data column is
-    checked once, as `variable_term` checks its own, and the terms share a
-    fresh memo so that none checks again.
+    One `source` applies to every variable. `memo` (and `data`, z-scored) go
+    to every `variable_term`; without `memo` the data is checked and z-scored
+    once and the terms share a fresh memo.
     """
-    data = np.asarray(data, dtype=float)
+    if memo is None:
+        data, memo = _standardized(data, batch_frac), {}
     m = data.shape[1]
     if dag.m != m:
         raise ValueError(f"orientation is over {dag.m} variables, data has {m} columns")
-    if memo is None:
-        _check_columns(data)
-        memo = {}
-    if sources is None:
-        sources = ["uniform"] * m
-    elif isinstance(sources, str):
-        sources = [sources] * m
-    elif len(sources) != m:
-        raise ValueError(f"{len(sources)} sources given for {m} variables")
     return sum(
-        variable_term(data, i, dag.parents(i), sources[i], batch_frac, max_positions, fit, seed,
+        variable_term(data, i, dag.parents(i), source, batch_frac, max_positions, fit, seed,
                       memo=memo)
         for i in range(m)
     )
@@ -334,27 +266,25 @@ class OrientationResult:
 
 
 def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
-                    sources=None,
+                    source: str = "uniform",
                     batch_frac: float | None = None,
                     max_positions: int = 50,
                     fit: FitConfig | None = None,
-                    seed: int = 0,
-                    max_edges: int = MAX_EDGES) -> OrientationResult:
+                    seed: int = 0) -> OrientationResult:
     """Score every acyclic orientation of the skeleton and keep the minimum.
 
     Ties break toward the lexicographically smallest direction-flag vector.
-    Each family term is computed once and reused by every orientation that
-    contains the family. A nan or infinite cell, or a constant column,
-    raises DegenerateDataError naming the data column (and the row).
+    The data is checked and z-scored once (`_standardized`), so the result
+    does not depend on column units. Each family term is computed once and
+    reused by every orientation that contains the family.
     """
     edges = skeleton.edges
-    if len(edges) > max_edges:
+    if len(edges) > MAX_EDGES:
         raise SkeletonTooLargeError(
-            f"{len(edges)} edges exceed the enumeration limit of {max_edges}; "
+            f"{len(edges)} edges exceed the enumeration limit of {MAX_EDGES}; "
             "orient edges pairwise with the bivariate tool instead"
         )
-    data = np.asarray(data, dtype=float)
-    _check_columns(data)
+    data = _standardized(data, batch_frac)
     memo = {}
     scored = []
     for flags in itertools.product((0, 1), repeat=len(edges)):
@@ -365,7 +295,7 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
             dag = DagOrientation(skeleton.m, directed)
         except ValueError:  # the orientation has a cycle
             continue
-        score = multivariate_measure(data, dag, sources, batch_frac, max_positions, fit, seed,
+        score = multivariate_measure(data, dag, source, batch_frac, max_positions, fit, seed,
                                      memo=memo)
         scored.append((flags, score, dag))
     if not scored:

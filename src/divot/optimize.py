@@ -45,6 +45,10 @@ class FitConfig:
             raise ValueError(f"theta_range lower bound must be > 0, got {self.theta_range}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+        if not self.tolerance >= 0.0:  # nan fails too
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

@@ -172,15 +172,14 @@ def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
     return SamplePair(np.array(xs), np.array(ys), (f"load:{path}",))
 
 
-def check_column(col: np.ndarray, label: str, constant_ok: bool = False) -> None:
+def check_column(col: np.ndarray, label: str) -> None:
     """Raise DegenerateDataError if `col` holds a nan or infinite value (naming
-    the first such row) or, unless `constant_ok`, one value only; `label`
-    names the column."""
+    the first such row) or one value only; `label` names the column."""
     lo, hi = col.min(), col.max()  # a nan or inf shows in one of them
     if not (np.isfinite(lo) and np.isfinite(hi)):
         row = int(np.flatnonzero(~np.isfinite(col))[0])
         raise DegenerateDataError(f"{label} has non-finite value {col[row]} at row {row}")
-    if lo == hi and not constant_ok:
+    if lo == hi:
         raise DegenerateDataError(f"{label} is constant")
 
 
@@ -190,20 +189,24 @@ def check_pair(pairs: SamplePair) -> None:
     check_column(pairs.ys, "column y")
 
 
+def standardize(col: np.ndarray, label: str) -> np.ndarray:
+    """(col - mean) / sd with the sample sd (n-1 denominator); an sd that is 0
+    or not finite (under- or overflow) raises DegenerateDataError naming `label`."""
+    sd = col.std(ddof=1)
+    if sd == 0.0 or not np.isfinite(sd):
+        raise DegenerateDataError(f"{label} has standard deviation {sd}")
+    return (col - col.mean()) / sd
+
+
 def normalize(pairs: SamplePair) -> SamplePair:
-    """Z-score both columns (sample std, n-1 denominator).
+    """Z-score both columns (`standardize`).
 
     A nan or infinite value, a constant column, or a standard deviation that
     underflows to 0 or overflows raises DegenerateDataError.
     """
     check_pair(pairs)
-    out = []
-    for name, col in (("x", pairs.xs), ("y", pairs.ys)):
-        sd = col.std(ddof=1)
-        if sd == 0.0 or not np.isfinite(sd):
-            raise DegenerateDataError(f"column {name} has standard deviation {sd}")
-        out.append((col - col.mean()) / sd)
-    return SamplePair(out[0], out[1], pairs.provenance + ("normalize",))
+    return SamplePair(standardize(pairs.xs, "column x"), standardize(pairs.ys, "column y"),
+                      pairs.provenance + ("normalize",))
 
 
 def trim_outliers(pairs: SamplePair, k_std: float = 2.0) -> SamplePair:
@@ -241,6 +244,13 @@ def preprocess(pairs: SamplePair, max_n: int = 500, k_std: float = 2.0, seed: in
         if col.min() == col.max():
             raise DegenerateDataError(f"column {name} is constant after outlier trimming")
     return out
+
+
+def check_batch_frac(batch_frac: float | None) -> None:
+    """Raise ValueError unless 0 < batch_frac <= 1; None (the sample-size
+    schedule of `default_batch_frac`) passes."""
+    if batch_frac is not None and not 0.0 < batch_frac <= 1.0:
+        raise ValueError(f"batch_frac must be in (0, 1], got {batch_frac}")
 
 
 def default_batch_frac(n: int) -> float:
@@ -380,8 +390,7 @@ def make_batches(pairs: SamplePair, positions: np.ndarray, batch_frac: float) ->
     (g, k) batch matrix, or the batches would have fewer than 2 members and
     the data cannot support the measure.
     """
-    if not 0.0 < batch_frac <= 1.0:
-        raise ValueError(f"batch_frac must be in (0, 1], got {batch_frac}")
+    check_batch_frac(batch_frac)
     positions = np.asarray(positions, dtype=float)
     if not len(positions):
         raise InsufficientDataError("no positions to batch around")

@@ -23,13 +23,12 @@ from divot import (
 )
 import divot.multivar
 from divot.multivar import (
-    _column_sum,
     _is_acyclic_edges,
     _parent_batches,
-    _standardize,
+    _standardized,
     variable_seed,
 )
-from divot.pairdata import k_nearest_rows
+from divot.pairdata import k_nearest_rows, normalize
 
 
 def zscore(col):
@@ -97,10 +96,11 @@ def test_orientation_parent_sets():
 
 
 def test_two_variable_reduction_matches_bivariate_raw():
+    # a pair direction is a one-parent family on normalized data
     data = chain_data(0)[:, :2]
     seed = 7
     child = variable_term(data, 1, (0,), source="uniform", seed=seed)
-    pairs = SamplePair(data[:, 0], data[:, 1])
+    pairs = normalize(SamplePair(data[:, 0], data[:, 1]))
     bivariate = score_direction(pairs, "x->y", ScoreConfig(source="uniform"),
                                 seed=variable_seed(seed, 1))
     assert child == bivariate.measure.raw
@@ -194,7 +194,7 @@ def test_degenerate_batches_error_names_variable():
 def test_constant_parent_column_named_by_data_column():
     data = chain_data(4, n=100)
     data[:, 2] = 1.0
-    with pytest.raises(DegenerateDataError, match="^data column 2 has zero standard deviation$"):
+    with pytest.raises(DegenerateDataError, match="^data column 2 is constant$"):
         variable_term(data, 0, (1, 2), seed=0)
     with pytest.raises(DegenerateDataError, match="^data column 2 is constant$"):
         orient_skeleton(data, Skeleton(3, ((0, 2), (1, 2))), seed=0)
@@ -258,19 +258,31 @@ def test_enumeration_limit():
         orient_skeleton(data, Skeleton(m, edges), seed=0)
 
 
-def test_sources_can_vary_per_variable():
-    data = chain_data(6)
-    dag = DagOrientation(3, ((0, 1), (1, 2)))
-    a = multivariate_measure(data, dag, sources="uniform", seed=1)
-    b = multivariate_measure(data, dag, sources=["uniform", "normal", "uniform"], seed=1)
-    assert a != b
+@pytest.mark.parametrize("batch_frac", [2.0, 0.0, -0.1, np.nan])
+def test_batch_fraction_outside_unit_interval_rejected(batch_frac):
+    data = chain_data(6, n=100)
+    with pytest.raises(ValueError, match=rf"^batch_frac must be in \(0, 1\], got {batch_frac}$"):
+        orient_skeleton(data, Skeleton(3, ((0, 1), (1, 2))), batch_frac=batch_frac)
+    with pytest.raises(ValueError, match="^batch_frac must be in"):
+        multivariate_measure(data, DagOrientation(3, ((0, 1), (1, 2))), batch_frac=batch_frac)
 
 
-@pytest.mark.parametrize("sources", [["uniform"] * 2, ["uniform"] * 4])
-def test_sources_of_wrong_length_rejected(sources):
-    dag = DagOrientation(3, ((0, 1), (1, 2)))
-    with pytest.raises(ValueError, match=f"{len(sources)} sources given for 3 variables"):
-        multivariate_measure(chain_data(6), dag, sources=sources, seed=1)
+def test_orientation_is_unit_free():
+    # criterion 10's chain, left unscaled; then two columns in other units
+    for trial in range(6):
+        rng = np.random.default_rng(100 + trial)
+        x = rng.uniform(-1, 1, 1000)
+        y = x + rng.random(1000)
+        z = y + rng.random(1000)
+        data = np.column_stack([x, y, z])
+        rescaled = np.column_stack([x, 10.0 * y + 3.0, 0.01 * z - 7.0])
+        skeleton = Skeleton(3, ((0, 1), (1, 2)))
+        res = orient_skeleton(data, skeleton, seed=trial)
+        res_r = orient_skeleton(rescaled, skeleton, seed=trial)
+        assert res_r.dag == res.dag
+        assert [f for f, _ in res_r.ranking] == [f for f, _ in res.ranking]
+        for (_, a), (_, b) in zip(res.ranking, res_r.ranking):
+            assert b == pytest.approx(a, rel=1e-9)
 
 
 # ------------------------------------------------------------- family memo
@@ -337,22 +349,23 @@ def test_memoised_orientation_matches_unmemoised_oracle(graph, seed, n):
 # ------------------------------------------------------------ parent batches
 
 
-def parent_batches_oracle(parent_mat, max_positions, batch_frac):
+def parent_batches_oracle(z, max_positions, k):
     """The multi-parent batching as first written: anchors from np.unique(axis=0)
-    of the lexsorted rows, distances from one .sum(axis=2) over a
-    (positions, n, d) stack, and a stable argsort of each anchor's distances."""
-    n, d = parent_mat.shape
-    z = np.column_stack([_standardize(parent_mat[:, j], "p") for j in range(d)])
-    k = math.ceil(batch_frac * n)
+    of the lexsorted rows, distances from the squared gaps of a
+    (positions, n, d) stack added in column order, and a stable argsort of
+    each anchor's distances."""
+    n, d = z.shape
     order = np.lexsort(tuple(z[:, j] for j in reversed(range(d))))
     _, uniq_idx = np.unique(z[order], axis=0, return_index=True)
     anchor_rows = order[np.sort(uniq_idx)]
     if len(anchor_rows) > max_positions:
         pick = np.unique(np.round(np.linspace(0, len(anchor_rows) - 1, max_positions)).astype(int))
         anchor_rows = anchor_rows[pick]
-    anchors = z[anchor_rows]
-    dist = np.sqrt(((z[None, :, :] - anchors[:, None, :]) ** 2).sum(axis=2))
-    return anchors, np.sort(np.argsort(dist, kind="stable", axis=1)[:, :min(k, n)], axis=1)
+    gaps = (z[None, :, :] - z[anchor_rows][:, None, :]) ** 2
+    dist = np.zeros((len(anchor_rows), n))
+    for j in range(d):
+        dist += gaps[:, :, j]
+    return np.sort(np.argsort(np.sqrt(dist), kind="stable", axis=1)[:, :min(k, n)], axis=1)
 
 
 @st.composite
@@ -386,31 +399,16 @@ def parent_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(parent_matrices(), st.integers(1, 50), st.floats(0.01, 1.0))
 def test_multi_parent_batches_match_per_anchor_loop(parent_mat, max_positions, batch_frac):
-    d = parent_mat.shape[1]
-    constant = [j for j in range(d) if parent_mat[:, j].std(ddof=1) == 0.0]
+    n, d = parent_mat.shape
+    constant = [j for j in range(d) if parent_mat[:, j].min() == parent_mat[:, j].max()]
     if constant:
-        with pytest.raises(DegenerateDataError, match=f"data column {constant[0]} "):
-            _parent_batches(parent_mat, tuple(range(d)), max_positions, batch_frac)
+        with pytest.raises(DegenerateDataError, match=f"^data column {constant[0]} is constant$"):
+            _standardized(parent_mat, batch_frac)
         return
-    anchors, batches = _parent_batches(parent_mat, tuple(range(d)), max_positions, batch_frac)
-    want_anchors, want_batches = parent_batches_oracle(parent_mat, max_positions, batch_frac)
-    assert anchors.shape == want_anchors.shape
-    assert anchors.tobytes() == want_anchors.tobytes()
-    assert batches.tolist() == want_batches.tolist()
-
-
-@pytest.mark.parametrize("d", [2, 3, 7, 8, 9, 15, 16, 17, 23, 128, 129, 136, 300])
-def test_column_sum_matches_numpy_sum_over_last_axis(d):
-    rng = np.random.default_rng(d)
-    terms = rng.normal(size=(4, 6, d)) ** 2
-
-    def term(j, out=None):
-        if out is None:
-            return terms[..., j].copy()
-        out[...] = terms[..., j]
-        return out
-
-    assert _column_sum(term, 0, d).tobytes() == terms.sum(axis=-1).tobytes()
+    z = _standardized(parent_mat, batch_frac)
+    k = math.ceil(batch_frac * n)
+    batches = _parent_batches(z, tuple(range(d)), max_positions, k)
+    assert batches.tolist() == parent_batches_oracle(z, max_positions, k).tolist()
 
 
 @settings(max_examples=150, deadline=None)

@@ -105,6 +105,13 @@ def test_fitconfig_validation():
         FitConfig(theta_range=(0.0, 100.0))
     with pytest.raises(ValueError):
         FitConfig(max_iters=0)
+    for step_size in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^step_size must be positive and finite"):
+            FitConfig(step_size=step_size)
+    for tolerance in (-1e-8, np.nan):
+        with pytest.raises(ValueError, match="^tolerance must be >= 0"):
+            FitConfig(tolerance=tolerance)
+    assert FitConfig(tolerance=0.0).tolerance == 0.0
 
 
 def test_joint_without_parameters_reduces_to_fit_theta():
