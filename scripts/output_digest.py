@@ -9,7 +9,9 @@ columns removed; the tuebingen corpus is three generated pair files),
 `divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree,
 a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows), a
 star of 8 leaves (families of up to 8 parents) and the chain in raw units
-with one column scaled by 10. `--src` imports divot from
+with one column scaled by 10, and the bits of the measure kernel
+(`measure_with_grad` and `sorted_effects`) on a grid of debias and transform
+settings over workspaces built from both pair files. `--src` imports divot from
 another checkout's `src` directory, so running the script once per checkout
 and diffing the two listings shows whether a change kept every output
 byte-identical.
@@ -65,17 +67,21 @@ def csv_without_timing(path: Path) -> bytes:
     return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
 
 
-def infer_digests(divot):
-    """Run in the scratch directory: a record holds its pair file's path as given."""
-    from divot.cli import main
-
+def pair_files(divot) -> dict[str, Path]:
+    """One sine pair written twice, to ten decimals and to one."""
     pairs = divot.generate(divot.GeneratorSpec(mechanism="sine", n=300, seed=5))
-    files = {
+    return {
         "distinct": write_pairs(Path("distinct.txt"), pairs.xs, pairs.ys, ".10f"),
         # one decimal: many rows share x and y values, so batches and sorts tie
         "ties": write_pairs(Path("ties.txt"), pairs.xs, pairs.ys, ".1f"),
     }
-    for file_name, path in files.items():
+
+
+def infer_digests(divot):
+    """Run in the scratch directory: a record holds its pair file's path as given."""
+    from divot.cli import main
+
+    for file_name, path in pair_files(divot).items():
         for config_name, flags in INFER_CONFIGS.items():
             out = Path(f"{file_name}-{config_name}.json")
             code = quiet(main, ["infer", str(path), "--seed", "3", "--out", str(out)] + flags)
@@ -169,6 +175,34 @@ def orient_digests(divot):
         yield f"orient/{name}", sha(repr(result).encode())
 
 
+def kernel_digests(divot):
+    """Value, gradient and sorted-effect bits for each debias and transform setting.
+
+    On both pairs the invertible transform and the anchor debias keep every
+    batch's sorted order, so the kernel skips its sort; the non-invertible
+    transform and the per-row debias make it sort.
+    """
+    import numpy as np
+    from divot.divergence import sorted_effects
+
+    debiases = {"none": None, "anchor": divot.DebiasFn(0.4),
+                "per-row": divot.DebiasFn(0.4, per_row=True)}
+    transforms = {"none": None, "invertible": divot.PnlTransform(0.8, 1.2, 0.1),
+                  "non-invertible": divot.PnlTransform(-3.0, 2.0, 0.0)}
+    grad_names = ("theta", "w", "omega_a", "omega_b", "omega_c")
+    for file_name, path in pair_files(divot).items():
+        pre = divot.preprocess(divot.load_pairs(str(path)), seed=1)
+        batches = divot.make_batches(pre, divot.select_positions(pre),
+                                     divot.default_batch_frac(pre.n))
+        ws = divot.workspace_from_batches(pre, batches, "uniform", seed=3)
+        for debias_name, debias in debiases.items():
+            for pnl_name, pnl in transforms.items():
+                value, grads = divot.measure_with_grad(ws, 0.7, debias, pnl)
+                bits = np.array([value] + [grads[g] for g in grad_names]).tobytes()
+                bits += sorted_effects(ws, debias, pnl).tobytes()
+                yield f"kernel/{file_name}/{debias_name}/{pnl_name}", sha(bits)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -182,7 +216,8 @@ def main(argv=None) -> int:
         os.chdir(tmp)
         try:
             for name, digest in (*infer_digests(divot), *bench_digests(divot),
-                                 *verdict_digests(divot), *orient_digests(divot)):
+                                 *verdict_digests(divot), *orient_digests(divot),
+                                 *kernel_digests(divot)):
                 print(f"{digest}  {name}")
         finally:
             os.chdir(cwd)

@@ -20,7 +20,6 @@ from .divergence import (
     build_workspace,
     measure_value,
     measure_with_grad,
-    pnl_transform,
     variance_divergence,
     workspace_from_batches,
 )

@@ -249,8 +249,9 @@ def _write_csv(path: str, rows: list[dict]):
 
 
 def _summary_path(out: str) -> str:
-    stem, dot, ext = out.rpartition(".")
-    return f"{stem}_summary.{ext}" if dot else f"{out}_summary"
+    """`out` with `_summary` put before the file name's extension, if it has one."""
+    stem, ext = os.path.splitext(out)
+    return f"{stem}_summary{ext}"
 
 
 def _group(records, *fields) -> dict:

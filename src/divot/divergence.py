@@ -7,12 +7,11 @@ divided by (batch size - 1). The measure averages those terms over batches.
 
 Every batch has the same size k, so a workspace holds its g batches as (g, k)
 matrices and each kernel is one vectorized pass over them. A workspace sorts
-its draws and its effect values once. An evaluation applies the transform and
-an anchor debias to the sorted effects elementwise and skips the sort when
-every rise of a row stays a strict rise: a stable sort would then return the
-same values in the same pairing. Only a per-row debias, or a transform or
-debias that reorders or ties distinct effects (a non-invertible transform, or
-rounding), sorts again.
+its draws and its effect values once. `measure_value`, `measure_with_grad` and
+`sorted_effects` all read the effects through one sorted view
+(`_sorted_view`), which sorts again only when the transform or the debias
+breaks a batch's order, and the value and gradients share one residual
+computation (`_residuals`).
 """
 from __future__ import annotations
 
@@ -61,12 +60,6 @@ class MeasureValue:
 
     raw: float
     normalized: float
-
-
-def pnl_transform(ys, omega: PnlTransform) -> np.ndarray:
-    """Elementwise y + a * tanh(b * y + c)."""
-    ys = np.asarray(ys, dtype=float)
-    return ys + omega.omega_a * np.tanh(omega.omega_b * ys + omega.omega_c)
 
 
 @dataclass(frozen=True)
@@ -163,21 +156,29 @@ def _transformed(ws: MeasureWorkspace, y: np.ndarray, debias: DebiasFn | None,
     return t, _debiased(ws, y + pnl.omega_a * t, debias)
 
 
-def _order_kept(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None):
-    """(t, d) of the workspace's sorted effects when they stay sorted, else None.
+def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None):
+    """(d, y, t, x): each batch's transformed, debiased effects d in stable order.
 
-    The effects stay sorted when d rises strictly wherever the sorted effect
-    values change; equal values give bit-equal d, t and y. A stable sort of
-    the transformed effects would then return d unchanged, with the same t and
-    y beside each value. A per-row debias shifts each member by its own x, so
-    it always needs the sort.
+    Beside each value of d are its effect value y and tanh term t (both None
+    without a transform) and, for a per-row debias, its cause value x (else
+    None). While d rises strictly wherever the workspace's sorted effects
+    change, it comes from those sorted effects with no sort: equal values give
+    bit-equal d, t and y, so a stable sort would return the same values in
+    the same pairing. A per-row debias shifts each member by its own x, so it
+    always sorts, as does a transform or debias that reorders or ties
+    distinct effects: one stable argsort, gathered with one flat index.
     """
-    if debias is not None and debias.per_row:
-        return None
-    t, d = _transformed(ws, ws.y_sorted, debias, pnl)
-    if ((d[:, 1:] > d[:, :-1]) | ws.y_tied).all():
-        return t, d
-    return None
+    if debias is None and pnl is None:
+        return ws.y_sorted, None, None, None
+    per_row = debias is not None and debias.per_row
+    if not per_row:
+        t, d = _transformed(ws, ws.y_sorted, debias, pnl)
+        if ((d[:, 1:] > d[:, :-1]) | ws.y_tied).all():
+            return d, None if pnl is None else ws.y_sorted, t, None
+    t, d = _transformed(ws, ws.ys, debias, pnl)
+    flat = np.argsort(d, kind="stable", axis=1) + np.arange(0, d.size, ws.k)[:, None]
+    y, x = None if pnl is None else ws.ys, ws.xs if per_row else None
+    return tuple(None if a is None else a.take(flat) for a in (d, y, t, x))
 
 
 def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
@@ -188,24 +189,26 @@ def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
     workspace sorted once. A transform or an anchor debias that keeps each
     batch's order is applied to them without a sort.
     """
-    if debias is None and pnl is None:
-        return ws.y_sorted
-    kept = _order_kept(ws, debias, pnl)
-    if kept is not None:
-        return kept[1]
-    return np.sort(_transformed(ws, ws.ys, debias, pnl)[1], axis=1)
+    return _sorted_view(ws, debias, pnl)[0]
+
+
+def _residuals(ws: MeasureWorkspace, d: np.ndarray, theta: float):
+    """(r, value): the batch-centred residuals of d - theta * e and the raw
+    measure, their energy over (k - 1) averaged over batches. A non-finite
+    measure raises NumericError."""
+    s = d - theta * ws.e_sorted
+    r = s - s.mean(axis=1, keepdims=True)
+    value = (0.0 + float((r * r).sum()) / (ws.k - 1)) / ws.n_batches
+    if not np.isfinite(value):
+        raise NumericError(f"measure is non-finite at theta={theta}")
+    return r, value
 
 
 def measure_value(ws: MeasureWorkspace, theta: float,
                   debias: DebiasFn | None = None,
                   pnl: PnlTransform | None = None) -> float:
     """The raw measure at the given parameters."""
-    s = sorted_effects(ws, debias, pnl) - theta * ws.e_sorted
-    r = s - s.mean(axis=1, keepdims=True)
-    value = (0.0 + float((r * r).sum()) / (ws.k - 1)) / ws.n_batches
-    if not np.isfinite(value):
-        raise NumericError(f"measure is non-finite at theta={theta}")
-    return value
+    return _residuals(ws, _sorted_view(ws, debias, pnl)[0], theta)[1]
 
 
 def measure_with_grad(ws: MeasureWorkspace, theta: float,
@@ -215,44 +218,28 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
 
     Returns (value, grads) where grads maps 'theta', 'w', 'omega_a',
     'omega_b', 'omega_c' to partial derivatives. At sorting ties this is the
-    subgradient induced by the stable sort.
-
-    The sort is skipped when the transform and an anchor debias keep every
-    batch's order: the workspace's sorted effects, transformed, are then what
-    the stable sort would return. A per-row debias, or a transform or debias
-    that reorders or ties distinct effects, falls back to a stable argsort.
-    Both give bit-identical results.
+    subgradient induced by the stable sort, taken on the same sorted view as
+    the value (see `_sorted_view`).
     """
-    g = {"theta": 0.0, "w": 0.0, "omega_a": 0.0, "omega_b": 0.0, "omega_c": 0.0}
-    kept = _order_kept(ws, debias, pnl)
-    if kept is not None:
-        t_s, d_s = kept
-        y_s, x_s = ws.y_sorted, None
-    else:
-        t, d = _transformed(ws, ws.ys, debias, pnl)
-        order = np.argsort(d, kind="stable", axis=1)
-        flat = order + np.arange(0, d.size, ws.k)[:, None]
-        d_s, y_s = d.take(flat), ws.ys.take(flat)
-        t_s = t.take(flat) if t is not None else None
-        x_s = ws.xs.take(flat) if debias is not None and debias.per_row else None
-    s = d_s - theta * ws.e_sorted
-    r = s - s.mean(axis=1, keepdims=True)
+    d, y, t, x = _sorted_view(ws, debias, pnl)
+    r, value = _residuals(ws, d, theta)
     scale = 2.0 / (ws.k - 1)
-    total = 0.0 + float((r * r).sum()) / (ws.k - 1)
-    g["theta"] += scale * float((r * (-ws.e_sorted)).sum())
-    if debias is not None:
-        xi = x_s if debias.per_row else np.broadcast_to(ws.anchors[:, None], d_s.shape)
-        g["w"] += scale * float((r * (-xi)).sum())
-    if pnl is not None:
-        sech2 = 1.0 - t_s**2
-        g["omega_a"] += scale * float((r * t_s).sum())
-        g["omega_b"] += scale * float((r * (pnl.omega_a * y_s * sech2)).sum())
-        g["omega_c"] += scale * float((r * (pnl.omega_a * sech2)).sum())
     nb = ws.n_batches
-    value = total / nb
-    if not np.isfinite(value):
-        raise NumericError(f"measure is non-finite at theta={theta}")
-    return value, {key: val / nb for key, val in g.items()}
+
+    def grad(ds: np.ndarray) -> float:
+        # ds is each residual's derivative; the mean over batches comes last
+        return (0.0 + scale * float((r * ds).sum())) / nb
+
+    grads = {"theta": grad(-ws.e_sorted), "w": 0.0, "omega_a": 0.0, "omega_b": 0.0,
+             "omega_c": 0.0}
+    if debias is not None:
+        grads["w"] = grad(-(x if debias.per_row else ws.anchors[:, None]))
+    if pnl is not None:
+        sech2 = 1.0 - t**2
+        grads["omega_a"] = grad(t)
+        grads["omega_b"] = grad(pnl.omega_a * y * sech2)
+        grads["omega_c"] = grad(pnl.omega_a * sech2)
+    return value, grads
 
 
 def variance_divergence(batches, ys_per_batch, model: NoiseModel,
@@ -268,8 +255,7 @@ def variance_divergence(batches, ys_per_batch, model: NoiseModel,
     """
     ws = build_workspace(model.source, batches.positions, ys_per_batch,
                          xs_per_batch, seed, source_draws)
-    raw = measure_value(ws, model.theta, debias, pnl)
-    return MeasureValue(raw=raw, normalized=raw / model_variance(model))
+    return normalized_measure(ws, model.theta, measure_value(ws, model.theta, debias, pnl))
 
 
 def normalized_measure(ws: MeasureWorkspace, theta: float, raw: float) -> MeasureValue:

@@ -45,11 +45,12 @@ def register_source(name: str, sampler, base_variance: float):
     `sampler(rng, n)` must return n i.i.d. unscaled draws and
     `base_variance` their variance; the scale parameter then works exactly
     as for the built-in sources. A workspace takes all its draws from one
-    sampler call, laid out batch by batch.
+    sampler call, laid out batch by batch. `base_variance` must be positive
+    and finite: an infinite one would normalize every measure to 0.
     """
     key = name.strip().lower()
-    if not base_variance > 0:
-        raise ValueError("base_variance must be positive")
+    if not 0.0 < base_variance < np.inf:
+        raise ValueError(f"base_variance must be positive and finite, got {base_variance}")
     _SAMPLERS[key] = sampler
     _BASE_VARIANCE[key] = float(base_variance)
 

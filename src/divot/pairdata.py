@@ -344,18 +344,20 @@ def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int,
     given), and each position's k nearest are picked from the 2k
     sorted rows around it. |x - p| falls and then rises along sorted x, so
     that window holds the exact answer unless a row just outside it is no
-    farther than the window's k-th distance; such a position (and any
-    non-finite input) is recomputed over all rows.
+    farther than the window's k-th distance; such a position is recomputed
+    over all rows. A non-finite x or position raises DegenerateDataError.
     """
     x = np.asarray(x, dtype=float)
     positions = np.asarray(positions, dtype=float)
+    for label, values in (("x row", x), ("position", positions)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise DegenerateDataError(f"{label} {bad[0]} is non-finite: {values[bad[0]]}")
     n = len(x)
     if k >= n:
         return np.tile(np.arange(n), (len(positions), 1))
     if k < 1:
         return np.empty((len(positions), 0), dtype=int)
-    if not (np.isfinite(x).all() and np.isfinite(positions).all()):
-        return np.array([_nearest_rows(x, p, k) for p in positions], dtype=int).reshape(-1, k)
     by_x = order if order is not None else np.argsort(x, kind="stable")
     x_sorted = x[by_x]
     width = min(2 * k, n)

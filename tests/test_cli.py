@@ -214,6 +214,17 @@ def test_bench_synthetic_csv_schema(tmp_path):
     assert all(float(row["elapsed_s"]) >= 0.0 for row in records)
 
 
+def test_bench_summary_goes_beside_an_out_in_a_dotted_directory(tmp_path):
+    out = tmp_path / "runs.v1" / "synth"
+    out.parent.mkdir()
+    code = main(["bench", "--suite", "synthetic", "--sizes", "100",
+                 "--mechanisms", "linear", "--reps", "2", "--out", str(out)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.v1"]
+    assert sorted(p.name for p in out.parent.iterdir()) == ["synth", "synth_summary"]
+    assert len(read_csv(out.parent / "synth_summary")) == 1
+
+
 def test_bench_workers_match_serial(tmp_path):
     serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
     base = ["bench", "--suite", "synthetic", "--sizes", "100",

@@ -13,7 +13,6 @@ from divot import (
     measure_value,
     measure_with_grad,
     model_variance,
-    pnl_transform,
     ShapeError,
     variance_divergence,
     workspace_from_batches,
@@ -30,17 +29,23 @@ def one_batch(ys, draws, positions=(0.0,)):
 # ------------------------------------------------------------- PNL transform
 
 
+def pnl_effects(ys, pnl):
+    """One batch of effects through the transform, sorted, as the measure reads them."""
+    return sorted_effects(build_workspace("uniform", [0.0], [np.asarray(ys, dtype=float)]),
+                          pnl=pnl)[0]
+
+
 def test_pnl_zero_amplitude_is_identity():
     y = np.linspace(-2, 2, 9)
-    assert np.array_equal(pnl_transform(y, PnlTransform(0.0, 3.0, 1.0)), y)
+    assert np.array_equal(pnl_effects(y, PnlTransform(0.0, 3.0, 1.0)), y)
 
 
 def test_pnl_odd_fixed_point():
-    assert pnl_transform([0.0], PnlTransform(1.0, 1.0, 0.0))[0] == 0.0
+    assert pnl_effects([0.0, 1.0], PnlTransform(1.0, 1.0, 0.0))[0] == 0.0
 
 
 def test_pnl_hand_value():
-    got = pnl_transform([1.0], PnlTransform(1.0, 1.0, 0.0))[0]
+    got = pnl_effects([0.0, 1.0], PnlTransform(1.0, 1.0, 0.0))[1]
     assert got == pytest.approx(1.7615941559557649, abs=1e-12)
 
 
@@ -353,12 +358,19 @@ def argsort_measure_with_grad(ws, theta, debias=None, pnl=None):
 
 
 def argsort_sorted_effects(ws, debias=None, pnl=None):
+    """The transformed, debiased effects in the order of a stable argsort.
+
+    np.sort may put -0.0 and 0.0 in either order; the stable order is the
+    one the measure's gradients are taken under.
+    """
     if debias is None and pnl is None:
         return ws.y_sorted
-    d = pnl_transform(ws.ys, pnl) if pnl is not None else ws.ys
+    d = ws.ys
+    if pnl is not None:
+        d = d + pnl.omega_a * np.tanh(pnl.omega_b * d + pnl.omega_c)
     if debias is not None:
         d = d - debias.w * (ws.xs if debias.per_row else ws.anchors[:, None])
-    return np.sort(d, axis=1)
+    return np.take_along_axis(d, np.argsort(d, kind="stable", axis=1), axis=1)
 
 
 def bits(v):
@@ -405,13 +417,28 @@ def test_measure_matches_argsort_kernel_bit_for_bit(case):
 
 
 def test_sort_is_skipped_only_while_the_order_is_kept(monkeypatch):
-    calls = []
-    real = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     ws = _ws()
-    measure_with_grad(ws, 1.0, DebiasFn(0.3), PnlTransform(0.8, 1.2, 0.1))
-    assert calls == []
-    measure_with_grad(ws, 1.0, None, PnlTransform(-3.0, 2.0, 0.0))  # a * b < -1
-    assert calls == [1]
-    measure_with_grad(ws, 1.0, DebiasFn(0.3, per_row=True), PnlTransform(0.8, 1.2, 0.1))
-    assert calls == [1, 1]
+    calls = []
+    for name in ("argsort", "sort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _name=name, _real=real, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+
+    def evaluate(debias, pnl):
+        """The sorts each of the three readers of the sorted view makes."""
+        made = []
+        for fn in (lambda: measure_with_grad(ws, 1.0, debias, pnl),
+                   lambda: measure_value(ws, 1.0, debias, pnl),
+                   lambda: sorted_effects(ws, debias, pnl)):
+            calls.clear()
+            fn()
+            made.append(list(calls))
+        return made
+
+    assert evaluate(None, None) == [[], [], []]
+    assert evaluate(DebiasFn(0.3), PnlTransform(0.8, 1.2, 0.1)) == [[], [], []]
+    # a * b < -1 reorders this workspace's effects
+    assert evaluate(None, PnlTransform(-3.0, 2.0, 0.0)) == [["argsort"]] * 3
+    assert evaluate(DebiasFn(0.3, per_row=True), None) == [["argsort"]] * 3
+    assert evaluate(DebiasFn(0.3, per_row=True),
+                    PnlTransform(0.8, 1.2, 0.1)) == [["argsort"]] * 3

@@ -133,5 +133,6 @@ def test_custom_source_registration():
     assert draws.min() >= 0.0
     assert abs(draws.var(ddof=1) - 1.0) < 0.02
     assert model_variance(model) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        register_source("bad", lambda rng, n: rng.random(n), 0.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            register_source("bad", lambda rng, n: rng.random(n), bad)

@@ -156,6 +156,17 @@ def test_non_finite_value_reports_column_and_row(bad):
             preprocess(SamplePair(clean, dirty))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_batches_names_the_first_non_finite_row_or_position(bad):
+    xs = np.arange(8.0)
+    xs[[2, 5]] = bad
+    with pytest.raises(DegenerateDataError, match=r"^x row 2 is non-finite: "):
+        make_batches(SamplePair(xs, np.arange(8.0)), np.array([1.0, 3.0]), 0.5)
+    with pytest.raises(DegenerateDataError, match=r"^position 1 is non-finite: "):
+        make_batches(SamplePair(np.arange(8.0), np.arange(8.0)),
+                     np.array([1.0, bad, 3.0, bad]), 0.5)
+
+
 def test_column_constant_after_trimming_raises():
     # 50 equal values and one outlier: trimming leaves x constant
     rng = np.random.default_rng(8)
