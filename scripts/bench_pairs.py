@@ -6,8 +6,9 @@ Each pair runs `bench/run.py` once in each checkout, with the same seed and
 the run length that BENCHMARK.json sets; the order inside a pair alternates, so a slow drift of the host
 falls on both sides alike. The end-to-end metrics and their "better"
 directions come from CHANGE_DIR's BENCHMARK.json. For every metric the
-script records the median and quartiles on each side and how many pairs the
-change won, then merges the workload's entry into BENCH_pipeline.json at the
+script records the median and quartiles on each side, how many pairs the
+change won, whether a claimed gain holds (`claim_met`) and whether the change
+stays within the metric's bound (`within_bound`), then merges the workload's entry into BENCH_pipeline.json at the
 root of this repository, beside the entries of other workloads.
 """
 from __future__ import annotations
@@ -56,8 +57,15 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(parent_runs: list[dict], change_runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, pairs won, and whether the
-    medians differ by more than the parent's quartile spread."""
+    """Per metric: each side's median and quartiles, pairs won, whether the
+    medians differ by more than the parent's quartile spread, and the two
+    acceptance rules.
+
+    `claim_met`: the change won at least 9 in 10 of the pairs and its median
+    gain exceeds the parent's quartile spread. `within_bound`: the change's
+    median is no worse than the parent's by more than the metric's relative
+    `bound`.
+    """
     out = {}
     for spec in metrics:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -65,14 +73,18 @@ def compare(parent_runs: list[dict], change_runs: list[dict], metrics: list[dict
         after = [r["metrics"][name]["value"] for r in change_runs]
         p, c = summary(before), summary(after)
         gain = (c["median"] - p["median"]) if higher else (p["median"] - c["median"])
+        pairs_won = sum((a > b) if higher else (a < b) for b, a in zip(before, after))
+        exceeds_iqr = gain > p["q3"] - p["q1"]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "parent": p,
             "change": c,
             "change_over_parent": c["median"] / p["median"] if p["median"] else None,
-            "pairs_won": sum((a > b) if higher else (a < b) for b, a in zip(before, after)),
-            "gain_exceeds_parent_iqr": gain > p["q3"] - p["q1"],
+            "pairs_won": pairs_won,
+            "gain_exceeds_parent_iqr": exceeds_iqr,
+            "claim_met": pairs_won >= 0.9 * len(before) and exceeds_iqr,
+            "within_bound": -gain <= spec["bound"] * abs(p["median"]),
         }
     return out
 
@@ -123,7 +135,8 @@ def main(argv=None) -> int:
     report.setdefault("workloads", {})[args.workload] = entry
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps({name: {"parent": m["parent"]["median"], "change": m["change"]["median"],
-                             "pairs_won": m["pairs_won"]}
+                             "pairs_won": m["pairs_won"], "claim_met": m["claim_met"],
+                             "within_bound": m["within_bound"]}
                       for name, m in entry["metrics"].items()}))
     return 0
 

@@ -10,11 +10,15 @@ matrices and each kernel is one vectorized pass over them. A workspace sorts
 its draws and its effect values once. `measure_value`, `measure_with_grad` and
 `sorted_effects` all read the effects through one sorted view
 (`_sorted_view`), which sorts again only when the transform or the debias
-breaks a batch's order, and the value and gradients share one residual
-computation (`_residuals`).
+breaks a batch's order; the workspace keeps the last view, so readers that
+pass the same debias and transform objects share it. The value and gradients
+share one residual computation (`_residuals`), and `measure_with_grad` sums
+r^2 and every gradient term in one stacked reduction (`_row_sums`), each row
+bit-equal to the sum of its own (g, k) matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,6 +84,9 @@ class MeasureWorkspace:
     e_sorted: np.ndarray
     y_sorted: np.ndarray
 
+    # (debias, pnl, view) of the last sorted view built (see `_sorted_view`)
+    _last_view = None
+
     @property
     def n_batches(self) -> int:
         return len(self.anchors)
@@ -136,14 +143,19 @@ def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
                            seed, source_draws)
 
 
-def _debiased(ws: MeasureWorkspace, d: np.ndarray, debias: DebiasFn | None) -> np.ndarray:
+def _debiased(ws: MeasureWorkspace, d: np.ndarray, debias: DebiasFn | None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """d less the debias shift w * x (per row) or w * anchor, written to `out`
+    when given, which may be d itself."""
     if debias is None:
         return d
     if debias.per_row:
         if ws.xs is None:
             raise InsufficientDataError("per-row debiasing needs per-batch x values")
-        return d - debias.w * ws.xs
-    return d - debias.w * ws.anchors[:, None]
+        shift = ws.xs
+    else:
+        shift = ws.anchors[:, None]
+    return np.subtract(d, np.multiply(shift, debias.w), out=out)
 
 
 def _transformed(ws: MeasureWorkspace, y: np.ndarray, debias: DebiasFn | None,
@@ -152,8 +164,12 @@ def _transformed(ws: MeasureWorkspace, y: np.ndarray, debias: DebiasFn | None,
     the effects d = y + a * t, debiased."""
     if pnl is None:
         return None, _debiased(ws, y, debias)
-    t = np.tanh(pnl.omega_b * y + pnl.omega_c)
-    return t, _debiased(ws, y + pnl.omega_a * t, debias)
+    t = np.multiply(y, pnl.omega_b)
+    t += pnl.omega_c
+    np.tanh(t, out=t)
+    d = np.multiply(t, pnl.omega_a)
+    d += y
+    return t, _debiased(ws, d, debias, out=d)
 
 
 def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None):
@@ -167,48 +183,84 @@ def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransfor
     the same pairing. A per-row debias shifts each member by its own x, so it
     always sorts, as does a transform or debias that reorders or ties
     distinct effects: one stable argsort, gathered with one flat index.
+
+    The workspace keeps the last view it built, keyed on the identity of the
+    debias and transform objects, so readers that share those objects (the
+    scale fit and then the gradient of one fit step) build it once. Readers
+    must not write into the view.
     """
     if debias is None and pnl is None:
         return ws.y_sorted, None, None, None
+    last = ws._last_view
+    if last is not None and last[0] is debias and last[1] is pnl:
+        return last[2]
+    view = _build_view(ws, debias, pnl)
+    object.__setattr__(ws, "_last_view", (debias, pnl, view))
+    return view
+
+
+def _build_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None):
+    """The view `_sorted_view` describes, built afresh."""
     per_row = debias is not None and debias.per_row
     if not per_row:
         t, d = _transformed(ws, ws.y_sorted, debias, pnl)
-        if ((d[:, 1:] > d[:, :-1]) | ws.y_tied).all():
+        kept = np.greater(d[:, 1:], d[:, :-1])
+        kept |= ws.y_tied
+        if kept.all():
             return d, None if pnl is None else ws.y_sorted, t, None
     t, d = _transformed(ws, ws.ys, debias, pnl)
-    flat = np.argsort(d, kind="stable", axis=1) + np.arange(0, d.size, ws.k)[:, None]
+    flat = np.argsort(d, kind="stable", axis=1)
+    flat += np.arange(0, d.size, ws.k)[:, None]
     y, x = None if pnl is None else ws.ys, ws.xs if per_row else None
     return tuple(None if a is None else a.take(flat) for a in (d, y, t, x))
 
 
 def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
                    pnl: PnlTransform | None = None) -> np.ndarray:
-    """The effect values, transformed and debiased, sorted per batch.
+    """The effect values, transformed and debiased, sorted per batch, in a new array.
 
     With neither a debias nor a transform these are the effects the
     workspace sorted once. A transform or an anchor debias that keeps each
     batch's order is applied to them without a sort.
     """
-    return _sorted_view(ws, debias, pnl)[0]
+    return _sorted_view(ws, debias, pnl)[0].copy()
 
 
-def _residuals(ws: MeasureWorkspace, d: np.ndarray, theta: float):
-    """(r, value): the batch-centred residuals of d - theta * e and the raw
-    measure, their energy over (k - 1) averaged over batches. A non-finite
-    measure raises NumericError."""
-    s = d - theta * ws.e_sorted
-    r = s - s.mean(axis=1, keepdims=True)
-    value = (0.0 + float((r * r).sum()) / (ws.k - 1)) / ws.n_batches
-    if not np.isfinite(value):
+def _residuals(ws: MeasureWorkspace, d: np.ndarray, theta: float) -> np.ndarray:
+    """The batch-centred residuals of d - theta * e, in a fresh array."""
+    r = np.multiply(ws.e_sorted, theta)
+    np.subtract(d, r, out=r)
+    mean = np.add.reduce(r, axis=1, keepdims=True)
+    mean /= ws.k  # what ndarray.mean computes
+    r -= mean
+    return r
+
+
+def _row_sums(prod: np.ndarray) -> list[float]:
+    """The sum of each (g, k) slab of an (m, g, k) array, as floats.
+
+    One reduction over m contiguous rows of g * k elements, each summed in
+    the same pairwise grouping as `ndarray.sum` of that slab alone.
+    """
+    return np.add.reduce(prod.reshape(len(prod), -1), axis=1).tolist()
+
+
+def _measure(ws: MeasureWorkspace, energy: float, theta: float) -> float:
+    """The raw measure from the summed squared residuals: the energy over
+    (k - 1), averaged over batches. A non-finite measure raises NumericError."""
+    value = (0.0 + energy / (ws.k - 1)) / ws.n_batches
+    if not math.isfinite(value):
         raise NumericError(f"measure is non-finite at theta={theta}")
-    return r, value
+    return value
 
 
 def measure_value(ws: MeasureWorkspace, theta: float,
                   debias: DebiasFn | None = None,
                   pnl: PnlTransform | None = None) -> float:
     """The raw measure at the given parameters."""
-    return _residuals(ws, _sorted_view(ws, debias, pnl)[0], theta)[1]
+    r = _residuals(ws, _sorted_view(ws, debias, pnl)[0], theta)
+    np.multiply(r, r, out=r)
+    return _measure(ws, _row_sums(r[None])[0], theta)
 
 
 def measure_with_grad(ws: MeasureWorkspace, theta: float,
@@ -220,25 +272,43 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
     'omega_b', 'omega_c' to partial derivatives. At sorting ties this is the
     subgradient induced by the stable sort, taken on the same sorted view as
     the value (see `_sorted_view`).
+
+    Row 0 of one (m, g, k) array holds r * r and each further row r times a
+    derivative term of the residual r: e for theta and x (or the anchor) for
+    w, both negated after the sum, then t, (a * y) * sech^2 and a * sech^2
+    for omega. One reduction sums all rows.
     """
     d, y, t, x = _sorted_view(ws, debias, pnl)
-    r, value = _residuals(ws, d, theta)
+    r = _residuals(ws, d, theta)
+    prod = np.empty((2 + (debias is not None) + 3 * (pnl is not None),) + r.shape)
+    np.multiply(r, r, out=prod[0])
+    prod[1] = ws.e_sorted
+    if debias is not None:
+        prod[2] = x if debias.per_row else ws.anchors[:, None]
+    if pnl is not None:
+        sech2 = prod[-1]
+        prod[-3] = t
+        np.multiply(t, t, out=sech2)
+        np.subtract(1.0, sech2, out=sech2)
+        np.multiply(y, pnl.omega_a, out=prod[-2])
+        prod[-2] *= sech2
+        sech2 *= pnl.omega_a
+    prod[1:] *= r
+    energy, e_sum, *sums = _row_sums(prod)
+    value = _measure(ws, energy, theta)
     scale = 2.0 / (ws.k - 1)
     nb = ws.n_batches
 
-    def grad(ds: np.ndarray) -> float:
-        # ds is each residual's derivative; the mean over batches comes last
-        return (0.0 + scale * float((r * ds).sum())) / nb
+    def grad(total: float) -> float:
+        # the mean over batches comes last
+        return (0.0 + scale * total) / nb
 
-    grads = {"theta": grad(-ws.e_sorted), "w": 0.0, "omega_a": 0.0, "omega_b": 0.0,
+    grads = {"theta": grad(-e_sum), "w": 0.0, "omega_a": 0.0, "omega_b": 0.0,
              "omega_c": 0.0}
     if debias is not None:
-        grads["w"] = grad(-(x if debias.per_row else ws.anchors[:, None]))
+        grads["w"] = grad(-sums.pop(0))
     if pnl is not None:
-        sech2 = 1.0 - t**2
-        grads["omega_a"] = grad(t)
-        grads["omega_b"] = grad(pnl.omega_a * y * sech2)
-        grads["omega_c"] = grad(pnl.omega_a * sech2)
+        grads["omega_a"], grads["omega_b"], grads["omega_c"] = map(grad, sums)
     return value, grads
 
 

@@ -2,12 +2,13 @@
 
 With the sort order frozen, the objective is an exact quadratic in theta, so
 the scale has a closed-form minimizer; `bisect_theta`, a bisection on the
-analytic gradient, is kept as a cross-check. Debias/PNL parameters are fitted
-by gradient descent with one value-and-gradient evaluation per step and the
-scale refitted in closed form every THETA_REFRESH_PERIOD (10) steps. The step
-size is `step_size` when only the debias weight is fitted; when the PNL
-transform is fitted it follows a triangular cycle of CYCLIC_PERIOD (50) steps
-between 0.1 and 1 times `step_size`.
+analytic gradient, is kept as a cross-check. Debias/PNL parameters are
+fitted by gradient descent with one value-and-gradient evaluation per step
+and the scale refitted in closed form every THETA_REFRESH_PERIOD (10) steps,
+from the centred draws the fit computes once and the sorted view that step's
+evaluation then reads. The step size is `step_size` when only the debias
+weight is fitted; when the PNL transform is fitted it follows a triangular
+cycle of CYCLIC_PERIOD (50) steps between 0.1 and 1 times `step_size`.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .divergence import (
     measure_value,
     measure_with_grad,
     normalized_measure,
-    sorted_effects,
+    _sorted_view,
 )
 from .errors import NumericError
 
@@ -71,11 +72,24 @@ def closed_form_theta(ws: MeasureWorkspace,
     sum_b ||d_b - theta * e_b||^2 / (k - 1) over batch-centered sorted
     vectors, so theta* = sum_b <d_b, e_b> / sum_b ||e_b||^2.
     """
-    ds = sorted_effects(ws, debias, pnl)
-    dt = ds - ds.mean(axis=1, keepdims=True)
+    return _closed_form(ws, debias, pnl, theta_range, _centred_draws(ws))
+
+
+def _centred_draws(ws: MeasureWorkspace) -> tuple[np.ndarray, float]:
+    """The sorted draws centred per batch, and their summed squares: the part
+    of the scale fit that no parameter changes."""
     et = ws.e_sorted - ws.e_sorted.mean(axis=1, keepdims=True)
+    return et, float((et * et).sum())
+
+
+def _closed_form(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None,
+                 theta_range: tuple[float, float], draws: tuple[np.ndarray, float]) -> float:
+    """`closed_form_theta` given the workspace's `_centred_draws`."""
+    et, energy = draws
+    ds = _sorted_view(ws, debias, pnl)[0]
+    dt = ds - ds.mean(axis=1, keepdims=True)
     num = 0.0 + float((dt * et).sum()) / (ws.k - 1)
-    den = 0.0 + float((et * et).sum()) / (ws.k - 1)
+    den = 0.0 + energy / (ws.k - 1)
     if den <= 0.0:
         return theta_range[0]
     theta = num / den
@@ -155,8 +169,9 @@ def fit_joint(ws: MeasureWorkspace,
         p = PnlTransform(*ov) if fit_omega else None
         return d, p
 
+    draws = _centred_draws(ws)
     debias, pnl = mk(w, omega)
-    theta = fit_theta(ws, debias, pnl, config)
+    theta = _closed_form(ws, debias, pnl, config.theta_range, draws)
     obj, grads = measure_with_grad(ws, theta, debias, pnl)
     best = (obj, theta, w, omega)
     prev = obj
@@ -176,7 +191,7 @@ def fit_joint(ws: MeasureWorkspace,
         debias, pnl = mk(w, omega)
         try:
             if t % THETA_REFRESH_PERIOD == 0:
-                theta = fit_theta(ws, debias, pnl, config)
+                theta = _closed_form(ws, debias, pnl, config.theta_range, draws)
             obj, grads = measure_with_grad(ws, theta, debias, pnl)
         except NumericError as exc:
             raise NumericError(f"objective diverged at iteration {t}: {exc}") from None

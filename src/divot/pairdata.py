@@ -143,11 +143,14 @@ class BatchSet:
 def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
     """Read a two-column whitespace-separated pair file.
 
-    `columns` selects which fields become x and y; row order is preserved.
+    `columns` selects which fields become x and y, as non-negative field
+    indices (a negative one raises ValueError); row order is preserved.
     """
     xs: list[float] = []
     ys: list[float] = []
     cx, cy = columns
+    if cx < 0 or cy < 0:
+        raise ValueError(f"columns must be non-negative field indices, got {cx} {cy}")
     need = max(cx, cy) + 1
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):

@@ -137,6 +137,8 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
      "file,direction\na.txt,x->y\n# comment\nb.txt,x->y\n a.txt ,y->x\n",
      "meta.csv:5: pair file 'a.txt' listed twice"),
     ([], "seed=1\nstep_size = 0\n", "step_size must be positive and finite, got 0.0"),
+    (["--columns", "0", "-3"], None, "columns must be non-negative field indices, got 0 -3"),
+    (["--columns", "-1", "0"], None, "columns must be non-negative field indices, got -1 0"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from divot import (
     variance_divergence,
     workspace_from_batches,
 )
+from divot import divergence
 from divot.divergence import sorted_effects
 from divot.pairdata import BatchSet, SamplePair
 
@@ -379,17 +382,24 @@ def bits(v):
 
 @st.composite
 def measure_cases(draw):
-    g, k = draw(st.integers(1, 4)), draw(st.integers(2, 9))
-    if draw(st.booleans()):
-        # an integer grid: many effect values in a row are equal
-        values = st.integers(-3, 3).map(float)
-    else:
-        values = st.floats(-4, 4, allow_nan=False)
-    ys = np.array(draw(st.lists(values, min_size=g * k, max_size=g * k))).reshape(g, k)
+    grid = draw(st.booleans())  # an integer grid: many effect values in a row are equal
     with_xs = draw(st.booleans())
-    xs = (np.array(draw(st.lists(st.floats(-2, 2), min_size=g * k, max_size=g * k)))
-          .reshape(g, k) if with_xs else None)
-    anchors = np.array(draw(st.lists(st.floats(-2, 2), min_size=g, max_size=g)))
+    if draw(st.booleans()):
+        g, k = draw(st.integers(1, 4)), draw(st.integers(2, 9))
+        values = st.integers(-3, 3).map(float) if grid else st.floats(-4, 4, allow_nan=False)
+        ys = np.array(draw(st.lists(values, min_size=g * k, max_size=g * k))).reshape(g, k)
+        xs = (np.array(draw(st.lists(st.floats(-2, 2), min_size=g * k, max_size=g * k)))
+              .reshape(g, k) if with_xs else None)
+        anchors = np.array(draw(st.lists(st.floats(-2, 2), min_size=g, max_size=g)))
+    else:
+        # the sizes fits see, 150 to 2,500 values: past numpy's pairwise-summation
+        # block of 128, where a stacked reduction could group sums differently
+        g = draw(st.integers(6, 100))
+        k = draw(st.integers(-(-150 // g), min(60, 2500 // g)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        ys = rng.integers(-3, 4, (g, k)).astype(float) if grid else rng.normal(0, 2, (g, k))
+        xs = rng.uniform(-2, 2, (g, k)) if with_xs else None
+        anchors = rng.uniform(-2, 2, g)
     ws = build_workspace("uniform", anchors, ys, xs, seed=draw(st.integers(0, 99)))
     debias = draw(st.sampled_from(["none", "anchor", "per_row"] if with_xs else ["none", "anchor"]))
     debias = None if debias == "none" else DebiasFn(draw(st.floats(-2, 2)), debias == "per_row")
@@ -410,6 +420,7 @@ def test_measure_matches_argsort_kernel_bit_for_bit(case):
     value, grads = measure_with_grad(ws, theta, debias, pnl)
     want_value, want_grads = argsort_measure_with_grad(ws, theta, debias, pnl)
     assert bits(value) == bits(want_value)
+    assert bits(measure_value(ws, theta, debias, pnl)) == bits(want_value)
     assert grads.keys() == want_grads.keys()
     for name, want in want_grads.items():
         assert bits(grads[name]) == bits(want), name
@@ -425,13 +436,13 @@ def test_sort_is_skipped_only_while_the_order_is_kept(monkeypatch):
                             calls.append(_name) or _real(*a, **kw))
 
     def evaluate(debias, pnl):
-        """The sorts each of the three readers of the sorted view makes."""
+        """The sorts each of the three readers of the sorted view makes, each
+        given its own (equal) parameter objects, so none reuses another's view."""
         made = []
-        for fn in (lambda: measure_with_grad(ws, 1.0, debias, pnl),
-                   lambda: measure_value(ws, 1.0, debias, pnl),
-                   lambda: sorted_effects(ws, debias, pnl)):
+        for fn in (measure_with_grad, measure_value, sorted_effects):
+            args = (ws, 1.0) if fn is not sorted_effects else (ws,)
             calls.clear()
-            fn()
+            fn(*args, *(None if p is None else dataclasses.replace(p) for p in (debias, pnl)))
             made.append(list(calls))
         return made
 
@@ -442,3 +453,23 @@ def test_sort_is_skipped_only_while_the_order_is_kept(monkeypatch):
     assert evaluate(DebiasFn(0.3, per_row=True), None) == [["argsort"]] * 3
     assert evaluate(DebiasFn(0.3, per_row=True),
                     PnlTransform(0.8, 1.2, 0.1)) == [["argsort"]] * 3
+
+
+def test_readers_of_the_same_parameter_objects_share_one_view(monkeypatch):
+    ws = _ws()
+    debias, pnl = DebiasFn(0.3, per_row=True), PnlTransform(-3.0, 2.0, 0.0)
+    built = []
+    real = divergence._build_view
+    monkeypatch.setattr(divergence, "_build_view", lambda *a: built.append(1) or real(*a))
+    value, grads = measure_with_grad(ws, 1.0, debias, pnl)
+    assert bits(measure_value(ws, 1.0, debias, pnl)) == bits(value)
+    d = sorted_effects(ws, debias, pnl)
+    assert len(built) == 1
+    # what a caller gets back is its own: writing into it leaves the shared view
+    d[:] = 0.0
+    assert bits(measure_with_grad(ws, 1.0, debias, pnl)[0]) == bits(value)
+    sorted_effects(ws)[:] = 0.0
+    assert bits(measure_value(ws, 1.0)) == bits(argsort_measure_with_grad(ws, 1.0)[0])
+    # equal but distinct objects build a fresh view with the same bits
+    again = measure_with_grad(ws, 1.0, dataclasses.replace(debias), pnl)
+    assert len(built) == 2 and bits(again[0]) == bits(value) and again[1] == grads

@@ -23,6 +23,8 @@ from divot import (
     measure_with_grad,
     model_variance,
 )
+from divot import divergence, optimize
+from divot.divergence import sorted_effects
 from divot.pairdata import make_batches, select_positions
 
 
@@ -49,6 +51,35 @@ def test_closed_form_with_offset():
     y = 2.0 * np.sort(draws[0]) + 5.0
     ws = build_workspace("uniform", [0.0], [y], source_draws=draws)
     assert closed_form_theta(ws) == pytest.approx(2.0, abs=1e-12)
+
+
+def closed_form_theta_oracle(ws, debias, pnl, theta_range):
+    """The scale fit as one formula."""
+    ds = sorted_effects(ws, debias, pnl)
+    dt = ds - ds.mean(axis=1, keepdims=True)
+    et = ws.e_sorted - ws.e_sorted.mean(axis=1, keepdims=True)
+    num = 0.0 + float((dt * et).sum()) / (ws.k - 1)
+    den = 0.0 + float((et * et).sum()) / (ws.k - 1)
+    if den <= 0.0:
+        return theta_range[0]
+    return float(min(max(num / den, theta_range[0]), theta_range[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_batches=st.integers(1, 60),
+    k=st.integers(2, 40),
+    debias=st.sampled_from([None, DebiasFn(0.4), DebiasFn(-0.7, per_row=True)]),
+    pnl=st.sampled_from([None, PnlTransform(0.5, -0.2, 0.3), PnlTransform(-3.0, 2.0, 0.1)]),
+    theta_range=st.sampled_from([(1e-8, 100.0), (0.5, 0.6)]),
+)
+def test_closed_form_matches_its_formula_bit_for_bit(seed, n_batches, k, debias, pnl,
+                                                      theta_range):
+    ws = random_workspace(seed, n_batches, k)
+    want = closed_form_theta_oracle(ws, debias, pnl, theta_range)
+    got = closed_form_theta(ws, debias, pnl, theta_range)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_closed_form_agrees_with_bisection():
@@ -144,6 +175,19 @@ def test_joint_determinism():
     a = fit_joint(random_workspace(6), w0=0.0, per_row_debias=True)
     b = fit_joint(random_workspace(6), w0=0.0, per_row_debias=True)
     assert a.theta == b.theta and a.w == b.w
+
+
+def test_joint_fit_builds_one_sorted_view_per_step(monkeypatch):
+    # the scale refit every 10 steps reads the view its step's gradient reads
+    ws = random_workspace(4, 6, 10)
+    built, evals = [], []
+    build, evaluate = divergence._build_view, optimize.measure_with_grad
+    monkeypatch.setattr(divergence, "_build_view", lambda *a: built.append(1) or build(*a))
+    monkeypatch.setattr(optimize, "measure_with_grad",
+                        lambda *a: evals.append(1) or evaluate(*a))
+    res = fit_joint(ws, 0.0, (0.1, 0.1, 0.0), True, FitConfig(max_iters=35, tolerance=0.0))
+    assert res.iterations == 35
+    assert len(evals) == len(built) == 36
 
 
 def two_evaluation_fit_oracle(ws, w0, omega0, per_row, config):
