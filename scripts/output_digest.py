@@ -1,8 +1,8 @@
-"""Print one sha256 per divot output over a fixed set of inputs.
+"""Print one sha256 per divot output over a fixed set of inputs, 78 lines.
 
     python3 scripts/output_digest.py [--src DIR]
 
-The outputs are `divot infer` JSON records (eight configurations on one pair
+The outputs are `divot infer` JSON records (six configurations on one pair
 file with tied values and one without), the record and summary CSVs of small
 synthetic, confounder, significance and tuebingen `bench` runs (with the timing
 columns removed; the tuebingen corpus is three generated pair files),
@@ -33,10 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 INFER_CONFIGS = {
     "anm-b20": ["--bootstrap", "20"],
     "anm-debias": ["--debias"],
-    "anm-debias-per-row": ["--debias", "--debias-per-row"],
     "pnl": ["--mode", "pnl"],
     "pnl-debias": ["--mode", "pnl", "--debias"],
-    "pnl-debias-per-row": ["--mode", "pnl", "--debias", "--debias-per-row"],
     "normal": ["--noise", "normal"],
     "beta-frac0.3": ["--noise", "beta", "--batch-frac", "0.3"],
 }
@@ -127,7 +125,7 @@ def bench_digests(divot):
 def verdict_digests(divot):
     configs = {
         "anm": divot.ScoreConfig(),
-        "debias-per-row": divot.ScoreConfig(use_debias=True, debias_per_row=True),
+        "debias-per-row": divot.ScoreConfig(use_debias=True),
         "pnl": divot.ScoreConfig(mode="pnl", fit=divot.FitConfig(max_iters=60)),
         "laplace": divot.ScoreConfig(source="laplace", batch_frac=0.2),
     }
@@ -178,15 +176,14 @@ def orient_digests(divot):
 def kernel_digests(divot):
     """Value, gradient and sorted-effect bits for each debias and transform setting.
 
-    On both pairs the invertible transform and the anchor debias keep every
-    batch's sorted order, so the kernel skips its sort; the non-invertible
-    transform and the per-row debias make it sort.
+    On both pairs the invertible transform alone keeps every batch's sorted
+    order, so the kernel skips its sort; the non-invertible transform and the
+    per-row debias make it sort.
     """
     import numpy as np
     from divot.divergence import sorted_effects
 
-    debiases = {"none": None, "anchor": divot.DebiasFn(0.4),
-                "per-row": divot.DebiasFn(0.4, per_row=True)}
+    debiases = {"none": None, "per-row": divot.DebiasFn(0.4, per_row=True)}
     transforms = {"none": None, "invertible": divot.PnlTransform(0.8, 1.2, 0.1),
                   "non-invertible": divot.PnlTransform(-3.0, 2.0, 0.0)}
     grad_names = ("theta", "w", "omega_a", "omega_b", "omega_c")

@@ -60,8 +60,7 @@ class RunConfig:
     k_std: float = 2.0
     bootstrap: int = 0  # 0 disables the bootstrap
     alpha: float = 0.05
-    debias: bool = False
-    debias_per_row: bool = False
+    debias: bool = False  # fit the per-row debias weight
     step_size: float = 1.0
     max_iters: int = 500
     seed: int = 0
@@ -95,7 +94,6 @@ class RunConfig:
             batch_frac=self.batch_frac,
             max_positions=self.positions,
             use_debias=self.debias,
-            debias_per_row=self.debias_per_row,
             fit=FitConfig(step_size=self.step_size, max_iters=self.max_iters),
         )
 
@@ -132,7 +130,7 @@ def _parse_config_file(path: str) -> dict:
 
 
 _LIST_FIELDS = {"seeds": int, "sizes": int, "mechanisms": str, "weights": float}
-_BOOL_FIELDS = {"debias", "debias_per_row"}
+_BOOL_FIELDS = {"debias"}
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 _INT_FIELDS = {"positions", "max_n", "bootstrap", "max_iters", "seed", "workers", "reps"}
@@ -475,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bootstrap", type=int, help="bootstrap replicates (0 = off)")
         p.add_argument("--alpha", type=float, help="significance level")
         p.add_argument("--debias", action="store_const", const=True, default=None)
-        p.add_argument("--debias-per-row", dest="debias_per_row",
-                       action="store_const", const=True, default=None)
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (JSON for infer, CSV for bench)")

@@ -40,8 +40,7 @@ class ScoreConfig:
     source: str = "uniform"
     batch_frac: float | None = None  # None -> sample-size schedule
     max_positions: int = 50
-    use_debias: bool = False
-    debias_per_row: bool = False
+    use_debias: bool = False  # fit the per-row debias weight w
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
@@ -94,7 +93,7 @@ def _workspace_for(pairs: SamplePair, config: ScoreConfig, seed: int) -> Measure
 def _fit(ws: MeasureWorkspace, config: ScoreConfig) -> FitResult:
     w0 = 0.0 if config.use_debias else None
     omega0 = (0.1, 0.1, 0.0) if config.mode == "pnl" else None
-    return fit_joint(ws, w0, omega0, config.debias_per_row, config.fit)
+    return fit_joint(ws, w0, omega0, config.fit)
 
 
 def score_direction(pairs: SamplePair, direction: str, config: ScoreConfig,

@@ -9,7 +9,7 @@ Every batch has the same size k, so a workspace holds its g batches as (g, k)
 matrices and each kernel is one vectorized pass over them. A workspace sorts
 its draws and its effect values once. `measure_value`, `measure_with_grad` and
 `sorted_effects` all read the effects through one sorted view
-(`_sorted_view`), which sorts again only when the transform or the debias
+(`_sorted_view`), which sorts again only for a debias or when the transform
 breaks a batch's order; the workspace keeps the last view, so readers that
 pass the same debias and transform objects share it. The value and gradients
 share one residual computation (`_residuals`), and `measure_with_grad` sums
@@ -31,17 +31,19 @@ from .pairdata import batch_matrix
 
 @dataclass(frozen=True)
 class DebiasFn:
-    """Linear position correction g(x) = w * x subtracted from effect values.
+    """Linear position correction g(x) = w * x subtracted from each effect
+    value, x being that row's own cause value: it offsets wide-batch bias.
 
-    With `per_row=False` the batch anchor position is used for every member
-    (the batch idealization: one shared cause value). A shared constant is
-    absorbed by the mean-centering, so anchor debiasing cannot change the
-    measure; `per_row=True` subtracts w * x_i using each row's own cause
-    value, which is what actually offsets wide-batch bias.
+    `per_row=False` raises ValueError: a shift that a whole batch shares (w
+    times its anchor) is absorbed by the per-batch centring.
     """
 
     w: float = 0.0
-    per_row: bool = False
+    per_row: bool = True
+
+    def __post_init__(self):
+        if not self.per_row:
+            raise ValueError("a per-batch debias shift is absorbed by the centring")
 
 
 @dataclass(frozen=True)
@@ -145,17 +147,13 @@ def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
 
 def _debiased(ws: MeasureWorkspace, d: np.ndarray, debias: DebiasFn | None,
               out: np.ndarray | None = None) -> np.ndarray:
-    """d less the debias shift w * x (per row) or w * anchor, written to `out`
-    when given, which may be d itself."""
+    """d less the debias shift w * x, row by row, written to `out` when given,
+    which may be d itself."""
     if debias is None:
         return d
-    if debias.per_row:
-        if ws.xs is None:
-            raise InsufficientDataError("per-row debiasing needs per-batch x values")
-        shift = ws.xs
-    else:
-        shift = ws.anchors[:, None]
-    return np.subtract(d, np.multiply(shift, debias.w), out=out)
+    if ws.xs is None:
+        raise InsufficientDataError("per-row debiasing needs per-batch x values")
+    return np.subtract(d, np.multiply(ws.xs, debias.w), out=out)
 
 
 def _transformed(ws: MeasureWorkspace, y: np.ndarray, debias: DebiasFn | None,
@@ -176,13 +174,13 @@ def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransfor
     """(d, y, t, x): each batch's transformed, debiased effects d in stable order.
 
     Beside each value of d are its effect value y and tanh term t (both None
-    without a transform) and, for a per-row debias, its cause value x (else
-    None). While d rises strictly wherever the workspace's sorted effects
-    change, it comes from those sorted effects with no sort: equal values give
-    bit-equal d, t and y, so a stable sort would return the same values in
-    the same pairing. A per-row debias shifts each member by its own x, so it
-    always sorts, as does a transform or debias that reorders or ties
-    distinct effects: one stable argsort, gathered with one flat index.
+    without a transform) and, with a debias, its cause value x (else None).
+    Without a debias, while the transformed effects rise strictly wherever the
+    workspace's sorted effects change, they come from those sorted effects
+    with no sort: equal values give bit-equal d, t and y, so a stable sort
+    would return the same values in the same pairing. A debias shifts each
+    member by its own x, so it always sorts, as does a transform that reorders
+    or ties distinct effects: one stable argsort, gathered with one flat index.
 
     The workspace keeps the last view it built, keyed on the identity of the
     debias and transform objects, so readers that share those objects (the
@@ -201,17 +199,16 @@ def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransfor
 
 def _build_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None):
     """The view `_sorted_view` describes, built afresh."""
-    per_row = debias is not None and debias.per_row
-    if not per_row:
-        t, d = _transformed(ws, ws.y_sorted, debias, pnl)
+    if debias is None:  # so a transform is given
+        t, d = _transformed(ws, ws.y_sorted, None, pnl)
         kept = np.greater(d[:, 1:], d[:, :-1])
         kept |= ws.y_tied
         if kept.all():
-            return d, None if pnl is None else ws.y_sorted, t, None
+            return d, ws.y_sorted, t, None
     t, d = _transformed(ws, ws.ys, debias, pnl)
     flat = np.argsort(d, kind="stable", axis=1)
     flat += np.arange(0, d.size, ws.k)[:, None]
-    y, x = None if pnl is None else ws.ys, ws.xs if per_row else None
+    y, x = None if pnl is None else ws.ys, None if debias is None else ws.xs
     return tuple(None if a is None else a.take(flat) for a in (d, y, t, x))
 
 
@@ -220,8 +217,8 @@ def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
     """The effect values, transformed and debiased, sorted per batch, in a new array.
 
     With neither a debias nor a transform these are the effects the
-    workspace sorted once. A transform or an anchor debias that keeps each
-    batch's order is applied to them without a sort.
+    workspace sorted once. A transform alone that keeps each batch's order is
+    applied to them without a sort; a debias always sorts.
     """
     return _sorted_view(ws, debias, pnl)[0].copy()
 
@@ -274,9 +271,9 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
     the value (see `_sorted_view`).
 
     Row 0 of one (m, g, k) array holds r * r and each further row r times a
-    derivative term of the residual r: e for theta and x (or the anchor) for
-    w, both negated after the sum, then t, (a * y) * sech^2 and a * sech^2
-    for omega. One reduction sums all rows.
+    derivative term of the residual r: e for theta and x for w, both negated
+    after the sum, then t, (a * y) * sech^2 and a * sech^2 for omega. One
+    reduction sums all rows.
     """
     d, y, t, x = _sorted_view(ws, debias, pnl)
     r = _residuals(ws, d, theta)
@@ -284,7 +281,7 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
     np.multiply(r, r, out=prod[0])
     prod[1] = ws.e_sorted
     if debias is not None:
-        prod[2] = x if debias.per_row else ws.anchors[:, None]
+        prod[2] = x
     if pnl is not None:
         sech2 = prod[-1]
         prod[-3] = t

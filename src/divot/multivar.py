@@ -193,6 +193,8 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
     column, raises DegenerateDataError naming the data column (and the row).
     `memo` maps families to terms computed with the same arguments, and
     gains this family's term; with it, `data` must be the z-scored matrix.
+    A family not yet in `memo` whose indices (i and the parents) repeat or
+    fall outside [0, m) raises ValueError.
     """
     if memo is None:
         data, memo = _standardized(data, batch_frac), {}
@@ -203,7 +205,11 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
 
 
 def _variable_term(z, i, parents, source, batch_frac, max_positions, fit, seed) -> float:
-    n = z.shape[0]
+    n, m = z.shape
+    family = (i, *parents)
+    if len(set(family)) < len(family) or not all(0 <= v < m for v in family):
+        raise ValueError(f"variable {i} with parents {tuple(parents)}: indices must be "
+                         f"distinct and in [0, {m})")
     if parents:
         frac = batch_frac if batch_frac is not None else default_batch_frac(n)
         k = math.ceil(frac * n)

@@ -2,13 +2,14 @@
 
 With the sort order frozen, the objective is an exact quadratic in theta, so
 the scale has a closed-form minimizer; `bisect_theta`, a bisection on the
-analytic gradient, is kept as a cross-check. Debias/PNL parameters are
-fitted by gradient descent with one value-and-gradient evaluation per step
-and the scale refitted in closed form every THETA_REFRESH_PERIOD (10) steps,
-from the centred draws the fit computes once and the sorted view that step's
-evaluation then reads. The step size is `step_size` when only the debias
-weight is fitted; when the PNL transform is fitted it follows a triangular
-cycle of CYCLIC_PERIOD (50) steps between 0.1 and 1 times `step_size`.
+analytic gradient, is kept as a cross-check. The per-row debias weight and
+the PNL parameters are fitted by gradient descent with one value-and-gradient
+evaluation per step and the scale refitted in closed form every
+THETA_REFRESH_PERIOD (10) steps, from the centred draws the fit computes once
+and the sorted view that step's evaluation then reads. The step size is
+`step_size` when only the debias weight is fitted; when the PNL transform is
+fitted it follows a triangular cycle of CYCLIC_PERIOD (50) steps between 0.1
+and 1 times `step_size`.
 """
 from __future__ import annotations
 
@@ -142,16 +143,15 @@ def _learning_rate(step_size: float, t: int, cyclic: bool) -> float:
 def fit_joint(ws: MeasureWorkspace,
               w0: float | None = None,
               omega0: tuple[float, float, float] | None = None,
-              per_row_debias: bool = False,
               config: FitConfig | None = None) -> FitResult:
     """Gradient steps on (w, omega), theta refitted every THETA_REFRESH_PERIOD steps.
 
-    Pass w0 / omega0 as None to exclude those parameters; with both excluded
-    this reduces exactly to fit_theta. Each step evaluates the objective and
-    its gradient once, at the point the previous step reached; the value
-    tracks the best point and tests convergence (a change below
-    `config.tolerance`), the gradient takes the next step. Returns the
-    parameters achieving the best observed objective.
+    Pass w0 (the per-row debias weight) / omega0 as None to exclude those
+    parameters; with both excluded this reduces exactly to fit_theta. Each
+    step evaluates the objective and its gradient once, at the point the
+    previous step reached; the value tracks the best point and tests
+    convergence (a change below `config.tolerance`), the gradient takes the
+    next step. Returns the parameters achieving the best observed objective.
     """
     config = config or FitConfig()
     fit_w = w0 is not None
@@ -165,7 +165,7 @@ def fit_joint(ws: MeasureWorkspace,
                          normalized_measure(ws, theta, measure_value(ws, theta)), 0, True)
 
     def mk(wv, ov):
-        d = DebiasFn(wv, per_row_debias) if fit_w else None
+        d = DebiasFn(wv) if fit_w else None
         p = PnlTransform(*ov) if fit_omega else None
         return d, p
 

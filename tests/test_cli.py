@@ -9,7 +9,7 @@ import pytest
 
 import divot
 from divot import GeneratorSpec, ParseError, generate
-from divot.cli import main, resolve_config, build_parser
+from divot.cli import RunConfig, main, resolve_config, build_parser
 
 
 def write_pair_file(path, mechanism="linear", n=300, seed=5, swap=False):
@@ -105,6 +105,21 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
     assert record["pnl_invertible_xy"] in (True, False)
 
 
+def test_infer_debias_changes_the_losses(tmp_path):
+    # --debias fits the per-row correction w*x, which moves the measure; a
+    # shift shared by each batch would leave the losses as they are
+    pair = write_pair_file(tmp_path / "pair.txt", mechanism="sine", n=300)
+    records = []
+    for flags in ([], ["--debias"]):
+        out = tmp_path / "v.json"
+        assert main(["infer", str(pair), "--seed", "2", "--out", str(out)] + flags) == 0
+        records.append(json.loads(out.read_text()))
+    plain, debiased = records
+    assert plain["w_xy"] is None and debiased["w_xy"] != 0.0
+    for key in ("loss_xy", "loss_yx"):
+        assert abs(debiased[key] - plain[key]) > 1e-9, key
+
+
 @pytest.mark.parametrize("flags, config, message", [
     (["--bootstrap", "1"], None, "at least 2 bootstrap replicates"),
     (["--batch-frac", "2"], None, "batch_frac must be in"),
@@ -139,6 +154,7 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
     ([], "seed=1\nstep_size = 0\n", "step_size must be positive and finite, got 0.0"),
     (["--columns", "0", "-3"], None, "columns must be non-negative field indices, got 0 -3"),
     (["--columns", "-1", "0"], None, "columns must be non-negative field indices, got -1 0"),
+    ([], "seed=1\ndebias_per_row = 1\n", "run.cfg:2: unknown key 'debias_per_row'"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)
@@ -186,10 +202,47 @@ def test_config_boolean_words(tmp_path, word, value):
 @pytest.mark.parametrize("word", ["ture", "on1", "y", ""])
 def test_config_unknown_boolean_word_names_its_line(tmp_path, word):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"seed = 2\ndebias-per-row = {word}\n")
+    cfg.write_text(f"seed = 2\ndebias = {word}\n")
     args = build_parser().parse_args(["infer", "x.txt", "--config", str(cfg)])
-    with pytest.raises(ParseError, match="run.cfg:2: debias_per_row: expected one of"):
+    with pytest.raises(ParseError, match="run.cfg:2: debias: expected one of"):
         resolve_config(args)
+
+
+# a config-file value for every RunConfig field, and the typed value it resolves to
+CONFIG_VALUES = {
+    "mode": ("pnl", "pnl"),
+    "noise": ("gaussian", "normal"),
+    "batch_frac": ("0.25", 0.25),
+    "positions": ("30", 30),
+    "max_n": ("400", 400),
+    "k_std": ("3", 3.0),
+    "bootstrap": ("20", 20),
+    "alpha": ("0.01", 0.01),
+    "debias": ("Yes", True),
+    "step_size": ("0.5", 0.5),
+    "max_iters": ("80", 80),
+    "seed": ("7", 7),
+    "seeds": ("4, 5 6", (4, 5, 6)),
+    "workers": ("2", 2),
+    "suite": ("tuebingen", "tuebingen"),
+    "sizes": ("100,300", (100, 300)),
+    "reps": ("3", 3),
+    "mechanisms": ("sine,linear", ("sine", "linear")),
+    "weights": ("0.5,2", (0.5, 2.0)),
+    "data_dir": ("pairs", "pairs"),
+    "meta": ("meta.csv", "meta.csv"),
+    "out": ("report.csv", "report.csv"),
+}
+
+
+def test_config_file_sets_every_field_to_its_typed_value(tmp_path):
+    assert CONFIG_VALUES.keys() == RunConfig.__dataclass_fields__.keys()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, (text, _) in CONFIG_VALUES.items()))
+    resolved = resolve_config(build_parser().parse_args(["bench", "--config", str(cfg)]))
+    for key, (_, value) in CONFIG_VALUES.items():
+        # repr tells 3 from 3.0 and (4, 5) from ('4', '5')
+        assert repr(getattr(resolved, key)) == repr(value), key
 
 
 def test_config_auto_batch_frac(tmp_path):

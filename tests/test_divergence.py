@@ -251,10 +251,20 @@ def _ws(seed=7, per_row_xs=True):
 
 
 def test_anchor_debias_is_absorbed_by_centering():
+    # a shift a whole batch shares, w times its anchor, drops out with the
+    # centring: why DebiasFn has no per-batch mode
     ws = _ws()
     base = measure_value(ws, 1.3)
     for w in (-2.0, 0.5, 10.0):
-        assert measure_value(ws, 1.3, DebiasFn(w)) == pytest.approx(base, abs=1e-12)
+        shifted = build_workspace("uniform", ws.anchors, ws.ys - w * ws.anchors[:, None],
+                                  ws.xs, source_draws=ws.draws)
+        assert measure_value(shifted, 1.3) == pytest.approx(base, abs=1e-12)
+
+
+def test_anchor_mode_is_rejected():
+    assert DebiasFn(0.7) == DebiasFn(0.7, per_row=True)
+    with pytest.raises(ValueError, match="per-batch debias shift is absorbed by the centring"):
+        DebiasFn(0.7, per_row=False)
 
 
 def test_per_row_debias_changes_measure():
@@ -317,12 +327,6 @@ def test_gradients_match_finite_differences():
             assert relative_error(grads[name], fd) < 1e-4, (name, grads[name], fd)
 
 
-def test_anchor_mode_w_gradient_is_null():
-    ws = _ws()
-    _, grads = measure_with_grad(ws, 1.0, DebiasFn(0.7))
-    assert abs(grads["w"]) < 1e-12
-
-
 # ---------------------------------------------- sort-free vs argsort kernel
 
 
@@ -336,7 +340,7 @@ def argsort_measure_with_grad(ws, theta, debias=None, pnl=None):
         t = None
         d = ws.ys
     if debias is not None:
-        d = d - debias.w * (ws.xs if debias.per_row else ws.anchors[:, None])
+        d = d - debias.w * ws.xs
     order = np.argsort(d, kind="stable", axis=1)
     s = np.take_along_axis(d, order, axis=1) - theta * ws.e_sorted
     r = s - s.mean(axis=1, keepdims=True)
@@ -344,10 +348,7 @@ def argsort_measure_with_grad(ws, theta, debias=None, pnl=None):
     total = 0.0 + float((r * r).sum()) / (ws.k - 1)
     g["theta"] += scale * float((r * (-ws.e_sorted)).sum())
     if debias is not None:
-        if debias.per_row:
-            xi = np.take_along_axis(ws.xs, order, axis=1)
-        else:
-            xi = np.broadcast_to(ws.anchors[:, None], d.shape)
+        xi = np.take_along_axis(ws.xs, order, axis=1)
         g["w"] += scale * float((r * (-xi)).sum())
     if pnl is not None:
         t_s = np.take_along_axis(t, order, axis=1)
@@ -372,7 +373,7 @@ def argsort_sorted_effects(ws, debias=None, pnl=None):
     if pnl is not None:
         d = d + pnl.omega_a * np.tanh(pnl.omega_b * d + pnl.omega_c)
     if debias is not None:
-        d = d - debias.w * (ws.xs if debias.per_row else ws.anchors[:, None])
+        d = d - debias.w * ws.xs
     return np.take_along_axis(d, np.argsort(d, kind="stable", axis=1), axis=1)
 
 
@@ -401,8 +402,7 @@ def measure_cases(draw):
         xs = rng.uniform(-2, 2, (g, k)) if with_xs else None
         anchors = rng.uniform(-2, 2, g)
     ws = build_workspace("uniform", anchors, ys, xs, seed=draw(st.integers(0, 99)))
-    debias = draw(st.sampled_from(["none", "anchor", "per_row"] if with_xs else ["none", "anchor"]))
-    debias = None if debias == "none" else DebiasFn(draw(st.floats(-2, 2)), debias == "per_row")
+    debias = DebiasFn(draw(st.floats(-2, 2))) if with_xs and draw(st.booleans()) else None
     shape = draw(st.sampled_from(["none", "invertible", "non-invertible"]))
     pnl = None
     if shape != "none":
@@ -447,7 +447,7 @@ def test_sort_is_skipped_only_while_the_order_is_kept(monkeypatch):
         return made
 
     assert evaluate(None, None) == [[], [], []]
-    assert evaluate(DebiasFn(0.3), PnlTransform(0.8, 1.2, 0.1)) == [[], [], []]
+    assert evaluate(None, PnlTransform(0.8, 1.2, 0.1)) == [[], [], []]
     # a * b < -1 reorders this workspace's effects
     assert evaluate(None, PnlTransform(-3.0, 2.0, 0.0)) == [["argsort"]] * 3
     assert evaluate(DebiasFn(0.3, per_row=True), None) == [["argsort"]] * 3

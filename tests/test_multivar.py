@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -234,6 +235,26 @@ def test_standalone_family_term_rejects_a_constant_child():
     for parents in ((), (0,)):
         with pytest.raises(DegenerateDataError, match="^data column 1 is constant$"):
             variable_term(data, 1, parents, seed=0)
+
+
+@pytest.mark.parametrize("i, parents", [
+    (0, (-1,)),  # a negative index would silently pick the last column
+    (-1, (0,)),
+    (1, (1,)),  # its own parent
+    (0, (1, 1)),  # a repeated parent
+    (0, (2, 1, 2)),
+    (3, ()),  # past the last column
+    (0, (1, 3)),
+])
+def test_invalid_family_names_the_variable_and_its_parents(i, parents):
+    data = chain_data(3, n=60)
+    message = f"^variable {re.escape(str(i))} with parents {re.escape(str(parents))}: indices"
+    with pytest.raises(ValueError, match=message):
+        variable_term(data, i, parents, seed=0)
+    memo = {}
+    with pytest.raises(ValueError, match=message):
+        variable_term(_standardized(data, None), i, parents, seed=0, memo=memo)
+    assert memo == {}
 
 
 @pytest.mark.parametrize("edges", [((0, 1), (1, 2)), ((0, 2), (1, 2))])

@@ -70,7 +70,7 @@ def closed_form_theta_oracle(ws, debias, pnl, theta_range):
     seed=st.integers(0, 10_000),
     n_batches=st.integers(1, 60),
     k=st.integers(2, 40),
-    debias=st.sampled_from([None, DebiasFn(0.4), DebiasFn(-0.7, per_row=True)]),
+    debias=st.sampled_from([None, DebiasFn(-0.7)]),
     pnl=st.sampled_from([None, PnlTransform(0.5, -0.2, 0.3), PnlTransform(-3.0, 2.0, 0.1)]),
     theta_range=st.sampled_from([(1e-8, 100.0), (0.5, 0.6)]),
 )
@@ -172,8 +172,8 @@ def test_joint_pnl_on_additive_data_not_worse():
 
 
 def test_joint_determinism():
-    a = fit_joint(random_workspace(6), w0=0.0, per_row_debias=True)
-    b = fit_joint(random_workspace(6), w0=0.0, per_row_debias=True)
+    a = fit_joint(random_workspace(6), w0=0.0)
+    b = fit_joint(random_workspace(6), w0=0.0)
     assert a.theta == b.theta and a.w == b.w
 
 
@@ -185,12 +185,12 @@ def test_joint_fit_builds_one_sorted_view_per_step(monkeypatch):
     monkeypatch.setattr(divergence, "_build_view", lambda *a: built.append(1) or build(*a))
     monkeypatch.setattr(optimize, "measure_with_grad",
                         lambda *a: evals.append(1) or evaluate(*a))
-    res = fit_joint(ws, 0.0, (0.1, 0.1, 0.0), True, FitConfig(max_iters=35, tolerance=0.0))
+    res = fit_joint(ws, 0.0, (0.1, 0.1, 0.0), FitConfig(max_iters=35, tolerance=0.0))
     assert res.iterations == 35
     assert len(evals) == len(built) == 36
 
 
-def two_evaluation_fit_oracle(ws, w0, omega0, per_row, config):
+def two_evaluation_fit_oracle(ws, w0, omega0, config):
     """The joint fit as it was before one evaluation per step.
 
     Each step took a gradient at the current point, discarding its value,
@@ -205,7 +205,7 @@ def two_evaluation_fit_oracle(ws, w0, omega0, per_row, config):
     omega = tuple(float(v) for v in omega0) if fit_omega else None
 
     def mk(wv, ov):
-        return (DebiasFn(wv, per_row) if fit_w else None,
+        return (DebiasFn(wv) if fit_w else None,
                 PnlTransform(*ov) if fit_omega else None)
 
     def theta_fit(debias, pnl):
@@ -265,26 +265,25 @@ def two_evaluation_fit_oracle(ws, w0, omega0, per_row, config):
     n_batches=st.integers(1, 6),
     k=st.integers(2, 12),
     params=st.sampled_from(["w", "omega", "both"]),
-    per_row=st.booleans(),
     w0=st.sampled_from([0.0, 0.3, -1.0]),
     omega0=st.sampled_from([(0.1, 0.1, 0.0), (0.5, -0.2, 0.3)]),
     step_size=st.sampled_from([1.0, 0.3]),
     max_iters=st.integers(1, 120),
     tolerance=st.sampled_from([1e-8, 1e-3]),
 )
-def test_joint_fit_matches_two_evaluation_oracle(seed, n_batches, k, params, per_row, w0,
-                                                 omega0, step_size, max_iters, tolerance):
+def test_joint_fit_matches_two_evaluation_oracle(seed, n_batches, k, params, w0, omega0,
+                                                 step_size, max_iters, tolerance):
     ws = random_workspace(seed, n_batches, k)
     w0 = w0 if params in ("w", "both") else None
     omega0 = omega0 if params in ("omega", "both") else None
     config = FitConfig(step_size=step_size, max_iters=max_iters, tolerance=tolerance)
     try:
-        want = two_evaluation_fit_oracle(ws, w0, omega0, per_row, config)
+        want = two_evaluation_fit_oracle(ws, w0, omega0, config)
     except NumericError as exc:
         with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
-            fit_joint(ws, w0, omega0, per_row, config)
+            fit_joint(ws, w0, omega0, config)
         return
-    res = fit_joint(ws, w0, omega0, per_row, config)
+    res = fit_joint(ws, w0, omega0, config)
     got = (res.theta, res.w, res.omega, res.measure, res.iterations, res.converged)
     assert got == want
 
