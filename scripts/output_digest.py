@@ -1,4 +1,4 @@
-"""Print one sha256 per divot output over a fixed set of inputs, 78 lines.
+"""Print one sha256 per divot output over a fixed set of inputs, 79 lines.
 
     python3 scripts/output_digest.py [--src DIR]
 
@@ -8,13 +8,14 @@ synthetic, confounder, significance and tuebingen `bench` runs (with the timing
 columns removed; the tuebingen corpus is three generated pair files),
 `divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree,
 a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows), a
-star of 8 leaves (families of up to 8 parents) and the chain in raw units
-with one column scaled by 10, and the bits of the measure kernel
-(`measure_with_grad` and `sorted_effects`) on a grid of debias and transform
-settings over workspaces built from both pair files. `--src` imports divot from
-another checkout's `src` directory, so running the script once per checkout
-and diffing the two listings shows whether a change kept every output
-byte-identical.
+star of 8 leaves (families of up to 8 parents), the star again with 5
+positions (its family stacks pass the max_positions * n element bound and
+split) and the chain in raw units with one column scaled by 10, and the bits
+of the measure kernel (`measure_with_grad` and `sorted_effects`) on a grid of
+debias and transform settings over workspaces built from both pair files.
+`--src` imports divot from another checkout's `src` directory, so running the
+script once per checkout and diffing the two listings shows whether a change
+kept every output byte-identical.
 """
 from __future__ import annotations
 
@@ -171,6 +172,11 @@ def orient_digests(divot):
     for name, (columns, m, edges) in inputs.items():
         result = divot.orient_skeleton(columns, divot.Skeleton(m, edges), seed=4)
         yield f"orient/{name}", sha(repr(result).encode())
+        if name == "star8":
+            # 272 families against a bound of 5 * 300 elements: the stacks split
+            result = divot.orient_skeleton(columns, divot.Skeleton(m, edges), max_positions=5,
+                                           seed=4)
+            yield "orient/star8-positions5", sha(repr(result).encode())
 
 
 def kernel_digests(divot):

@@ -79,6 +79,8 @@ class RunConfig:
         # the bench suites average over reps and seeds, each value once
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if self.max_n < 2:  # the measure needs at least 2 rows
+            raise ValueError(f"max_n must be >= 2, got {self.max_n}")
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
         for name in ("seeds", "sizes", "mechanisms", "weights"):

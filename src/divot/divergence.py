@@ -15,6 +15,11 @@ pass the same debias and transform objects share it. The value and gradients
 share one residual computation (`_residuals`), and `measure_with_grad` sums
 r^2 and every gradient term in one stacked reduction (`_row_sums`), each row
 bit-equal to the sum of its own (g, k) matrix.
+
+A workspace may stack several problems of one shape as equal row blocks
+(`blocks`): `measure_value` then takes one scale per block and sums each
+block on its own, so a block's measure is bit-equal to that of a workspace
+holding the block alone.
 """
 from __future__ import annotations
 
@@ -75,7 +80,8 @@ class MeasureWorkspace:
     Row b of each (g, k) matrix belongs to batch b: `ys` its effect values,
     `xs` its cause values (None when not given), `draws` its unscaled source
     draws, and `e_sorted` and `y_sorted` the draws and the effect values
-    sorted. `anchors` (g,) holds each batch's position.
+    sorted. `anchors` (g,) holds each batch's position. The g rows form
+    `blocks` equal blocks of `batches_per_block` rows, each scored on its own.
     """
 
     source: str
@@ -85,6 +91,7 @@ class MeasureWorkspace:
     draws: np.ndarray
     e_sorted: np.ndarray
     y_sorted: np.ndarray
+    blocks: int = 1
 
     # (debias, pnl, view) of the last sorted view built (see `_sorted_view`)
     _last_view = None
@@ -92,6 +99,10 @@ class MeasureWorkspace:
     @property
     def n_batches(self) -> int:
         return len(self.anchors)
+
+    @property
+    def batches_per_block(self) -> int:
+        return len(self.anchors) // self.blocks
 
     @property
     def k(self) -> int:
@@ -105,7 +116,7 @@ class MeasureWorkspace:
 
 
 def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
-                    seed: int = 0, source_draws=None) -> MeasureWorkspace:
+                    seed: int = 0, source_draws=None, blocks: int = 1) -> MeasureWorkspace:
     """The (g, k) matrices of g batches and one fixed source sample per member.
 
     `ys_per_batch`, `xs_per_batch` and `source_draws` each give one vector
@@ -113,7 +124,9 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
     a sequence of g vectors of one length k. Vectors of mixed lengths raise
     ShapeError. The draws come from a single stream seeded once, so repeated
     evaluations during optimization see the same sample. The draws and the
-    effect values are sorted once, here.
+    effect values are sorted once, here. `blocks` splits the g batches into
+    that many equal blocks (see `MeasureWorkspace`); a g it does not divide
+    raises ValueError.
     """
     src = canonical_source(source)
     ys = batch_matrix(ys_per_batch, float)
@@ -123,6 +136,8 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
     anchors = np.asarray(anchors, dtype=float)
     if len(anchors) != g:
         raise InsufficientDataError("one anchor position per batch required")
+    if blocks < 1 or g % blocks:
+        raise ValueError(f"{g} batches do not split into {blocks} equal blocks")
     xs = None
     if xs_per_batch is not None:
         xs = batch_matrix(xs_per_batch, float)
@@ -134,7 +149,7 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
     if draws.shape != ys.shape:
         raise InsufficientDataError("one source draw per batch member required")
     return MeasureWorkspace(src, anchors, ys, xs, draws,
-                            np.sort(draws, axis=1), np.sort(ys, axis=1))
+                            np.sort(draws, axis=1), np.sort(ys, axis=1), blocks)
 
 
 def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
@@ -223,8 +238,11 @@ def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
     return _sorted_view(ws, debias, pnl)[0].copy()
 
 
-def _residuals(ws: MeasureWorkspace, d: np.ndarray, theta: float) -> np.ndarray:
-    """The batch-centred residuals of d - theta * e, in a fresh array."""
+def _residuals(ws: MeasureWorkspace, d: np.ndarray, theta: float | list[float]) -> np.ndarray:
+    """The batch-centred residuals of d - theta * e, in a fresh array; with
+    several blocks theta holds one scale per block."""
+    if ws.blocks > 1:
+        theta = np.repeat(theta, ws.batches_per_block)[:, None]
     r = np.multiply(ws.e_sorted, theta)
     np.subtract(d, r, out=r)
     mean = np.add.reduce(r, axis=1, keepdims=True)
@@ -233,37 +251,48 @@ def _residuals(ws: MeasureWorkspace, d: np.ndarray, theta: float) -> np.ndarray:
     return r
 
 
-def _row_sums(prod: np.ndarray) -> list[float]:
-    """The sum of each (g, k) slab of an (m, g, k) array, as floats.
+def _row_sums(prod: np.ndarray, blocks: int = 1) -> list[float]:
+    """The sum of each of the `blocks` equal row blocks of each (g, k) slab
+    of an (m, g, k) array, as m * blocks floats, slab by slab.
 
-    One reduction over m contiguous rows of g * k elements, each summed in
-    the same pairwise grouping as `ndarray.sum` of that slab alone.
+    One reduction over m * blocks contiguous rows of g * k / blocks elements,
+    each summed in the same pairwise grouping as `ndarray.sum` of that block
+    alone.
     """
-    return np.add.reduce(prod.reshape(len(prod), -1), axis=1).tolist()
+    return np.add.reduce(prod.reshape(len(prod) * blocks, -1), axis=1).tolist()
 
 
 def _measure(ws: MeasureWorkspace, energy: float, theta: float) -> float:
-    """The raw measure from the summed squared residuals: the energy over
-    (k - 1), averaged over batches. A non-finite measure raises NumericError."""
-    value = (0.0 + energy / (ws.k - 1)) / ws.n_batches
+    """The raw measure from a block's summed squared residuals: the energy
+    over (k - 1), averaged over the block's batches. A non-finite measure
+    raises NumericError."""
+    value = (0.0 + energy / (ws.k - 1)) / ws.batches_per_block
     if not math.isfinite(value):
         raise NumericError(f"measure is non-finite at theta={theta}")
     return value
 
 
-def measure_value(ws: MeasureWorkspace, theta: float,
+def measure_value(ws: MeasureWorkspace, theta: float | list[float],
                   debias: DebiasFn | None = None,
-                  pnl: PnlTransform | None = None) -> float:
-    """The raw measure at the given parameters."""
+                  pnl: PnlTransform | None = None) -> float | list[float]:
+    """The raw measure at the given parameters, a float.
+
+    A workspace of several blocks takes one scale per block in `theta` and
+    returns a list of one measure per block.
+    """
     r = _residuals(ws, _sorted_view(ws, debias, pnl)[0], theta)
     np.multiply(r, r, out=r)
-    return _measure(ws, _row_sums(r[None])[0], theta)
+    energies = _row_sums(r[None], ws.blocks)
+    if ws.blocks == 1:
+        return _measure(ws, energies[0], theta)
+    return [_measure(ws, energy, t) for energy, t in zip(energies, theta)]
 
 
 def measure_with_grad(ws: MeasureWorkspace, theta: float,
                       debias: DebiasFn | None = None,
                       pnl: PnlTransform | None = None):
-    """Raw measure plus analytic gradients under the frozen sort permutations.
+    """Raw measure plus analytic gradients under the frozen sort permutations,
+    for a workspace of one block.
 
     Returns (value, grads) where grads maps 'theta', 'w', 'omega_a',
     'omega_b', 'omega_c' to partial derivatives. At sorting ties this is the

@@ -5,6 +5,14 @@ raw transport-mismatch of its conditional given its parents (k-nearest-neighbor
 batches in parent space, scale fitted per variable; a root is one whole-sample
 batch). The DAG score, the sum over variables, does not depend on column
 units, and the orientation with the minimum score wins.
+
+Family terms are scored in stacked passes (`_score_families`): each parent
+set is batched once, the families of one batch shape (g, k) are stacked as
+the row blocks of one workspace, each child's source draws are drawn once per
+stack, and the workspace's scales and measures come from one call each,
+every block summed on its own. The stacks pending at once hold at most
+max_positions * n elements, the size of one multi-parent distance matrix, so
+memory stays O(max_positions * n) however many families a skeleton has.
 """
 from __future__ import annotations
 
@@ -15,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import build_workspace, measure_value
+from .noise import draw_source_batches
 from .errors import (
     InsufficientDataError,
     SkeletonParseError,
@@ -150,7 +159,8 @@ def _parent_batches(z: np.ndarray, parents: tuple[int, ...], max_positions: int,
     in lexicographic parent order, taken from the first row of each run of
     equal rows in that order. The distance from an anchor to a row is the
     square root of its squared parent gaps, added in parent order, one
-    parent column at a time over all anchors and rows.
+    parent column at a time over all anchors and rows; the buffer that held
+    the gaps then takes the partition that finds each anchor's k-th distance.
     """
     n = z.shape[0]
     if len(parents) == 1:
@@ -172,10 +182,9 @@ def _parent_batches(z: np.ndarray, parents: tuple[int, ...], max_positions: int,
         np.subtract(z[:, p], z[anchor_rows, p, None], out=gap)
         gap *= gap
         dist += gap
-    del gap  # with it, dist and the copy k_nearest_rows makes all live, a family took 1.4x
     np.sqrt(dist, out=dist)
     rows = np.broadcast_to(np.arange(n), dist.shape)
-    return k_nearest_rows(rows, dist, min(k, n))[0]
+    return k_nearest_rows(rows, dist, min(k, n), scratch=gap)[0]
 
 
 def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
@@ -192,7 +201,8 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
     z-scores `data` (`_standardized`): a nan or infinite cell, or a constant
     column, raises DegenerateDataError naming the data column (and the row).
     `memo` maps families to terms computed with the same arguments, and
-    gains this family's term; with it, `data` must be the z-scored matrix.
+    gains this family's term, scored by a pass over it alone
+    (`_score_families`); with it, `data` must be the z-scored matrix.
     A family not yet in `memo` whose indices (i and the parents) repeat or
     fall outside [0, m) raises ValueError.
     """
@@ -200,26 +210,72 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
         data, memo = _standardized(data, batch_frac), {}
     key = (i, tuple(parents))
     if key not in memo:
-        memo[key] = _variable_term(data, i, parents, source, batch_frac, max_positions, fit, seed)
+        memo.update(_score_families(data, [key], source, batch_frac, max_positions, fit, seed))
     return memo[key]
 
 
-def _variable_term(z, i, parents, source, batch_frac, max_positions, fit, seed) -> float:
+def _score_families(z, families, source, batch_frac, max_positions, fit, seed) -> dict:
+    """{(i, parents): term} for each family of `families`, scored in stacked passes.
+
+    Every family is checked first: indices that repeat or fall outside
+    [0, m) raise ValueError, and when batches would have < 2 members the
+    first family with parents raises InsufficientDataError. Each distinct
+    parent set is then batched once, in order of first appearance, and each
+    of its families waits, as its child's values gathered by those batches,
+    in the pending stack of its batch shape (g, k). Before the stacks would
+    pass max_positions * n elements together, `_score_stacks` scores them.
+    A family's term is bit-equal to that of a pass over it alone.
+    """
     n, m = z.shape
-    family = (i, *parents)
-    if len(set(family)) < len(family) or not all(0 <= v < m for v in family):
-        raise ValueError(f"variable {i} with parents {tuple(parents)}: indices must be "
-                         f"distinct and in [0, {m})")
-    if parents:
-        frac = batch_frac if batch_frac is not None else default_batch_frac(n)
-        k = math.ceil(frac * n)
-        if min(k, n) < 2:
-            raise InsufficientDataError(f"variable {i}: every parent-space batch has < 2 members")
-        idx = _parent_batches(z, parents, max_positions, k)
-    else:
-        idx = np.arange(n)[None]
-    ws = build_workspace(source, np.zeros(len(idx)), z[:, i][idx], None, variable_seed(seed, i))
-    return measure_value(ws, fit_theta(ws, config=fit))
+    by_parents = {}  # parent set -> its children, in order of first appearance
+    for i, parents in families:
+        family = (i, *parents)
+        if len(set(family)) < len(family) or not all(0 <= v < m for v in family):
+            raise ValueError(f"variable {i} with parents {tuple(parents)}: indices must be "
+                             f"distinct and in [0, {m})")
+        by_parents.setdefault(tuple(parents), []).append(i)
+    frac = batch_frac if batch_frac is not None else default_batch_frac(n)
+    k = math.ceil(frac * n)
+    if min(k, n) < 2:
+        for i, parents in families:
+            if parents:
+                raise InsufficientDataError(
+                    f"variable {i}: every parent-space batch has < 2 members")
+    bound = max_positions * n
+    terms, stacks, size = {}, {}, 0
+    for parents, children in by_parents.items():
+        idx = _parent_batches(z, parents, max_positions, k) if parents else np.arange(n)[None]
+        for i in children:
+            if size + idx.size > bound and stacks:
+                terms.update(_score_stacks(stacks, source, fit, seed))
+                stacks, size = {}, 0
+            stacks.setdefault(idx.shape, []).append(((i, parents), z[:, i][idx]))
+            size += idx.size
+    terms.update(_score_stacks(stacks, source, fit, seed))
+    return terms
+
+
+def _score_stacks(stacks, source, fit, seed) -> dict:
+    """{family: term} for each stack of {(g, k): [(family, child values)]},
+    scored as one workspace of one block per family.
+
+    A child's draws come from its own stream (`variable_seed`), drawn once
+    per stack for all the child's families in it.
+    """
+    terms = {}
+    for (g, k), blocks in stacks.items():
+        draws = {}
+        for (i, _), _ in blocks:
+            if i not in draws:
+                draws[i] = draw_source_batches(source, np.full(g, k), variable_seed(seed, i))
+        ws = build_workspace(source, np.zeros(g * len(blocks)),
+                             np.concatenate([ys for _, ys in blocks]), None,
+                             source_draws=np.concatenate([draws[i] for (i, _), _ in blocks]),
+                             blocks=len(blocks))
+        values = measure_value(ws, fit_theta(ws, config=fit))
+        terms.update(zip((family for family, _ in blocks),
+                         values if ws.blocks > 1 else [values]))
+    return terms
 
 
 def multivariate_measure(data: np.ndarray, dag: DagOrientation,
@@ -233,13 +289,17 @@ def multivariate_measure(data: np.ndarray, dag: DagOrientation,
 
     One `source` applies to every variable. `memo` (and `data`, z-scored) go
     to every `variable_term`; without `memo` the data is checked and z-scored
-    once and the terms share a fresh memo.
+    once and the m families are scored in one pass (`_score_families`).
     """
-    if memo is None:
-        data, memo = _standardized(data, batch_frac), {}
+    fresh = memo is None
+    if fresh:
+        data = _standardized(data, batch_frac)
     m = data.shape[1]
     if dag.m != m:
         raise ValueError(f"orientation is over {dag.m} variables, data has {m} columns")
+    if fresh:
+        memo = _score_families(data, [(i, dag.parents(i)) for i in range(m)], source,
+                               batch_frac, max_positions, fit, seed)
     return sum(
         variable_term(data, i, dag.parents(i), source, batch_frac, max_positions, fit, seed,
                       memo=memo)
@@ -281,8 +341,11 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
 
     Ties break toward the lexicographically smallest direction-flag vector.
     The data is checked and z-scored once (`_standardized`), so the result
-    does not depend on column units. Each family term is computed once and
-    reused by every orientation that contains the family.
+    does not depend on column units. Before the enumeration, one stacked pass
+    (`_score_families`) scores every family an orientation can hold: each
+    variable with each subset of its skeleton neighbours. Its stacks hold at
+    most max_positions * n elements at once. Every orientation then reads
+    its terms from that memo.
     """
     edges = skeleton.edges
     if len(edges) > MAX_EDGES:
@@ -291,7 +354,20 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
             "orient edges pairwise with the bivariate tool instead"
         )
     data = _standardized(data, batch_frac)
-    memo = {}
+    nbrs = [[] for _ in range(skeleton.m)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    nbrs = [sorted(near) for near in nbrs]  # parent tuples ascend, as `parents` gives them
+    # The first orientation points every edge (u, v), u < v, at v. Its
+    # families go first, so that data too small to batch names the variable
+    # the enumeration would reach first.
+    families = [(i, tuple(u for u in nbrs[i] if u < i)) for i in range(skeleton.m)]
+    families += [(i, parents) for i in range(skeleton.m)
+                 for r in range(len(nbrs[i]) + 1)
+                 for parents in itertools.combinations(nbrs[i], r)]
+    memo = _score_families(data, list(dict.fromkeys(families)), source, batch_frac,
+                           max_positions, fit, seed)
     scored = []
     for flags in itertools.product((0, 1), repeat=len(edges)):
         directed = tuple(

@@ -25,6 +25,7 @@ from .divergence import (
     measure_value,
     measure_with_grad,
     normalized_measure,
+    _row_sums,
     _sorted_view,
 )
 from .errors import NumericError
@@ -66,31 +67,45 @@ class FitResult:
 def closed_form_theta(ws: MeasureWorkspace,
                       debias: DebiasFn | None = None,
                       pnl: PnlTransform | None = None,
-                      theta_range: tuple[float, float] = DEFAULT_THETA_RANGE) -> float:
+                      theta_range: tuple[float, float] = DEFAULT_THETA_RANGE
+                      ) -> float | list[float]:
     """Exact minimizer of the quadratic-in-theta objective, clamped to range.
 
     With the sort order frozen the objective is
     sum_b ||d_b - theta * e_b||^2 / (k - 1) over batch-centered sorted
-    vectors, so theta* = sum_b <d_b, e_b> / sum_b ||e_b||^2.
+    vectors, so theta* = sum_b <d_b, e_b> / sum_b ||e_b||^2. A workspace of
+    several blocks gets a list of one scale per block, each summed over its
+    own batches.
     """
     return _closed_form(ws, debias, pnl, theta_range, _centred_draws(ws))
 
 
-def _centred_draws(ws: MeasureWorkspace) -> tuple[np.ndarray, float]:
-    """The sorted draws centred per batch, and their summed squares: the part
-    of the scale fit that no parameter changes."""
+def _centred_draws(ws: MeasureWorkspace) -> tuple[np.ndarray, list[float]]:
+    """The sorted draws centred per batch, and their summed squares per
+    block: the part of the scale fit that no parameter changes."""
     et = ws.e_sorted - ws.e_sorted.mean(axis=1, keepdims=True)
-    return et, float((et * et).sum())
+    return et, _row_sums((et * et)[None], ws.blocks)
 
 
 def _closed_form(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None,
-                 theta_range: tuple[float, float], draws: tuple[np.ndarray, float]) -> float:
+                 theta_range: tuple[float, float],
+                 draws: tuple[np.ndarray, list[float]]) -> float | list[float]:
     """`closed_form_theta` given the workspace's `_centred_draws`."""
-    et, energy = draws
+    et, energies = draws
     ds = _sorted_view(ws, debias, pnl)[0]
     dt = ds - ds.mean(axis=1, keepdims=True)
-    num = 0.0 + float((dt * et).sum()) / (ws.k - 1)
-    den = 0.0 + energy / (ws.k - 1)
+    dt *= et
+    thetas = [_clamped_ratio(num, energy, ws.k, theta_range)
+              for num, energy in zip(_row_sums(dt[None], ws.blocks), energies)]
+    return thetas[0] if ws.blocks == 1 else thetas
+
+
+def _clamped_ratio(num: float, energy: float, k: int,
+                   theta_range: tuple[float, float]) -> float:
+    """One block's scale: its summed products over its draws' energy, each
+    over (k - 1), clamped to theta_range."""
+    num = 0.0 + num / (k - 1)
+    den = 0.0 + energy / (k - 1)
     if den <= 0.0:
         return theta_range[0]
     theta = num / den
@@ -125,8 +140,9 @@ def bisect_theta(ws: MeasureWorkspace,
 def fit_theta(ws: MeasureWorkspace,
               debias: DebiasFn | None = None,
               pnl: PnlTransform | None = None,
-              config: FitConfig | None = None) -> float:
-    """Best noise scale, in closed form, for fixed debias/PNL parameters and draws."""
+              config: FitConfig | None = None) -> float | list[float]:
+    """Best noise scale, in closed form, for fixed debias/PNL parameters and
+    draws: a float, or one per block for a workspace of several blocks."""
     config = config or FitConfig()
     return closed_form_theta(ws, debias, pnl, config.theta_range)
 

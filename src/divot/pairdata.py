@@ -315,22 +315,30 @@ def select_positions(pairs: SamplePair, max_positions: int = 50) -> np.ndarray:
     return select_position_values(pairs.xs, max_positions, pairs.by_x)
 
 
-def k_nearest_rows(rows: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def k_nearest_rows(rows: np.ndarray, dist: np.ndarray, k: int,
+                   scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per line, the k entries of `rows` with the smallest `dist`, ties to the lowest row.
 
     `rows` (ascending along each line) holds the row index of each distance,
     so with rows = arange(n) on every line the result equals
     np.sort(np.argsort(dist, kind="stable")[:, :k], axis=1). Also returns
     each line's k-th smallest distance. Needs 1 <= k <= dist.shape[1] and no nan.
+    `scratch`, a spare float array of dist's shape, holds the partition that
+    finds the k-th distances in place of a new copy of dist.
     """
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    nearer = dist < kth
-    tied = dist == kth
-    pick = nearer | tied
+    if scratch is None:
+        scratch = np.partition(dist, k - 1, axis=1)
+    else:
+        np.copyto(scratch, dist)
+        scratch.partition(k - 1, axis=1)
+    kth = scratch[:, k - 1:k]
+    pick = dist <= kth
     # every line picks at least k; more than k in all means some line has more
     # rows tied at its k-th distance than it needs, and each line then keeps
     # its first tied rows, which have the smallest indices
     if np.count_nonzero(pick) > k * len(dist):
+        nearer = dist < kth
+        tied = pick & ~nearer
         pick = nearer | (tied & (np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)))
     return rows[pick].reshape(len(dist), k), kth[:, 0]
 

@@ -155,6 +155,9 @@ def test_infer_debias_changes_the_losses(tmp_path):
     (["--columns", "0", "-3"], None, "columns must be non-negative field indices, got 0 -3"),
     (["--columns", "-1", "0"], None, "columns must be non-negative field indices, got -1 0"),
     ([], "seed=1\ndebias_per_row = 1\n", "run.cfg:2: unknown key 'debias_per_row'"),
+    (["--max-n", "-4"], None, "max_n must be >= 2, got -4"),
+    (["--max-n", "0"], None, "max_n must be >= 2, got 0"),
+    (["--max-n", "1"], None, "max_n must be >= 2, got 1"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)

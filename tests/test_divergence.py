@@ -197,6 +197,39 @@ def test_workspace_stacks_match_per_batch_oracle(k, g, source, seed, with_xs, ex
     assert_workspace_equal(ws_matrix, workspace_oracle(anchors, ys, xs, draws))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_blocks_score_as_their_own_workspaces(k, g, blocks, seed):
+    from divot.optimize import closed_form_theta
+
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=blocks)[:, None, None]
+    ys = rng.normal(size=(blocks, g, k)) * scale
+    draws = rng.random((blocks, g, k))
+    alone = [build_workspace("uniform", np.zeros(g), ys[b], source_draws=draws[b])
+             for b in range(blocks)]
+    stacked = build_workspace("uniform", np.zeros(blocks * g), ys.reshape(-1, k),
+                              source_draws=draws.reshape(-1, k), blocks=blocks)
+    thetas = [closed_form_theta(ws) for ws in alone]
+    values = [measure_value(ws, theta) for ws, theta in zip(alone, thetas)]
+    if blocks == 1:
+        assert closed_form_theta(stacked) == thetas[0]
+        assert measure_value(stacked, thetas[0]) == values[0]
+    else:
+        assert closed_form_theta(stacked) == thetas
+        assert measure_value(stacked, thetas) == values
+
+
+def test_rows_that_do_not_split_into_blocks_rejected():
+    with pytest.raises(ValueError, match="^5 batches do not split into 2 equal blocks$"):
+        build_workspace("uniform", np.zeros(5), np.ones((5, 3)), blocks=2)
+
+
 @pytest.mark.parametrize("sizes", [[5, 5, 5], [4, 4, 4, 4]])
 def test_workspace_from_batches_gathers_each_batch(sizes):
     rng = np.random.default_rng(11)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divot import (
@@ -26,6 +26,7 @@ import divot.multivar
 from divot.multivar import (
     _is_acyclic_edges,
     _parent_batches,
+    _score_families,
     _standardized,
     variable_seed,
 )
@@ -192,6 +193,22 @@ def test_degenerate_batches_error_names_variable():
         variable_term(data, 1, (0,), batch_frac=0.001, seed=0)
 
 
+@pytest.mark.parametrize("m, edges, first", [
+    (3, ((0, 1), (1, 2)), 1),
+    (3, ((0, 2), (1, 2)), 2),  # 0 and 1 have neighbours too, but are roots at first
+    (3, ((0, 1), (0, 2), (1, 2)), 1),
+    (4, ((0, 3), (2, 3)), 3),
+])
+def test_unbatchable_orientation_names_the_variable_the_enumeration_reaches_first(
+        m, edges, first):
+    from divot import InsufficientDataError
+
+    # the first orientation points every edge (u, v), u < v, at v
+    data = np.column_stack([chain_data(9, n=100), chain_data(10, n=100)])[:, :m]
+    with pytest.raises(InsufficientDataError, match=f"^variable {first}: "):
+        orient_skeleton(data, Skeleton(m, edges), batch_frac=0.001, seed=0)
+
+
 def test_constant_parent_column_named_by_data_column():
     data = chain_data(4, n=100)
     data[:, 2] = 1.0
@@ -340,19 +357,19 @@ def test_memoised_orientation_matches_unmemoised_oracle(graph, seed, n):
     skeleton = Skeleton(m, tuple(edges))
 
     calls, computed = [], []  # (variable, parents) of each call, of each computation
-    public, private = divot.multivar.variable_term, divot.multivar._variable_term
+    public, scorer = divot.multivar.variable_term, divot.multivar._score_families
 
     def counted_public(data, i, parents, *args, **kwargs):
         calls.append((i, parents))
         return public(data, i, parents, *args, **kwargs)
 
-    def counted_private(data, i, parents, *args):
-        computed.append((i, parents))
-        return private(data, i, parents, *args)
+    def counted_scorer(z, families, *args):
+        computed.extend(families)
+        return scorer(z, families, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(divot.multivar, "variable_term", counted_public)
-        mp.setattr(divot.multivar, "_variable_term", counted_private)
+        mp.setattr(divot.multivar, "_score_families", counted_scorer)
         res = orient_skeleton(data, skeleton, seed=seed)
         memo_calls, memo_computed = len(calls), len(computed)
         calls.clear()
@@ -365,6 +382,74 @@ def test_memoised_orientation_matches_unmemoised_oracle(graph, seed, n):
     assert memo_calls == len(calls) == m * len(oracle)
     assert memo_computed == len(set(calls))  # one computation per distinct family
     assert len(computed) == len(calls)
+
+
+def neighbour_families(m, edges):
+    """Each variable with each subset of its skeleton neighbours."""
+    nbrs = [sorted({u for e in edges for u in e if i in e and u != i}) for i in range(m)]
+    return [(i, parents) for i in range(m) for r in range(len(nbrs[i]) + 1)
+            for parents in itertools.combinations(nbrs[i], r)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.sampled_from(list(itertools.combinations(range(m), 2))),
+                 unique=True, max_size=6),
+    )),
+    st.integers(0, 2**31 - 1),
+    st.integers(12, 60),
+    st.sampled_from([None, 1, 0]),  # decimals kept: repeated rows dedupe anchors
+    st.integers(1, 6),
+)
+def test_stacked_family_terms_match_single_family_terms(graph, seed, n, decimals,
+                                                        max_positions):
+    m, edges = graph
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n, m))
+    for u, v in edges:
+        data[:, v] += np.sin(2.0 * data[:, u])
+    if decimals is not None:
+        data = np.round(data, decimals)
+    assume(all(np.ptp(data[:, j]) > 0 for j in range(m)))
+    families = neighbour_families(m, edges)
+    sizes = []  # the elements of each stacked workspace
+    build = divot.multivar.build_workspace
+
+    def recorded(source, anchors, ys, *args, **kwargs):
+        sizes.append(ys.size)
+        return build(source, anchors, ys, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divot.multivar, "build_workspace", recorded)
+        terms = _score_families(_standardized(data, None), families, "uniform", None,
+                                max_positions, None, seed)
+    assert max(sizes) <= max_positions * n
+    for i, parents in families:
+        alone = variable_term(data, i, parents, max_positions=max_positions, seed=seed)
+        assert terms[(i, parents)] == alone, (i, parents)
+
+
+def test_stack_bound_splits_one_shape_into_several_workspaces():
+    # 8 roots of n values each against a bound of 3n: stacks of 3, 3 and 2
+    data = np.random.default_rng(0).normal(size=(40, 8))
+    families = [(i, ()) for i in range(8)]
+    blocks = []
+    build = divot.multivar.build_workspace
+
+    def recorded(*args, **kwargs):
+        ws = build(*args, **kwargs)
+        blocks.append(ws.blocks)
+        return ws
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divot.multivar, "build_workspace", recorded)
+        terms = _score_families(_standardized(data, None), families, "uniform", None, 3,
+                                None, 5)
+    assert blocks == [3, 3, 2]
+    assert [terms[f] for f in families] == [
+        variable_term(data, i, (), max_positions=3, seed=5) for i in range(8)]
 
 
 # ------------------------------------------------------------ parent batches

@@ -431,6 +431,10 @@ def test_k_nearest_rows_matches_stable_argsort(case):
     want = np.sort(np.argsort(dist, kind="stable", axis=1)[:, :k], axis=1)
     assert got.tolist() == want.tolist()
     assert kth.tolist() == np.sort(dist, axis=1)[:, k - 1].tolist()
+    # the partition run in a caller's spare buffer picks the same rows
+    got, kth = k_nearest_rows(rows, dist, k, scratch=np.full(dist.shape, np.nan))
+    assert got.tolist() == want.tolist()
+    assert kth.tolist() == np.sort(dist, axis=1)[:, k - 1].tolist()
 
 
 @settings(max_examples=300, deadline=None)
