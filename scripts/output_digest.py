@@ -1,4 +1,4 @@
-"""Print one sha256 per divot output over a fixed set of inputs, 79 lines.
+"""Print one sha256 per divot output over a fixed set of inputs, 80 lines.
 
     python3 scripts/output_digest.py [--src DIR]
 
@@ -10,9 +10,11 @@ columns removed; the tuebingen corpus is three generated pair files),
 a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows), a
 star of 8 leaves (families of up to 8 parents), the star again with 5
 positions (its family stacks pass the max_positions * n element bound and
-split) and the chain in raw units with one column scaled by 10, and the bits
-of the measure kernel (`measure_with_grad` and `sorted_effects`) on a grid of
-debias and transform settings over workspaces built from both pair files.
+split) and again with the beta source (a rejection sampler: each variable's
+one draw is sliced for roots and families of different shapes), and the
+chain in raw units with one column scaled by 10, and the bits of the measure
+kernel (`measure_with_grad` and `sorted_effects`) on a grid of debias and
+transform settings over workspaces built from both pair files.
 `--src` imports divot from another checkout's `src` directory, so running the
 script once per checkout and diffing the two listings shows whether a change
 kept every output byte-identical.
@@ -177,6 +179,9 @@ def orient_digests(divot):
             result = divot.orient_skeleton(columns, divot.Skeleton(m, edges), max_positions=5,
                                            seed=4)
             yield "orient/star8-positions5", sha(repr(result).encode())
+            result = divot.orient_skeleton(columns, divot.Skeleton(m, edges), source="beta",
+                                           seed=4)
+            yield "orient/star8-beta", sha(repr(result).encode())
 
 
 def kernel_digests(divot):

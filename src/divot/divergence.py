@@ -78,9 +78,9 @@ class MeasureWorkspace:
     """Everything fixed during optimization: the batches and their source draws.
 
     Row b of each (g, k) matrix belongs to batch b: `ys` its effect values,
-    `xs` its cause values (None when not given), `draws` its unscaled source
-    draws, and `e_sorted` and `y_sorted` the draws and the effect values
-    sorted. `anchors` (g,) holds each batch's position. The g rows form
+    `xs` its cause values (None when not given), and `e_sorted` and
+    `y_sorted` its unscaled source draws and its effect values, sorted.
+    `anchors` (g,) holds each batch's position. The g rows form
     `blocks` equal blocks of `batches_per_block` rows, each scored on its own.
     """
 
@@ -88,7 +88,6 @@ class MeasureWorkspace:
     anchors: np.ndarray
     ys: np.ndarray
     xs: np.ndarray | None
-    draws: np.ndarray
     e_sorted: np.ndarray
     y_sorted: np.ndarray
     blocks: int = 1
@@ -120,13 +119,15 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
     """The (g, k) matrices of g batches and one fixed source sample per member.
 
     `ys_per_batch`, `xs_per_batch` and `source_draws` each give one vector
-    per batch: a (g, k) matrix, which the workspace keeps without a copy, or
-    a sequence of g vectors of one length k. Vectors of mixed lengths raise
-    ShapeError. The draws come from a single stream seeded once, so repeated
-    evaluations during optimization see the same sample. The draws and the
-    effect values are sorted once, here. `blocks` splits the g batches into
-    that many equal blocks (see `MeasureWorkspace`); a g it does not divide
-    raises ValueError.
+    per batch: a (g, k) matrix, which the workspace keeps without a copy
+    (`source_draws` excepted), or a sequence of g vectors of one length k.
+    Vectors of mixed lengths raise ShapeError. Without `source_draws` the
+    draws come from a single stream seeded once, so repeated evaluations
+    during optimization see the same sample. The draws and the effect values
+    are sorted once, here: the workspace keeps only the sorted draws, sorting
+    a sample it drew in place and a caller's `source_draws` into a copy.
+    `blocks` splits the g batches into that many equal blocks (see
+    `MeasureWorkspace`); a g it does not divide raises ValueError.
     """
     src = canonical_source(source)
     ys = batch_matrix(ys_per_batch, float)
@@ -143,13 +144,15 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
         xs = batch_matrix(xs_per_batch, float)
         if xs.shape != ys.shape:
             raise InsufficientDataError("xs_per_batch must match ys_per_batch lengths")
-    if source_draws is None:
-        source_draws = draw_source_batches(src, np.full(g, k), seed)
-    draws = batch_matrix(source_draws, float)
-    if draws.shape != ys.shape:
-        raise InsufficientDataError("one source draw per batch member required")
-    return MeasureWorkspace(src, anchors, ys, xs, draws,
-                            np.sort(draws, axis=1), np.sort(ys, axis=1), blocks)
+    if source_draws is None:  # drawn here, so sorted in place
+        e_sorted = draw_source_batches(src, np.full(g, k), seed)
+        e_sorted.sort(axis=1)
+    else:
+        draws = batch_matrix(source_draws, float)
+        if draws.shape != ys.shape:
+            raise InsufficientDataError("one source draw per batch member required")
+        e_sorted = np.sort(draws, axis=1)
+    return MeasureWorkspace(src, anchors, ys, xs, e_sorted, np.sort(ys, axis=1), blocks)
 
 
 def workspace_from_batches(pairs, batches, source: str, seed: int = 0,

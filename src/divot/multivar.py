@@ -8,11 +8,12 @@ units, and the orientation with the minimum score wins.
 
 Family terms are scored in stacked passes (`_score_families`): each parent
 set is batched once, the families of one batch shape (g, k) are stacked as
-the row blocks of one workspace, each child's source draws are drawn once per
-stack, and the workspace's scales and measures come from one call each,
-every block summed on its own. The stacks pending at once hold at most
-max_positions * n elements, the size of one multi-parent distance matrix, so
-memory stays O(max_positions * n) however many families a skeleton has.
+the row blocks of one workspace, and the workspace's scales and measures come
+from one call each, every block summed on its own. The stacks pending at once
+hold at most max_positions * n elements, the size of one multi-parent
+distance matrix, so memory stays O(max_positions * n) however many families a
+skeleton has. When they are scored, each child's source values come from one
+stream per child: one draw, whose prefixes serve all the child's stacks.
 """
 from __future__ import annotations
 
@@ -172,13 +173,18 @@ def _parent_batches(z: np.ndarray, parents: tuple[int, ...], max_positions: int,
     cols = z[:, list(parents)]
     order = np.lexsort(cols.T[::-1])
     in_order = cols[order]
-    anchor_rows = order[np.r_[True, (in_order[1:] != in_order[:-1]).any(axis=1)]]
+    starts = np.ones(n, dtype=bool)
+    np.any(in_order[1:] != in_order[:-1], axis=1, out=starts[1:])
+    anchor_rows = order[starts]
     if len(anchor_rows) > max_positions:
-        pick = np.unique(np.round(np.linspace(0, len(anchor_rows) - 1, max_positions)).astype(int))
+        pick = np.zeros(len(anchor_rows), dtype=bool)
+        pick[np.round(np.linspace(0, len(anchor_rows) - 1, max_positions)).astype(int)] = True
         anchor_rows = anchor_rows[pick]
-    dist = np.zeros((len(anchor_rows), n))
+    first, *rest = parents
+    dist = np.subtract(z[:, first], z[anchor_rows, first, None])
+    dist *= dist  # 0.0 + gap * gap is gap * gap: the first gap needs no sum
     gap = np.empty_like(dist)
-    for p in parents:
+    for p in rest:
         np.subtract(z[:, p], z[anchor_rows, p, None], out=gap)
         gap *= gap
         dist += gap
@@ -223,8 +229,9 @@ def _score_families(z, families, source, batch_frac, max_positions, fit, seed) -
     parent set is then batched once, in order of first appearance, and each
     of its families waits, as its child's values gathered by those batches,
     in the pending stack of its batch shape (g, k). Before the stacks would
-    pass max_positions * n elements together, `_score_stacks` scores them.
-    A family's term is bit-equal to that of a pass over it alone.
+    pass max_positions * n elements together, `_score_stacks` scores them
+    (one flush), drawing one stream per child for the flush. A family's term
+    is bit-equal to that of a pass over it alone.
     """
     n, m = z.shape
     by_parents = {}  # parent set -> its children, in order of first appearance
@@ -260,17 +267,23 @@ def _score_stacks(stacks, source, fit, seed) -> dict:
     scored as one workspace of one block per family.
 
     A child's draws come from its own stream (`variable_seed`), drawn once
-    per stack for all the child's families in it.
+    for all the stacks: one sampler call sized to the largest g * k among the
+    child's families, whose first g * k values, row by row, are each family's
+    draws. A sampler's first m values equal an m-value call from the same
+    state (see `register_source`), so each equals a draw for that shape alone.
     """
+    need = {}
+    for (g, k), blocks in stacks.items():
+        for (i, _), _ in blocks:
+            need[i] = max(need.get(i, 0), g * k)
+    streams = {i: draw_source_batches(source, [size], variable_seed(seed, i))[0]
+               for i, size in need.items()}
     terms = {}
     for (g, k), blocks in stacks.items():
-        draws = {}
-        for (i, _), _ in blocks:
-            if i not in draws:
-                draws[i] = draw_source_batches(source, np.full(g, k), variable_seed(seed, i))
+        draws = [streams[i][:g * k] for (i, _), _ in blocks]
         ws = build_workspace(source, np.zeros(g * len(blocks)),
                              np.concatenate([ys for _, ys in blocks]), None,
-                             source_draws=np.concatenate([draws[i] for (i, _), _ in blocks]),
+                             source_draws=np.concatenate(draws).reshape(-1, k),
                              blocks=len(blocks))
         values = measure_value(ws, fit_theta(ws, config=fit))
         terms.update(zip((family for family, _ in blocks),
@@ -341,10 +354,12 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
 
     Ties break toward the lexicographically smallest direction-flag vector.
     The data is checked and z-scored once (`_standardized`), so the result
-    does not depend on column units. Before the enumeration, one stacked pass
-    (`_score_families`) scores every family an orientation can hold: each
-    variable with each subset of its skeleton neighbours. Its stacks hold at
-    most max_positions * n elements at once. Every orientation then reads
+    does not depend on column units. A skeleton over other than one variable
+    per data column raises ValueError first. Before the enumeration, one
+    stacked pass (`_score_families`) scores every family an orientation can
+    hold: each variable with each subset of its skeleton neighbours. Its
+    stacks hold at most max_positions * n elements at once, and each flush
+    of them draws one source stream per child. Every orientation then reads
     its terms from that memo.
     """
     edges = skeleton.edges
@@ -353,6 +368,10 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
             f"{len(edges)} edges exceed the enumeration limit of {MAX_EDGES}; "
             "orient edges pairwise with the bivariate tool instead"
         )
+    data = np.asarray(data, dtype=float)
+    if skeleton.m != data.shape[1]:
+        raise ValueError(f"skeleton is over {skeleton.m} variables, "
+                         f"data has {data.shape[1]} columns")
     data = _standardized(data, batch_frac)
     nbrs = [[] for _ in range(skeleton.m)]
     for u, v in edges:

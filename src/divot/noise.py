@@ -42,11 +42,16 @@ SOURCES = tuple(_BASE_VARIANCE)
 def register_source(name: str, sampler, base_variance: float):
     """Extension point: add a custom source distribution.
 
-    `sampler(rng, n)` must return n i.i.d. unscaled draws and
+    `sampler(rng, n)` must return n i.i.d. unscaled draws, in an array of
+    its own (a workspace sorts the draws it takes in place), and
     `base_variance` their variance; the scale parameter then works exactly
     as for the built-in sources. A workspace takes all its draws from one
-    sampler call, laid out batch by batch. `base_variance` must be positive
-    and finite: an infinite one would normalize every measure to 0.
+    sampler call, laid out batch by batch. The sampler must draw in
+    sequence: its first m values equal an m-value call from the same rng
+    state. Skeleton orientation relies on this, slicing each variable's
+    draws for several batch shapes from one call; every built-in sampler
+    meets it. `base_variance` must be positive and finite: an infinite one
+    would normalize every measure to 0.
     """
     key = name.strip().lower()
     if not 0.0 < base_variance < np.inf:
@@ -88,9 +93,12 @@ def draw_source_batches(source: str, sizes, seed: int) -> np.ndarray:
     `sizes` gives each batch's size; they must all be k (mixed sizes raise
     ShapeError). One sampler call on a stream seeded once draws the g * k
     values, row by row, so the draws are a deterministic function of
-    (source, sizes, seed) and can be reused across optimizer iterations. The
-    built-in samplers draw values in sequence, so row b equals batch b's
-    draws from one call per batch on the same stream.
+    (source, sizes, seed) and can be reused across optimizer iterations.
+    Samplers draw values in sequence (see `register_source`): the first m
+    values of a call equal an m-value call on the same seed, so row b equals
+    batch b's draws from one call per batch on the same stream, and the
+    first g' * k' values of one draw, row by row, equal a draw of g' batches
+    of k'.
     """
     g = len(sizes)
     k = batch_size(sizes)

@@ -150,18 +150,16 @@ def workspace_oracle(anchors, ys, xs, draws):
         anchors,
         np.vstack(ys),
         np.vstack(xs) if xs is not None else None,
-        np.vstack(draws),
         np.vstack([np.sort(e) for e in draws]),
         np.vstack([np.sort(y) for y in ys]),
     )
 
 
 def assert_workspace_equal(ws, want):
-    anchors, ys, xs, draws, e_sorted, y_sorted = want
+    anchors, ys, xs, e_sorted, y_sorted = want
     assert np.array_equal(ws.anchors, anchors)
     assert np.array_equal(ws.ys, ys)
     assert (ws.xs is None and xs is None) or np.array_equal(ws.xs, xs)
-    assert np.array_equal(ws.draws, draws)
     assert np.array_equal(ws.e_sorted, e_sorted)
     assert np.array_equal(ws.y_sorted, y_sorted)
     assert ws.n_batches == len(anchors) and ws.k == ys.shape[1]
@@ -189,12 +187,15 @@ def test_workspace_stacks_match_per_batch_oracle(k, g, source, seed, with_xs, ex
     assert_workspace_equal(ws, workspace_oracle(anchors, ys, xs, draws))
     assert [y.tolist() for y in ws.ys] == [y.tolist() for y in ys]
     assert ws.xs is None if xs is None else [x.tolist() for x in ws.xs] == [x.tolist() for x in xs]
-    assert [e.tolist() for e in ws.draws] == [e.tolist() for e in draws]
-    # the (g, k) matrix form gives the same workspace
+    # the (g, k) matrix form gives the same workspace, and a caller's draws
+    # are sorted into a copy, not in place
+    given_draws = np.array(draws) if explicit_draws else None
     ws_matrix = build_workspace(source, anchors, np.array(ys),
                                 None if xs is None else np.array(xs), seed,
-                                source_draws=np.array(draws) if explicit_draws else None)
+                                source_draws=given_draws)
     assert_workspace_equal(ws_matrix, workspace_oracle(anchors, ys, xs, draws))
+    if explicit_draws:
+        assert given_draws.tolist() == [e.tolist() for e in draws]
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,7 +291,7 @@ def test_anchor_debias_is_absorbed_by_centering():
     base = measure_value(ws, 1.3)
     for w in (-2.0, 0.5, 10.0):
         shifted = build_workspace("uniform", ws.anchors, ws.ys - w * ws.anchors[:, None],
-                                  ws.xs, source_draws=ws.draws)
+                                  ws.xs, source_draws=ws.e_sorted)
         assert measure_value(shifted, 1.3) == pytest.approx(base, abs=1e-12)
 
 
@@ -316,7 +317,7 @@ def test_debias_form():
     # per-row debiasing subtracts g(x) = w * x from each effect value
     ws = _ws()
     shifted = build_workspace("uniform", ws.anchors, ws.ys - 2.5 * ws.xs, ws.xs,
-                              source_draws=ws.draws)
+                              source_draws=ws.e_sorted)
     assert measure_value(ws, 1.3, DebiasFn(2.5, per_row=True)) == measure_value(shifted, 1.3)
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divot import (
+    SOURCES,
     DagOrientation,
     DegenerateDataError,
     SamplePair,
@@ -281,6 +282,18 @@ def test_position_count_below_one_rejected(edges):
         orient_skeleton(chain_data(3, n=100), Skeleton(3, edges), max_positions=0)
 
 
+@pytest.mark.parametrize("m, edges", [(3, ((0, 1), (1, 2))), (5, ((0, 1), (1, 4)))])
+def test_skeleton_size_mismatch_rejected_before_scoring(m, edges):
+    data = np.column_stack([chain_data(3, n=100), chain_data(4, n=100)[:, 0]])
+    scored = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divot.multivar, "_score_families", lambda *args: scored.append(args))
+        with pytest.raises(ValueError,
+                           match=f"^skeleton is over {m} variables, data has 4 columns$"):
+            orient_skeleton(data, Skeleton(m, edges), seed=0)
+    assert scored == []
+
+
 def test_multivariate_ranking_sorted_and_ties_lexicographic():
     data = chain_data(5)
     res = orient_skeleton(data, Skeleton(3, ((0, 1), (1, 2))), seed=2)
@@ -402,9 +415,10 @@ def neighbour_families(m, edges):
     st.integers(12, 60),
     st.sampled_from([None, 1, 0]),  # decimals kept: repeated rows dedupe anchors
     st.integers(1, 6),
+    st.sampled_from(SOURCES),
 )
 def test_stacked_family_terms_match_single_family_terms(graph, seed, n, decimals,
-                                                        max_positions):
+                                                        max_positions, source):
     m, edges = graph
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(n, m))
@@ -415,20 +429,56 @@ def test_stacked_family_terms_match_single_family_terms(graph, seed, n, decimals
     assume(all(np.ptp(data[:, j]) > 0 for j in range(m)))
     families = neighbour_families(m, edges)
     sizes = []  # the elements of each stacked workspace
-    build = divot.multivar.build_workspace
+    flushes, drawn = [], []  # the children of each flush, the seed of each draw
+    build, score_stacks = divot.multivar.build_workspace, divot.multivar._score_stacks
+    draw = divot.multivar.draw_source_batches
 
     def recorded(source, anchors, ys, *args, **kwargs):
         sizes.append(ys.size)
         return build(source, anchors, ys, *args, **kwargs)
 
+    def recorded_stacks(stacks, *args):
+        flushes.append({i for blocks in stacks.values() for (i, _), _ in blocks})
+        return score_stacks(stacks, *args)
+
+    def recorded_draw(source, sizes, seed):
+        drawn.append(seed)
+        return draw(source, sizes, seed)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(divot.multivar, "build_workspace", recorded)
-        terms = _score_families(_standardized(data, None), families, "uniform", None,
+        mp.setattr(divot.multivar, "_score_stacks", recorded_stacks)
+        mp.setattr(divot.multivar, "draw_source_batches", recorded_draw)
+        terms = _score_families(_standardized(data, None), families, source, None,
                                 max_positions, None, seed)
     assert max(sizes) <= max_positions * n
+    # one stream per child per flush
+    assert len(drawn) == sum(map(len, flushes))
     for i, parents in families:
-        alone = variable_term(data, i, parents, max_positions=max_positions, seed=seed)
+        alone = variable_term(data, i, parents, source, max_positions=max_positions,
+                              seed=seed)
         assert terms[(i, parents)] == alone, (i, parents)
+
+
+def test_one_source_draw_per_child_on_a_chain():
+    # 6 variables, 20 families in stacks of three shapes, one flush: each
+    # child's stream is drawn once, for all its families
+    rng = np.random.default_rng(3)
+    data = np.empty((300, 6))
+    data[:, 0] = rng.uniform(-1, 1, 300)
+    for j in range(5):
+        data[:, j + 1] = np.sin(2.0 * data[:, j]) + 0.5 * rng.random(300)
+    drawn = []
+    draw = divot.multivar.draw_source_batches
+
+    def recorded_draw(source, sizes, seed):
+        drawn.append(seed)
+        return draw(source, sizes, seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divot.multivar, "draw_source_batches", recorded_draw)
+        orient_skeleton(data, Skeleton(6, tuple((j, j + 1) for j in range(5))), seed=7)
+    assert sorted(drawn) == sorted(variable_seed(7, i) for i in range(6))
 
 
 def test_stack_bound_splits_one_shape_into_several_workspaces():

@@ -99,6 +99,21 @@ def test_one_call_equals_per_batch_calls(source, sizes, seed):
     assert isinstance(got, np.ndarray) and got.shape == (len(sizes), sizes[0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SOURCES),
+    st.integers(1, 1500).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(0, 2**32 - 1),
+)
+def test_stream_prefix_equals_shorter_draw(source, sizes, seed):
+    # skeleton orientation slices each variable's draws for every batch
+    # shape from one draw of the largest: the beta sampler rejects, so its
+    # prefixes are the case that could differ
+    n, m = sizes
+    prefix = draw_source_batches(source, [n], seed)[0][:m]
+    assert prefix.tobytes() == draw_source_batches(source, [m], seed)[0].tobytes()
+
+
 def test_workspace_draws_from_one_registered_sampler_call():
     from divot.noise import register_source
 
@@ -113,8 +128,7 @@ def test_workspace_draws_from_one_registered_sampler_call():
                          [np.arange(3.0), np.arange(3.0), np.arange(3.0)], seed=5)
     assert calls == [9]
     flat = np.random.default_rng(5).random(9)
-    assert [e.tolist() for e in ws.draws] == [flat[:3].tolist(), flat[3:6].tolist(),
-                                            flat[6:].tolist()]
+    assert ws.e_sorted.tolist() == [sorted(flat[:3]), sorted(flat[3:6]), sorted(flat[6:])]
 
     # a sampler that returns the wrong number of draws is refused, for
     # batches of 3 and of 4 members

@@ -108,7 +108,7 @@ def test_fit_invariant_to_batch_order():
         ws.anchors[perm],
         [ws.ys[i] for i in perm],
         [ws.xs[i] for i in perm],
-        source_draws=[ws.draws[i] for i in perm],
+        source_draws=[ws.e_sorted[i] for i in perm],
     )
     assert fit_theta(ws) == pytest.approx(fit_theta(ws_perm), abs=1e-14)
 
