@@ -1,8 +1,8 @@
-"""Print one sha256 per divot output over a fixed set of inputs, 80 lines.
+"""Print one sha256 per divot output over a fixed set of inputs, 68 lines.
 
     python3 scripts/output_digest.py [--src DIR]
 
-The outputs are `divot infer` JSON records (six configurations on one pair
+The outputs are `divot infer` JSON records (four configurations on one pair
 file with tied values and one without), the record and summary CSVs of small
 synthetic, confounder, significance and tuebingen `bench` runs (with the timing
 columns removed; the tuebingen corpus is three generated pair files),
@@ -35,9 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 INFER_CONFIGS = {
     "anm-b20": ["--bootstrap", "20"],
-    "anm-debias": ["--debias"],
     "pnl": ["--mode", "pnl"],
-    "pnl-debias": ["--mode", "pnl", "--debias"],
     "normal": ["--noise", "normal"],
     "beta-frac0.3": ["--noise", "beta", "--batch-frac", "0.3"],
 }
@@ -128,7 +126,6 @@ def bench_digests(divot):
 def verdict_digests(divot):
     configs = {
         "anm": divot.ScoreConfig(),
-        "debias-per-row": divot.ScoreConfig(use_debias=True),
         "pnl": divot.ScoreConfig(mode="pnl", fit=divot.FitConfig(max_iters=60)),
         "laplace": divot.ScoreConfig(source="laplace", batch_frac=0.2),
     }
@@ -202,7 +199,8 @@ def kernel_digests(divot):
         pre = divot.preprocess(divot.load_pairs(str(path)), seed=1)
         batches = divot.make_batches(pre, divot.select_positions(pre),
                                      divot.default_batch_frac(pre.n))
-        ws = divot.workspace_from_batches(pre, batches, "uniform", seed=3)
+        ws = divot.build_workspace("uniform", batches.positions, pre.ys[batches.batches],
+                                   pre.xs[batches.batches], seed=3)
         for debias_name, debias in debiases.items():
             for pnl_name, pnl in transforms.items():
                 value, grads = divot.measure_with_grad(ws, 0.7, debias, pnl)

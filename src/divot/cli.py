@@ -60,8 +60,6 @@ class RunConfig:
     k_std: float = 2.0
     bootstrap: int = 0  # 0 disables the bootstrap
     alpha: float = 0.05
-    debias: bool = False  # fit the per-row debias weight
-    step_size: float = 1.0
     max_iters: int = 500
     seed: int = 0
     seeds: tuple[int, ...] = (0, 1, 2)
@@ -79,6 +77,12 @@ class RunConfig:
         # the bench suites average over reps and seeds, each value once
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if not self.k_std > 0:  # nan fails too; inf keeps every row
+            raise ValueError(f"k_std must be > 0, got {self.k_std}")
         if self.max_n < 2:  # the measure needs at least 2 rows
             raise ValueError(f"max_n must be >= 2, got {self.max_n}")
         if not self.seeds:
@@ -95,8 +99,7 @@ class RunConfig:
             source=self.noise,
             batch_frac=self.batch_frac,
             max_positions=self.positions,
-            use_debias=self.debias,
-            fit=FitConfig(step_size=self.step_size, max_iters=self.max_iters),
+            fit=FitConfig(max_iters=self.max_iters),
         )
 
     def digest(self) -> str:
@@ -132,11 +135,8 @@ def _parse_config_file(path: str) -> dict:
 
 
 _LIST_FIELDS = {"seeds": int, "sizes": int, "mechanisms": str, "weights": float}
-_BOOL_FIELDS = {"debias"}
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
 _INT_FIELDS = {"positions", "max_n", "bootstrap", "max_iters", "seed", "workers", "reps"}
-_FLOAT_FIELDS = {"alpha", "k_std", "step_size"}
+_FLOAT_FIELDS = {"alpha", "k_std"}
 
 
 def _coerce(key: str, value):
@@ -145,12 +145,6 @@ def _coerce(key: str, value):
     if key in _LIST_FIELDS:
         cast = _LIST_FIELDS[key]
         return tuple(cast(tok) for tok in value.replace(",", " ").split())
-    if key in _BOOL_FIELDS:
-        word = value.lower()
-        if word not in _TRUE_WORDS + _FALSE_WORDS:
-            known = ", ".join(_TRUE_WORDS + _FALSE_WORDS)
-            raise ValueError(f"expected one of {known}, got {value!r}")
-        return word in _TRUE_WORDS
     if key in _INT_FIELDS:
         return int(value)
     if key in _FLOAT_FIELDS:
@@ -206,8 +200,6 @@ def _verdict_record(verdict: Verdict, config: RunConfig, seed: int, source_file:
         "raw_yx": verdict.score_yx.measure.raw,
         "theta_xy": verdict.score_xy.theta,
         "theta_yx": verdict.score_yx.theta,
-        "w_xy": verdict.score_xy.w,
-        "w_yx": verdict.score_yx.w,
         "omega_xy": om_xy,
         "omega_yx": om_yx,
         "pnl_invertible_xy": inv_xy,
@@ -474,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k-std", dest="k_std", type=float, help="outlier trim threshold")
         p.add_argument("--bootstrap", type=int, help="bootstrap replicates (0 = off)")
         p.add_argument("--alpha", type=float, help="significance level")
-        p.add_argument("--debias", action="store_const", const=True, default=None)
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (JSON for infer, CSV for bench)")

@@ -1,6 +1,7 @@
 """End-to-end direction decision: score both directions, compare, bootstrap.
 
-Both candidate directions are scored with the same seed; the normalized
+Both candidate directions are scored with the same seed. Each fits its noise
+scale, and in `pnl` mode the post-nonlinear transform with it; the normalized
 measure (raw divided by the fitted noise variance) is the loss, and the
 smaller loss wins. The bootstrap path resamples the data, scores both
 directions per replicate, and applies a two-sided Welch t-test to the two
@@ -40,7 +41,6 @@ class ScoreConfig:
     source: str = "uniform"
     batch_frac: float | None = None  # None -> sample-size schedule
     max_positions: int = 50
-    use_debias: bool = False  # fit the per-row debias weight w
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
@@ -55,7 +55,6 @@ class DirectionScore:
     direction: str
     measure: MeasureValue
     theta: float
-    w: float | None
     omega: tuple[float, float, float] | None
     mode: str
 
@@ -91,9 +90,8 @@ def _workspace_for(pairs: SamplePair, config: ScoreConfig, seed: int) -> Measure
 
 
 def _fit(ws: MeasureWorkspace, config: ScoreConfig) -> FitResult:
-    w0 = 0.0 if config.use_debias else None
     omega0 = (0.1, 0.1, 0.0) if config.mode == "pnl" else None
-    return fit_joint(ws, w0, omega0, config.fit)
+    return fit_joint(ws, omega0, config.fit)
 
 
 def score_direction(pairs: SamplePair, direction: str, config: ScoreConfig,
@@ -107,7 +105,7 @@ def score_direction(pairs: SamplePair, direction: str, config: ScoreConfig,
         raise ValueError(f"direction must be {X_TO_Y!r} or {Y_TO_X!r}, got {direction!r}")
     ws = _workspace_for(oriented, config, seed)
     fit = _fit(ws, config)
-    return DirectionScore(direction, fit.measure, fit.theta, fit.w, fit.omega, config.mode)
+    return DirectionScore(direction, fit.measure, fit.theta, fit.omega, config.mode)
 
 
 def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,

@@ -157,10 +157,10 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
 
 def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
                            source_draws=None) -> MeasureWorkspace:
-    """Workspace for a SamplePair batched on its x (cause) axis, one gather per matrix."""
-    idx = batches.batches
-    return build_workspace(source, batches.positions, pairs.ys[idx], pairs.xs[idx],
-                           seed, source_draws)
+    """Workspace for a SamplePair batched on its x (cause) axis: one gather of
+    the effect values, and no cause values (`xs` None)."""
+    return build_workspace(source, batches.positions, pairs.ys[batches.batches],
+                           seed=seed, source_draws=source_draws)
 
 
 def _debiased(ws: MeasureWorkspace, d: np.ndarray, debias: DebiasFn | None,

@@ -1,15 +1,13 @@
-"""Fitting the noise scale (convex in theta) and, jointly, debias/PNL parameters.
+"""Fitting the noise scale (convex in theta) and, jointly, the PNL transform.
 
 With the sort order frozen, the objective is an exact quadratic in theta, so
 the scale has a closed-form minimizer; `bisect_theta`, a bisection on the
-analytic gradient, is kept as a cross-check. The per-row debias weight and
-the PNL parameters are fitted by gradient descent with one value-and-gradient
-evaluation per step and the scale refitted in closed form every
-THETA_REFRESH_PERIOD (10) steps, from the centred draws the fit computes once
-and the sorted view that step's evaluation then reads. The step size is
-`step_size` when only the debias weight is fitted; when the PNL transform is
-fitted it follows a triangular cycle of CYCLIC_PERIOD (50) steps between 0.1
-and 1 times `step_size`.
+analytic gradient, is kept as a cross-check. The PNL parameters are fitted by
+gradient descent with one value-and-gradient evaluation per step and the
+scale refitted in closed form every THETA_REFRESH_PERIOD (10) steps, from the
+centred draws the fit computes once and the sorted view that step's
+evaluation then reads. The step size follows a triangular cycle of
+CYCLIC_PERIOD (50) steps between 0.1 and 1.
 """
 from __future__ import annotations
 
@@ -38,7 +36,6 @@ CYCLIC_PERIOD = 50
 @dataclass(frozen=True)
 class FitConfig:
     theta_range: tuple[float, float] = DEFAULT_THETA_RANGE
-    step_size: float = 1.0
     max_iters: int = 500
     tolerance: float = 1e-8
 
@@ -48,8 +45,6 @@ class FitConfig:
             raise ValueError(f"theta_range lower bound must be > 0, got {self.theta_range}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.step_size < np.inf:
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if not self.tolerance >= 0.0:  # nan fails too
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
@@ -57,7 +52,6 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     theta: float
-    w: float | None
     omega: tuple[float, float, float] | None
     measure: MeasureValue
     iterations: int
@@ -147,76 +141,60 @@ def fit_theta(ws: MeasureWorkspace,
     return closed_form_theta(ws, debias, pnl, config.theta_range)
 
 
-def _learning_rate(step_size: float, t: int, cyclic: bool) -> float:
-    if not cyclic:
-        return step_size
-    # triangular wave between 0.1*step_size and step_size
+def _learning_rate(t: int) -> float:
+    # triangular wave between 0.1 and 1
     c = (t % CYCLIC_PERIOD) / CYCLIC_PERIOD
     tri = 1.0 - abs(2.0 * c - 1.0)
-    return step_size * (0.1 + 0.9 * tri)
+    return 0.1 + 0.9 * tri
 
 
 def fit_joint(ws: MeasureWorkspace,
-              w0: float | None = None,
               omega0: tuple[float, float, float] | None = None,
               config: FitConfig | None = None) -> FitResult:
-    """Gradient steps on (w, omega), theta refitted every THETA_REFRESH_PERIOD steps.
+    """Gradient steps on omega, theta refitted every THETA_REFRESH_PERIOD steps.
 
-    Pass w0 (the per-row debias weight) / omega0 as None to exclude those
-    parameters; with both excluded this reduces exactly to fit_theta. Each
-    step evaluates the objective and its gradient once, at the point the
+    With omega0 None only the scale is fitted, exactly as fit_theta does.
+    Each step evaluates the objective and its gradient once, at the point the
     previous step reached; the value tracks the best point and tests
     convergence (a change below `config.tolerance`), the gradient takes the
     next step. Returns the parameters achieving the best observed objective.
     """
     config = config or FitConfig()
-    fit_w = w0 is not None
-    fit_omega = omega0 is not None
-    w = float(w0) if fit_w else None
-    omega = tuple(float(v) for v in omega0) if fit_omega else None
-
-    if not fit_w and not fit_omega:
+    if omega0 is None:
         theta = fit_theta(ws, config=config)
-        return FitResult(theta, None, None,
+        return FitResult(theta, None,
                          normalized_measure(ws, theta, measure_value(ws, theta)), 0, True)
 
-    def mk(wv, ov):
-        d = DebiasFn(wv) if fit_w else None
-        p = PnlTransform(*ov) if fit_omega else None
-        return d, p
-
+    omega = tuple(float(v) for v in omega0)
     draws = _centred_draws(ws)
-    debias, pnl = mk(w, omega)
-    theta = _closed_form(ws, debias, pnl, config.theta_range, draws)
-    obj, grads = measure_with_grad(ws, theta, debias, pnl)
-    best = (obj, theta, w, omega)
+    pnl = PnlTransform(*omega)
+    theta = _closed_form(ws, None, pnl, config.theta_range, draws)
+    obj, grads = measure_with_grad(ws, theta, None, pnl)
+    best = (obj, theta, omega)
     prev = obj
     converged = False
     iterations = 0
     for t in range(1, config.max_iters + 1):
         iterations = t
-        lr = _learning_rate(config.step_size, t, fit_omega)
-        if fit_w:
-            w = w - lr * grads["w"]
-        if fit_omega:
-            omega = (
-                omega[0] - lr * grads["omega_a"],
-                omega[1] - lr * grads["omega_b"],
-                omega[2] - lr * grads["omega_c"],
-            )
-        debias, pnl = mk(w, omega)
+        lr = _learning_rate(t)
+        omega = (
+            omega[0] - lr * grads["omega_a"],
+            omega[1] - lr * grads["omega_b"],
+            omega[2] - lr * grads["omega_c"],
+        )
+        pnl = PnlTransform(*omega)
         try:
             if t % THETA_REFRESH_PERIOD == 0:
-                theta = _closed_form(ws, debias, pnl, config.theta_range, draws)
-            obj, grads = measure_with_grad(ws, theta, debias, pnl)
+                theta = _closed_form(ws, None, pnl, config.theta_range, draws)
+            obj, grads = measure_with_grad(ws, theta, None, pnl)
         except NumericError as exc:
             raise NumericError(f"objective diverged at iteration {t}: {exc}") from None
         if obj < best[0]:
-            best = (obj, theta, w, omega)
+            best = (obj, theta, omega)
         if abs(prev - obj) < config.tolerance:
             converged = True
             break
         prev = obj
 
-    obj, theta, w, omega = best
-    return FitResult(theta, w, omega, normalized_measure(ws, theta, obj), iterations, converged)
+    obj, theta, omega = best
+    return FitResult(theta, omega, normalized_measure(ws, theta, obj), iterations, converged)

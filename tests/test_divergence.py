@@ -239,9 +239,9 @@ def test_workspace_from_batches_gathers_each_batch(sizes):
                        [np.sort(rng.choice(12, k, replace=False)) for k in sizes])
     ws = workspace_from_batches(pairs, batches, "uniform", seed=4)
     ys = [pairs.ys[b] for b in batches.batches]
-    xs = [pairs.xs[b] for b in batches.batches]
     draws = draw_source_batches("uniform", sizes, 4)
-    assert_workspace_equal(ws, workspace_oracle(batches.positions, ys, xs, draws))
+    assert ws.xs is None
+    assert_workspace_equal(ws, workspace_oracle(batches.positions, ys, None, draws))
 
 
 def _mixed_batch_set():

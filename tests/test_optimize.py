@@ -136,9 +136,6 @@ def test_fitconfig_validation():
         FitConfig(theta_range=(0.0, 100.0))
     with pytest.raises(ValueError):
         FitConfig(max_iters=0)
-    for step_size in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="^step_size must be positive and finite"):
-            FitConfig(step_size=step_size)
     for tolerance in (-1e-8, np.nan):
         with pytest.raises(ValueError, match="^tolerance must be >= 0"):
             FitConfig(tolerance=tolerance)
@@ -149,7 +146,7 @@ def test_joint_without_parameters_reduces_to_fit_theta():
     ws = random_workspace(3)
     res = fit_joint(ws)
     assert res.theta == fit_theta(ws)
-    assert res.w is None and res.omega is None
+    assert res.omega is None
     assert res.measure.raw == measure_value(ws, res.theta)
 
 
@@ -172,9 +169,9 @@ def test_joint_pnl_on_additive_data_not_worse():
 
 
 def test_joint_determinism():
-    a = fit_joint(random_workspace(6), w0=0.0)
-    b = fit_joint(random_workspace(6), w0=0.0)
-    assert a.theta == b.theta and a.w == b.w
+    a = fit_joint(random_workspace(6), omega0=(0.1, 0.1, 0.0))
+    b = fit_joint(random_workspace(6), omega0=(0.1, 0.1, 0.0))
+    assert a.theta == b.theta and a.omega == b.omega
 
 
 def test_joint_fit_builds_one_sorted_view_per_step(monkeypatch):
@@ -185,78 +182,67 @@ def test_joint_fit_builds_one_sorted_view_per_step(monkeypatch):
     monkeypatch.setattr(divergence, "_build_view", lambda *a: built.append(1) or build(*a))
     monkeypatch.setattr(optimize, "measure_with_grad",
                         lambda *a: evals.append(1) or evaluate(*a))
-    res = fit_joint(ws, 0.0, (0.1, 0.1, 0.0), FitConfig(max_iters=35, tolerance=0.0))
+    res = fit_joint(ws, (0.1, 0.1, 0.0), FitConfig(max_iters=35, tolerance=0.0))
     assert res.iterations == 35
     assert len(evals) == len(built) == 36
 
 
-def two_evaluation_fit_oracle(ws, w0, omega0, config):
+def two_evaluation_fit_oracle(ws, omega0, config):
     """The joint fit as it was before one evaluation per step.
 
     Each step took a gradient at the current point, discarding its value,
     then evaluated the value at the stepped point; the scale fit was
     followed by a check evaluation, and the result re-evaluated the best
-    point. Cyclic steps (period 50) when omega is fitted, theta refitted
+    point. Cyclic steps (period 50) from a base step of 1.0, theta refitted
     every 10 steps.
     """
-    fit_w = w0 is not None
-    fit_omega = omega0 is not None
-    w = float(w0) if fit_w else None
-    omega = tuple(float(v) for v in omega0) if fit_omega else None
+    omega = tuple(float(v) for v in omega0)
+    base_step = 1.0
 
-    def mk(wv, ov):
-        return (DebiasFn(wv) if fit_w else None,
-                PnlTransform(*ov) if fit_omega else None)
-
-    def theta_fit(debias, pnl):
-        theta = closed_form_theta(ws, debias, pnl, config.theta_range)
-        measure_value(ws, theta, debias, pnl)
+    def theta_fit(pnl):
+        theta = closed_form_theta(ws, None, pnl, config.theta_range)
+        measure_value(ws, theta, None, pnl)
         return theta
 
     def learning_rate(t):
-        if not fit_omega:
-            return config.step_size
         c = (t % 50) / 50
         tri = 1.0 - abs(2.0 * c - 1.0)
-        return config.step_size * (0.1 + 0.9 * tri)
+        return base_step * (0.1 + 0.9 * tri)
 
-    debias, pnl = mk(w, omega)
-    theta = theta_fit(debias, pnl)
-    obj = measure_value(ws, theta, debias, pnl)
-    best = (obj, theta, w, omega)
+    pnl = PnlTransform(*omega)
+    theta = theta_fit(pnl)
+    obj = measure_value(ws, theta, None, pnl)
+    best = (obj, theta, omega)
     prev = obj
     converged = False
     iterations = 0
     for t in range(1, config.max_iters + 1):
         iterations = t
         lr = learning_rate(t)
-        _, grads = measure_with_grad(ws, theta, debias, pnl)
-        if fit_w:
-            w = w - lr * grads["w"]
-        if fit_omega:
-            omega = (
-                omega[0] - lr * grads["omega_a"],
-                omega[1] - lr * grads["omega_b"],
-                omega[2] - lr * grads["omega_c"],
-            )
-        debias, pnl = mk(w, omega)
+        _, grads = measure_with_grad(ws, theta, None, pnl)
+        omega = (
+            omega[0] - lr * grads["omega_a"],
+            omega[1] - lr * grads["omega_b"],
+            omega[2] - lr * grads["omega_c"],
+        )
+        pnl = PnlTransform(*omega)
         try:
             if t % 10 == 0:
-                theta = theta_fit(debias, pnl)
-            obj = measure_value(ws, theta, debias, pnl)
+                theta = theta_fit(pnl)
+            obj = measure_value(ws, theta, None, pnl)
         except NumericError as exc:
             raise NumericError(f"objective diverged at iteration {t}: {exc}") from None
         if obj < best[0]:
-            best = (obj, theta, w, omega)
+            best = (obj, theta, omega)
         if abs(prev - obj) < config.tolerance:
             converged = True
             break
         prev = obj
 
-    obj, theta, w, omega = best
-    raw = measure_value(ws, theta, *mk(w, omega))
+    obj, theta, omega = best
+    raw = measure_value(ws, theta, None, PnlTransform(*omega))
     mv = MeasureValue(raw, raw / model_variance(NoiseModel(ws.source, theta)))
-    return theta, w, omega, mv, iterations, converged
+    return theta, omega, mv, iterations, converged
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,27 +250,22 @@ def two_evaluation_fit_oracle(ws, w0, omega0, config):
     seed=st.integers(0, 10_000),
     n_batches=st.integers(1, 6),
     k=st.integers(2, 12),
-    params=st.sampled_from(["w", "omega", "both"]),
-    w0=st.sampled_from([0.0, 0.3, -1.0]),
     omega0=st.sampled_from([(0.1, 0.1, 0.0), (0.5, -0.2, 0.3)]),
-    step_size=st.sampled_from([1.0, 0.3]),
     max_iters=st.integers(1, 120),
     tolerance=st.sampled_from([1e-8, 1e-3]),
 )
-def test_joint_fit_matches_two_evaluation_oracle(seed, n_batches, k, params, w0, omega0,
-                                                 step_size, max_iters, tolerance):
+def test_joint_fit_matches_two_evaluation_oracle(seed, n_batches, k, omega0, max_iters,
+                                                 tolerance):
     ws = random_workspace(seed, n_batches, k)
-    w0 = w0 if params in ("w", "both") else None
-    omega0 = omega0 if params in ("omega", "both") else None
-    config = FitConfig(step_size=step_size, max_iters=max_iters, tolerance=tolerance)
+    config = FitConfig(max_iters=max_iters, tolerance=tolerance)
     try:
-        want = two_evaluation_fit_oracle(ws, w0, omega0, config)
+        want = two_evaluation_fit_oracle(ws, omega0, config)
     except NumericError as exc:
         with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
-            fit_joint(ws, w0, omega0, config)
+            fit_joint(ws, omega0, config)
         return
-    res = fit_joint(ws, w0, omega0, config)
-    got = (res.theta, res.w, res.omega, res.measure, res.iterations, res.converged)
+    res = fit_joint(ws, omega0, config)
+    got = (res.theta, res.omega, res.measure, res.iterations, res.converged)
     assert got == want
 
 
