@@ -1,11 +1,13 @@
-"""Print one sha256 per divot output over a fixed set of inputs, 68 lines.
+"""Print one sha256 per divot output over a fixed set of inputs, 72 lines.
 
     python3 scripts/output_digest.py [--src DIR]
 
 The outputs are `divot infer` JSON records (four configurations on one pair
-file with tied values and one without), the record and summary CSVs of small
-synthetic, confounder, significance and tuebingen `bench` runs (with the timing
-columns removed; the tuebingen corpus is three generated pair files),
+file with tied values, one without, and one whose x lies on an integer grid,
+so batches tie at their k-th distance on both sides), the record and summary
+CSVs of small synthetic, confounder, significance and tuebingen `bench` runs
+(with the timing columns removed; the tuebingen corpus is three generated pair
+files),
 `divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree,
 a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows), a
 star of 8 leaves (families of up to 8 parents), the star again with 5
@@ -76,11 +78,18 @@ def pair_files(divot) -> dict[str, Path]:
     }
 
 
+def grid_file(divot) -> Path:
+    """The sine pair with x scaled by 10 and rounded to whole units (21 values):
+    `infer` z-scores it, and positions on the grid tie at p - d and p + d."""
+    pairs = divot.generate(divot.GeneratorSpec(mechanism="sine", n=300, seed=5))
+    return write_pairs(Path("grid.txt"), (pairs.xs * 10).round(), pairs.ys, ".10f")
+
+
 def infer_digests(divot):
     """Run in the scratch directory: a record holds its pair file's path as given."""
     from divot.cli import main
 
-    for file_name, path in pair_files(divot).items():
+    for file_name, path in {**pair_files(divot), "grid": grid_file(divot)}.items():
         for config_name, flags in INFER_CONFIGS.items():
             out = Path(f"{file_name}-{config_name}.json")
             code = quiet(main, ["infer", str(path), "--seed", "3", "--out", str(out)] + flags)

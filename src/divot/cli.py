@@ -15,7 +15,8 @@ All randomness flows from --seed/--seeds. synthetic scores reps 0..reps-1,
 tuebingen scores every pair once per seed, and confounder and significance
 use each seed as a trial index that also seeds the trial's generated data.
 A repeated value in --seeds, --sizes, --mechanisms or --weights is an error,
-and so is a metadata row without an `x->y`/`y->x` direction. Records carry a
+and so are a size below 3, a weight that is not finite and a metadata row
+without an `x->y`/`y->x` direction. Records carry a
 digest of the resolved configuration so reports are reproducible and
 self-describing.
 """
@@ -43,6 +44,8 @@ from .pairdata import load_pairs, preprocess
 from .synth import MECHANISMS, GeneratorSpec, generate
 
 DEFAULT_SIZES = (100, 200, 500)
+# the smallest sample the default batch schedule can batch: ceil(0.4 * 3) = 2 rows
+MIN_SIZE = 3
 DEFAULT_WEIGHTS = (0.01, 0.02, 0.03, 0.04, 0.05)
 FCM2_GRID = (0.1, 1.0, 10.0)
 FCM3_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -85,6 +88,11 @@ class RunConfig:
             raise ValueError(f"k_std must be > 0, got {self.k_std}")
         if self.max_n < 2:  # the measure needs at least 2 rows
             raise ValueError(f"max_n must be >= 2, got {self.max_n}")
+        if any(n < MIN_SIZE for n in self.sizes):
+            raise ValueError(f"sizes must be >= {MIN_SIZE}, got {min(self.sizes)}")
+        bad = [w for w in self.weights if not np.isfinite(w)]
+        if bad:  # a nan weight would otherwise surface as a nan in a generated column
+            raise ValueError(f"weights must be finite, got {bad[0]}")
         if not self.seeds:
             raise ValueError("seeds must name at least one seed")
         for name in ("seeds", "sizes", "mechanisms", "weights"):

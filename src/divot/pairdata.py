@@ -352,43 +352,130 @@ def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int,
     list each batch in ascending row order; k < 1 gives empty batches.
 
     x is sorted once (or `order`, the stable argsort of x, is taken as
-    given), and each position's k nearest are picked from the 2k
-    sorted rows around it. |x - p| falls and then rises along sorted x, so
-    that window holds the exact answer unless a row just outside it is no
-    farther than the window's k-th distance; such a position is recomputed
-    over all rows. A non-finite x or position raises DegenerateDataError.
+    given). |x - p| falls and then rises along sorted x, rounding included,
+    so the k nearest rows of p are a run [s, s + k) of the sorted order
+    unless ties at the k-th distance break it. One binary search of the
+    positions over the midpoints xs[s]/2 + xs[s + k]/2 finds each run, and
+    exact distances certify it: the rows just outside the run must be
+    farther than its k-th distance, the larger of its two ends' distances.
+    `_nearest_runs` certifies each run and mends one that fails from the
+    stable order; a position it cannot mend is selected over all rows. A
+    non-finite x or position raises DegenerateDataError.
     """
     x = np.asarray(x, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    for label, values in (("x row", x), ("position", positions)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise DegenerateDataError(f"{label} {bad[0]} is non-finite: {values[bad[0]]}")
+    if not (np.isfinite(x).all() and np.isfinite(positions).all()):
+        for label, values in (("x row", x), ("position", positions)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise DegenerateDataError(f"{label} {bad[0]} is non-finite: {values[bad[0]]}")
     n = len(x)
     if k >= n:
         return np.tile(np.arange(n), (len(positions), 1))
     if k < 1:
         return np.empty((len(positions), 0), dtype=int)
     by_x = order if order is not None else np.argsort(x, kind="stable")
-    x_sorted = x[by_x]
-    width = min(2 * k, n)
-    start = np.clip(np.searchsorted(x_sorted, positions) - k, 0, n - width)
-    rows = np.sort(by_x[start[:, None] + np.arange(width)], axis=1)
-    out, kth = k_nearest_rows(rows, np.abs(x[rows] - positions[:, None]), k)
-    # A window holds k rows on each side of p's insertion point, or runs to
-    # an end of x, so no row outside it is nearer than its k-th distance.
-    # Equal x sort by row index, so a row before the window that ties it has
-    # a smaller index than the tied rows inside and may belong in the batch.
-    # A row after it can too, when distinct x round to the same distance
-    # (x = [3e-89, 0], p = -1: both distances are 1.0).
-    end = start + width
-    before = x_sorted[np.maximum(start - 1, 0)]
-    after = x_sorted[np.minimum(end, n - 1)]
-    unsure = ((start > 0) & (np.abs(before - positions) <= kth)) | (
-        (end < n) & (np.abs(after - positions) <= kth))
-    for i in np.flatnonzero(unsure):
+    # sorted x between two infinite rows: every run has a row on each side
+    padded = np.concatenate(([-np.inf], x[by_x], [np.inf]))
+    half = padded / 2  # halved first: xs[s] + xs[s + k] can overflow
+    start = np.searchsorted(half[1:n + 1 - k] + half[1 + k:-1], positions)
+    found, cells = _nearest_runs(padded, by_x, positions, start, k)
+    out = np.sort(by_x[cells], axis=1)
+    for i in (~found).nonzero()[0]:
         out[i] = _nearest_rows(x, positions[i], k)
     return out
+
+
+def _run_ends(padded: np.ndarray, positions: np.ndarray, start: np.ndarray,
+              k: int) -> tuple[np.ndarray, np.ndarray]:
+    """x at the row before, the first row, the last row and the row after
+    each run [start, start + k) of sorted x, and |x - p| there, each as the
+    rows of a (4, positions) matrix; beyond either end of x, x is infinite."""
+    values = padded[start + np.array([[0], [1], [k], [k + 1]])]
+    return values, np.abs(values - positions)
+
+
+def _nearest_runs(padded: np.ndarray, by_x: np.ndarray, positions: np.ndarray,
+                  start: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest rows of each position as cells of the sorted order,
+    from the run [start, start + k) of sorted x that the midpoint search gave.
+
+    The run is the answer when the rows just outside it are farther than its
+    k-th distance. A row outside that is nearer means that rounding
+    misplaced the search: the run then moves toward that row until it has
+    dropped the other rows equal to its far end or taken in all the rows
+    equal to that row, whichever comes first. A row outside as near as the
+    k-th distance is a tie. Ties are taken as at most one value on each
+    side, each a run of equal values, which the stable order lists by
+    ascending row index. That holds when the row beyond each tied value is
+    farther and the rows between them are nearer, which exact distances
+    check. A batch takes every row between them and, of the tied rows,
+    those with the lowest indices: the first rows of one tied value, or the
+    first rows of each of two, as many of each as `_merge_rank` ranks below
+    the count needed.
+
+    Returns a mask of the positions so resolved and a (positions, k) matrix
+    of cells; a position left out keeps its run and needs an exact selection.
+    """
+    xs = padded[1:-1]
+    rows, ends = _run_ends(padded, positions, start, k)
+    kth = np.maximum(ends[1], ends[2])
+    outside = np.minimum(ends[0], ends[3])
+    sure = outside > kth  # whatever ties lie inside the run
+    if np.count_nonzero(outside < kth):
+        early, late = ends[0] < kth, ends[3] < kth
+        # where the first and the row after the run end their values, and
+        # where the last and the row before it start theirs
+        ends_at = np.searchsorted(xs, rows[[1, 3]], side="right")
+        starts_at = np.searchsorted(xs, rows[[2, 0]])
+        start = np.where(late, np.minimum(ends_at[0], ends_at[1] - k),
+                         np.where(early, np.maximum(starts_at[0] - k, starts_at[1]), start))
+        rows, ends = _run_ends(padded, positions, start, k)
+        kth = np.maximum(ends[1], ends[2])
+    tied = ends == kth
+    # each side's tied value: the run's end or the row beyond it; on a side
+    # with no tie the row beyond the run, whose own run ends (or starts) there
+    values = np.where(tied[1:3], rows[1:3], rows[[0, 3]])
+    first = np.searchsorted(xs, values)
+    last = np.searchsorted(xs, values, side="right")
+    # [la, lb) and [ra, rb) hold the tied rows, [lb, ra) the nearer ones
+    la = np.where(tied[0] | tied[1], first[0], last[0])
+    lb = last[0]
+    ra = np.maximum(first[1], lb)  # one value tied on both sides is the left one
+    rb = np.maximum(np.where(tied[2] | tied[3], last[1], first[1]), lb)
+    # the rows beyond the tied values are farther, the first and last between them nearer
+    check = np.abs(padded[np.array([la, rb + 1, lb + 1, ra])] - positions)
+    ties = ((np.minimum(check[0], check[1]) > kth)
+            & ((lb >= ra) | (np.maximum(check[2], check[3]) < kth)))
+    need = k - (ra - lb)
+    take = np.where(ties & (ra == rb), need, 0)  # tied rows taken from the left value
+    both = (ties & (la < lb) & (ra < rb)).nonzero()[0]
+    if len(both):
+        take[both] = _merge_rank(by_x, la[both], lb[both], ra[both], rb[both], need[both])
+    lb = np.where(ties, lb, start)
+    cols = np.arange(k)
+    # the first `take` rows of the left tied value, then the rows from lb on
+    return sure | ties, cols + np.where(cols < take[:, None], la[:, None],
+                                        (lb - take)[:, None])
+
+
+def _merge_rank(by_x: np.ndarray, la: np.ndarray, lb: np.ndarray, ra: np.ndarray,
+                rb: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """How many of the `need` lowest row indices in by_x[la:lb] and by_x[ra:rb]
+    come from the first, per position; each slice ascends.
+
+    The i-th index of the first list is among them when it is below the
+    (need - i + 1)-th of the second, or the second is shorter than that:
+    a test that holds for every i up to the answer and for none after, so
+    the answer counts the i in 1..min(need, lb - la) that pass it.
+    """
+    most = np.minimum(need, lb - la)
+    i = np.arange(1, most.max() + 1)
+    rival = need[:, None] - i  # the place in the second list that the i-th must beat
+    mine = by_x[np.minimum(la[:, None] + i - 1, len(by_x) - 1)]
+    theirs = by_x[np.minimum(ra[:, None] + rival, len(by_x) - 1)]
+    wins = (rival >= (rb - ra)[:, None]) | (mine < theirs)
+    return np.count_nonzero(wins & (i <= most[:, None]), axis=1)
 
 
 def _nearest_rows(x: np.ndarray, p: float, k: int) -> np.ndarray:

@@ -148,6 +148,9 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
     (["--k-std", "nan"], None, "k_std must be > 0, got nan"),
     (["--k-std", "0"], None, "k_std must be > 0, got 0.0"),
     (["--k-std", "-2"], None, "k_std must be > 0, got -2.0"),
+    (["bench", "--suite", "significance", "--weights", "nan", "--mechanisms", "linear",
+      "--seeds", "0", "--bootstrap", "2"], None, "weights must be finite, got nan"),
+    (["bench", "--suite", "synthetic", "--sizes", "2"], None, "sizes must be >= 3, got 2"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from divot import (
     BatchSet,
     DegenerateDataError,
+    GeneratorSpec,
     InsufficientDataError,
     PairParseError,
     SamplePair,
     default_batch_frac,
+    generate,
     load_pairs,
     make_batches,
     normalize,
@@ -21,6 +23,7 @@ from divot import (
     subsample,
     trim_outliers,
 )
+from divot import pairdata
 from divot.pairdata import (
     _nearest_rows,
     k_nearest_rows,
@@ -446,6 +449,114 @@ def test_nearest_batches_given_the_order_match_the_sorting_path(case):
     got = nearest_batches(x, positions, k, np.argsort(x, kind="stable"))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def run_cases(draw):
+    """Columns for every way a batch can leave its run of the sorted order:
+    continuous values, integer grids raw and z-scored (ties at p - d and
+    p + d, some off by an ulp), offsets of 1e-17 and 3e-89 that round away
+    against 1, and signed zeros; in half the cases a bootstrap resample
+    (repeated rows); positions on, between and outside the data; and k of
+    1, 2, n - 1 or any size."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(["continuous", "grid", "z-grid", "offsets", "zeros"]))
+    if kind == "continuous":
+        x = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+    elif kind == "offsets":
+        x = np.array(draw(st.lists(st.sampled_from([0.0, 1e-17, 3e-89, 1.0, -1.0, 2.0]),
+                                   min_size=n, max_size=n)))
+    elif kind == "zeros":
+        x = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                   min_size=n, max_size=n)))
+    else:
+        x = np.array(draw(st.lists(st.integers(0, draw(st.integers(1, 12))),
+                                   min_size=n, max_size=n)), dtype=float)
+        if kind == "z-grid" and x.min() < x.max():
+            x = (x - x.mean()) / x.std(ddof=1)
+    if draw(st.booleans()):
+        x = x[np.sort(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))]
+    outside = st.sampled_from([x.min() - 1.0, x.max() + 1.0, -1.0, -1e6, 1e6])
+    positions = draw(st.lists(st.one_of(st.sampled_from(x.tolist()), outside,
+                                        st.floats(-3, 3)), min_size=1, max_size=10))
+    k = draw(st.one_of(st.sampled_from([1, 2, n - 1]), st.integers(1, n)))
+    return x, np.array(positions, dtype=float), k
+
+
+@settings(max_examples=500, deadline=None)
+@given(run_cases())
+@example((np.array([3e-89, 0.0]), np.array([-1.0]), 1))  # both distances round to 1.0
+@example((np.array([1e-17, 0.0, 1e-17, 0.0]), np.array([-1.0, 1.0]), 3))
+def test_nearest_runs_match_the_stable_argsort(case):
+    x, positions, k = case
+    got = nearest_batches(x, positions, k)
+    want = np.array([np.sort(np.argsort(np.abs(x - p), kind="stable")[:k]) for p in positions])
+    assert got.tolist() == want.reshape(len(positions), -1).tolist()
+
+
+@pytest.fixture
+def exact_selections(monkeypatch):
+    """Counts the positions batched by the full-argsort fallback."""
+    calls = []
+    real = pairdata._nearest_rows
+
+    def spy(x, p, k):
+        calls.append(p)
+        return real(x, p, k)
+
+    monkeypatch.setattr(pairdata, "_nearest_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("x, p, k, want", [
+    # 2.0 is tied at the k-th distance and the run enters it from the left:
+    # the run already holds its first row
+    ([0.0, 2.0, 2.0, 2.0, -0.5], 0.0, 3, [0, 1, 4]),
+    # -2.0 is tied and the run enters it from the right, at its last row
+    # (2): the batch takes its first row (0) instead
+    ([-2.0, -2.0, -2.0, 0.0, 0.5], 0.0, 3, [0, 3, 4]),
+    # -1 and 1 tie at distance 1: the two lowest indices of both runs
+    ([1.0, -1.0, 1.0, -1.0, 0.0], 0.0, 3, [0, 1, 4]),
+])
+def test_a_tie_at_the_kth_distance_resolves_from_the_stable_order(exact_selections,
+                                                                   x, p, k, want):
+    x = np.array(x)
+    (batch,) = nearest_batches(x, np.array([p]), k)
+    assert batch.tolist() == want
+    assert want == sorted(np.argsort(np.abs(x - p), kind="stable")[:k].tolist())
+    assert exact_selections == []
+
+
+def test_a_run_misplaced_by_rounding_moves_without_an_exact_selection(exact_selections):
+    x = np.array([2.0, 1.0, 3.0, 2.0, 4.0])
+    x = (x - x.mean()) / x.std(ddof=1)
+    p = x[2]
+    # 4 is nearer than 2 by one ulp, yet the midpoint of 2 and 4 rounds to p,
+    # so the search puts the run on the side of 2
+    assert abs(x[4] - p) < abs(x[0] - p) and x[0] / 2 + x[4] / 2 == p
+    (batch,) = nearest_batches(x, np.array([p]), 2)
+    assert batch.tolist() == [2, 4]
+    assert exact_selections == []
+
+
+def test_values_rounding_to_one_distance_take_the_exact_selection(exact_selections):
+    # 3e-89 and 0 both lie at distance 1.0 from -1: two tied values on one side
+    (batch,) = nearest_batches(np.array([3e-89, 3e-89, 0.0, 0.0]), np.array([-1.0]), 1)
+    assert batch.tolist() == [0]
+    assert exact_selections == [-1.0]
+
+
+def test_a_bootstrap_replicate_of_a_continuous_pair_takes_no_exact_selection(
+        exact_selections):
+    pairs = preprocess(generate(GeneratorSpec(mechanism="sine", n=1000, seed=4)), max_n=1000)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        counts = np.bincount(rng.integers(0, pairs.n, pairs.n), minlength=pairs.n)
+        sample = pairs.resample(counts, "bootstrap")
+        for direction in (sample, sample.swapped()):
+            make_batches(direction, select_positions(direction),
+                         default_batch_frac(direction.n))
+    assert exact_selections == []
 
 
 # ------------------------------------------------------------- shared orders
