@@ -1,6 +1,6 @@
 """Time `nearest_batches` per call on fixed pair and discrete inputs.
 
-    python3 scripts/bench_batching.py [--src PARENT/src] [--rounds 15] [--calls 100]
+    python3 scripts/bench_batching.py [--src PARENT/src] [--rounds 151] [--calls 20]
 
 Each input is a preprocessed column (z-scored, trimmed at 2 sd) with the
 positions and batch size `make_batches` would use on it: continuous sine
@@ -10,28 +10,32 @@ pairs at n = 100, 200, 500 and 1000 with a bootstrap replicate of the last
 A round times `--calls` back-to-back calls; the median and quartiles are
 over `--rounds` rounds. With `--src`, the divot package in that directory
 (another checkout's `src`) is timed as the before side, in the same process,
-alternating with this checkout's in every round so that a drift of the host
-falls on both sides alike. Batches must be equal on both sides. The result
-goes to BENCH_batching.json at the root of this repository.
+alternating with this checkout's in every round, and `after_over_before` is
+the median over rounds of the two sides' ratio in that round: many short
+rounds let a drift of the host fall on both sides alike. Batches must be
+equal on both sides. The result,
+in microseconds a call, goes to BENCH_batching.json at the root of this
+repository, with the host and this checkout's revision as `bench/run.py`
+reports them and the git HEAD of the `--src` checkout.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import json
 import math
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from bench_pairs import git_revision, summary
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from run import environment  # noqa: E402  (bench/run.py, beside its `layers`)
 
 
 def load_divot(src: Path):
@@ -80,44 +84,12 @@ def time_calls(fn, args, calls: int) -> float:
     return (time.perf_counter() - t0) / calls
 
 
-def summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median_us": median * 1e6, "q1_us": q1 * 1e6, "q3_us": q3 * 1e6,
-            "runs_us": [v * 1e6 for v in values]}
-
-
-def revision(src: Path) -> dict:
-    """The git HEAD of the checkout holding `src`, None outside git or when
-    `src` has uncommitted changes, and a hash of its divot sources."""
-    def git(*args):
-        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
-                              text=True, check=False).stdout.strip()
-
-    digest = hashlib.sha256()
-    for path in sorted((src / "divot").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    head = git("rev-parse", "HEAD") if not git("status", "--porcelain", "--", ".") else ""
-    return {"git": head or None, "src_sha256": digest.hexdigest()[:16]}
-
-
-def machine() -> dict:
-    cpu = "unknown"
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu,
-            "python": platform.python_version(), "numpy": np.__version__}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=None,
                         help="directory holding the divot package to time as the before side")
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--calls", type=int, default=100)
+    parser.add_argument("--rounds", type=int, default=151)
+    parser.add_argument("--calls", type=int, default=20)
     args = parser.parse_args(argv)
     if args.rounds < 2 or args.calls < 1:
         parser.error("need --rounds >= 2 and --calls >= 1")
@@ -138,15 +110,19 @@ def main(argv=None) -> int:
             for side in (list(sides) if r % 2 == 0 else list(sides)[::-1]):
                 times[side].append(time_calls(batchers[side], call, args.calls))
         entry = {"n": len(x), "k": k, "positions": len(positions)}
-        entry.update({side: summary(t) for side, t in times.items()})
+        for side, ts in times.items():  # the quartiles, without every round's time
+            entry[side] = {key: v for key, v in summary([t * 1e6 for t in ts]).items()
+                           if key != "runs"}
         if "before" in entry:
-            entry["after_over_before"] = entry["after"]["median_us"] / entry["before"]["median_us"]
+            entry["after_over_before"] = statistics.median(
+                a / b for a, b in zip(times["after"], times["before"]))
         results[name] = entry
-        print(f"{name}: " + ", ".join(f"{side} {entry[side]['median_us']:.1f} us"
+        print(f"{name}: " + ", ".join(f"{side} {entry[side]['median']:.1f} us"
                                       for side in sides), file=sys.stderr)
-    report = {"machine": machine(), "rounds": args.rounds, "calls": args.calls,
-              "revisions": {side: revision(src) for side, src in sides.items()},
-              "inputs": results}
+    report = {"environment": environment(), "rounds": args.rounds, "calls": args.calls,
+              "unit": "us", "inputs": results}
+    if args.src is not None:
+        report["before_git_revision"] = git_revision(sides["before"].parent)
     (ROOT / "BENCH_batching.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -40,12 +40,10 @@ from .divergence import PnlTransform
 from .errors import DivotError, ParseError
 from .noise import canonical_source
 from .optimize import FitConfig
-from .pairdata import load_pairs, preprocess
+from .pairdata import MIN_BATCHABLE_N, load_pairs, preprocess
 from .synth import MECHANISMS, GeneratorSpec, generate
 
 DEFAULT_SIZES = (100, 200, 500)
-# the smallest sample the default batch schedule can batch: ceil(0.4 * 3) = 2 rows
-MIN_SIZE = 3
 DEFAULT_WEIGHTS = (0.01, 0.02, 0.03, 0.04, 0.05)
 FCM2_GRID = (0.1, 1.0, 10.0)
 FCM3_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -88,8 +86,8 @@ class RunConfig:
             raise ValueError(f"k_std must be > 0, got {self.k_std}")
         if self.max_n < 2:  # the measure needs at least 2 rows
             raise ValueError(f"max_n must be >= 2, got {self.max_n}")
-        if any(n < MIN_SIZE for n in self.sizes):
-            raise ValueError(f"sizes must be >= {MIN_SIZE}, got {min(self.sizes)}")
+        if any(n < MIN_BATCHABLE_N for n in self.sizes):
+            raise ValueError(f"sizes must be >= {MIN_BATCHABLE_N}, got {min(self.sizes)}")
         bad = [w for w in self.weights if not np.isfinite(w)]
         if bad:  # a nan weight would otherwise surface as a nan in a generated column
             raise ValueError(f"weights must be finite, got {bad[0]}")

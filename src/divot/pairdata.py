@@ -256,6 +256,11 @@ def check_batch_frac(batch_frac: float | None) -> None:
         raise ValueError(f"batch_frac must be in (0, 1], got {batch_frac}")
 
 
+# the smallest n whose default batch, ceil(default_batch_frac(n) * n) rows,
+# has the 2 rows a batch needs: ceil(0.4 * 3) = 2
+MIN_BATCHABLE_N = 3
+
+
 def default_batch_frac(n: int) -> float:
     """Batch size (as a fraction of n) by sample-size bracket."""
     if n <= 10:

@@ -25,6 +25,7 @@ from divot import (
 )
 from divot import pairdata
 from divot.pairdata import (
+    MIN_BATCHABLE_N,
     _nearest_rows,
     k_nearest_rows,
     nearest_batches,
@@ -254,6 +255,14 @@ def test_batch_frac_schedule():
     assert default_batch_frac(500) == 0.05
 
 
+def test_min_batchable_n_is_where_the_default_schedule_batches_two_rows():
+    def batch_rows(n):
+        return math.ceil(default_batch_frac(n) * n)
+
+    assert batch_rows(MIN_BATCHABLE_N - 1) < 2
+    assert all(batch_rows(n) >= 2 for n in range(MIN_BATCHABLE_N, 2001))
+
+
 def test_all_batches_dropped_raises():
     pairs = SamplePair(np.arange(10.0), np.zeros(10))
     with pytest.raises(InsufficientDataError):
@@ -363,19 +372,35 @@ _values = st.one_of(
     st.floats(-10, 10).map(lambda v: round(v, 1)),
     st.floats(-1e6, 1e6),
     st.sampled_from([0.0, -0.0]),  # equal values with different bits
+    st.sampled_from([1e-17, 3e-89]),  # offsets that round away against 1
 )
 
 
 @st.composite
 def batching_cases(draw):
-    base = draw(st.lists(_values, min_size=1, max_size=40))
-    x = np.array(base)
+    """Columns of mixed values or on an integer grid, in half the cases
+    z-scored (ties at p - d and p + d, some off by an ulp) and in half a
+    bootstrap resample (repeated rows); positions on, between and outside
+    the data; k of 1, 2, n - 1 or any size up to n + 2."""
+    grid = st.integers(0, draw(st.integers(1, 12))).map(float)
+    base = np.array(draw(st.lists(st.one_of(_values, grid) if draw(st.booleans()) else grid,
+                                  min_size=1, max_size=40)))
+    sd = base.std(ddof=1) if len(base) > 1 else 0.0
+    if draw(st.booleans()) and 0.0 < sd < math.inf:  # as `normalize` leaves a column
+        base = (base - base.mean()) / sd
+    x = base
     if draw(st.booleans()):  # a bootstrap resample of the rows
         x = x[draw(st.lists(st.integers(0, len(x) - 1), min_size=len(x), max_size=len(x)))]
-    beyond = st.sampled_from([min(base) - 1.0, max(base) + 1.0, -1e7, 1e7])
-    positions = draw(st.lists(st.one_of(st.sampled_from(base), beyond, _values), max_size=12))
-    k = draw(st.integers(1, len(x) + 2))
+    beyond = st.sampled_from([base.min() - 1.0, base.max() + 1.0, -1e7, 1e7])
+    positions = draw(st.lists(st.one_of(st.sampled_from(base.tolist()), beyond, _values),
+                              max_size=12))
+    k = draw(st.one_of(st.sampled_from([1, 2, max(1, len(x) - 1)]), st.integers(1, len(x) + 2)))
     return x, np.array(positions, dtype=float), k
+
+
+def _z_scored(values):
+    x = np.array(values, dtype=float)
+    return (x - x.mean()) / x.std(ddof=1)
 
 
 @settings(max_examples=400, deadline=None)
@@ -385,6 +410,9 @@ def batching_cases(draw):
 @example((np.arange(6.0), np.array([2.0]), 6))  # k = n
 @example((np.array([-1.0] * 10 + [1.0]), np.array([0.0]), 2))
 @example((np.array([3e-89, 3e-89, 3e-89, 0.0, 0.0]), np.array([-1.0]), 1))  # rounded tie after
+@example((np.array([3e-89, 0.0]), np.array([-1.0]), 1))  # both distances round to 1.0
+@example((np.array([1e-17, 0.0, 1e-17, 0.0]), np.array([-1.0, 1.0]), 3))
+@example((_z_scored([2, 1, 3, 2, 4]), _z_scored([2, 1, 3, 2, 4])[2:3], 2))  # a misplaced run
 def test_nearest_batches_matches_argsort_oracle(case):
     x, positions, k = case
     got = nearest_batches(x, positions, k)
@@ -451,49 +479,6 @@ def test_nearest_batches_given_the_order_match_the_sorting_path(case):
     assert got.tobytes() == want.tobytes()
 
 
-@st.composite
-def run_cases(draw):
-    """Columns for every way a batch can leave its run of the sorted order:
-    continuous values, integer grids raw and z-scored (ties at p - d and
-    p + d, some off by an ulp), offsets of 1e-17 and 3e-89 that round away
-    against 1, and signed zeros; in half the cases a bootstrap resample
-    (repeated rows); positions on, between and outside the data; and k of
-    1, 2, n - 1 or any size."""
-    n = draw(st.integers(2, 30))
-    kind = draw(st.sampled_from(["continuous", "grid", "z-grid", "offsets", "zeros"]))
-    if kind == "continuous":
-        x = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
-    elif kind == "offsets":
-        x = np.array(draw(st.lists(st.sampled_from([0.0, 1e-17, 3e-89, 1.0, -1.0, 2.0]),
-                                   min_size=n, max_size=n)))
-    elif kind == "zeros":
-        x = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-                                   min_size=n, max_size=n)))
-    else:
-        x = np.array(draw(st.lists(st.integers(0, draw(st.integers(1, 12))),
-                                   min_size=n, max_size=n)), dtype=float)
-        if kind == "z-grid" and x.min() < x.max():
-            x = (x - x.mean()) / x.std(ddof=1)
-    if draw(st.booleans()):
-        x = x[np.sort(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))]
-    outside = st.sampled_from([x.min() - 1.0, x.max() + 1.0, -1.0, -1e6, 1e6])
-    positions = draw(st.lists(st.one_of(st.sampled_from(x.tolist()), outside,
-                                        st.floats(-3, 3)), min_size=1, max_size=10))
-    k = draw(st.one_of(st.sampled_from([1, 2, n - 1]), st.integers(1, n)))
-    return x, np.array(positions, dtype=float), k
-
-
-@settings(max_examples=500, deadline=None)
-@given(run_cases())
-@example((np.array([3e-89, 0.0]), np.array([-1.0]), 1))  # both distances round to 1.0
-@example((np.array([1e-17, 0.0, 1e-17, 0.0]), np.array([-1.0, 1.0]), 3))
-def test_nearest_runs_match_the_stable_argsort(case):
-    x, positions, k = case
-    got = nearest_batches(x, positions, k)
-    want = np.array([np.sort(np.argsort(np.abs(x - p), kind="stable")[:k]) for p in positions])
-    assert got.tolist() == want.reshape(len(positions), -1).tolist()
-
-
 @pytest.fixture
 def exact_selections(monkeypatch):
     """Counts the positions batched by the full-argsort fallback."""
@@ -508,6 +493,21 @@ def exact_selections(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def run_reads(monkeypatch):
+    """Counts the reads of the runs' ends: one a call, and one more for a
+    call that moves a run rounding misplaced."""
+    calls = []
+    real = pairdata._run_ends
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(pairdata, "_run_ends", spy)
+    return calls
+
+
 @pytest.mark.parametrize("x, p, k, want", [
     # 2.0 is tied at the k-th distance and the run enters it from the left:
     # the run already holds its first row
@@ -518,24 +518,41 @@ def exact_selections(monkeypatch):
     # -1 and 1 tie at distance 1: the two lowest indices of both runs
     ([1.0, -1.0, 1.0, -1.0, 0.0], 0.0, 3, [0, 1, 4]),
 ])
-def test_a_tie_at_the_kth_distance_resolves_from_the_stable_order(exact_selections,
+def test_a_tie_at_the_kth_distance_resolves_from_the_stable_order(exact_selections, run_reads,
                                                                    x, p, k, want):
     x = np.array(x)
     (batch,) = nearest_batches(x, np.array([p]), k)
     assert batch.tolist() == want
     assert want == sorted(np.argsort(np.abs(x - p), kind="stable")[:k].tolist())
+    assert len(run_reads) == 1  # the searched run is kept
     assert exact_selections == []
 
 
-def test_a_run_misplaced_by_rounding_moves_without_an_exact_selection(exact_selections):
-    x = np.array([2.0, 1.0, 3.0, 2.0, 4.0])
-    x = (x - x.mean()) / x.std(ddof=1)
+def test_a_run_misplaced_by_rounding_moves_without_an_exact_selection(exact_selections,
+                                                                      run_reads):
+    x = _z_scored([2, 1, 3, 2, 4])
     p = x[2]
     # 4 is nearer than 2 by one ulp, yet the midpoint of 2 and 4 rounds to p,
     # so the search puts the run on the side of 2
     assert abs(x[4] - p) < abs(x[0] - p) and x[0] / 2 + x[4] / 2 == p
     (batch,) = nearest_batches(x, np.array([p]), 2)
     assert batch.tolist() == [2, 4]
+    assert len(run_reads) == 2  # the searched run, then the moved one
+    assert exact_selections == []
+
+
+def test_rounded_columns_move_misplaced_runs_without_an_exact_selection(exact_selections,
+                                                                       run_reads):
+    # z-scored integers 0..200 and a normal to 2 decimals, as in
+    # scripts/bench_batching.py: some runs are misplaced by an ulp, and an
+    # exact selection for each would cost more than the rest of the call
+    rng = np.random.default_rng(20)
+    for x in (rng.integers(0, 201, 1000).astype(float), np.round(rng.normal(size=1000), 2)):
+        pairs = preprocess(SamplePair(x, rng.normal(size=1000)), max_n=1000)
+        batches = make_batches(pairs, select_positions(pairs), default_batch_frac(pairs.n))
+        want = nearest_batches_oracle(pairs.xs, batches.positions, batches.batches.shape[1])
+        assert batches.batches.tolist() == [b.tolist() for b in want]
+    assert len(run_reads) == 4  # both calls moved runs
     assert exact_selections == []
 
 
