@@ -1,6 +1,7 @@
 """Time `nearest_batches` per call on fixed pair and discrete inputs.
 
     python3 scripts/bench_batching.py [--src PARENT/src] [--rounds 151] [--calls 20]
+                                      [--out BENCH_batching.json]
 
 Each input is a preprocessed column (z-scored, trimmed at 2 sd) with the
 positions and batch size `make_batches` would use on it: continuous sine
@@ -13,17 +14,16 @@ over `--rounds` rounds. With `--src`, the divot package in that directory
 alternating with this checkout's in every round, and `after_over_before` is
 the median over rounds of the two sides' ratio in that round: many short
 rounds let a drift of the host fall on both sides alike. Batches must be
-equal on both sides. The result,
-in microseconds a call, goes to BENCH_batching.json at the root of this
-repository, with the host and this checkout's revision as `bench/run.py`
-reports them and the git HEAD of the `--src` checkout.
+equal on both sides. The result, in microseconds a call, goes to `--out`
+(BENCH_batching.json at the root of this repository by default), with the
+host and this checkout's revision as `bench/run.py` reports them and the git
+HEAD of the `--src` checkout.
 """
 from __future__ import annotations
 
 import argparse
 import importlib
 import json
-import math
 import statistics
 import sys
 import time
@@ -58,7 +58,7 @@ def make_inputs(divot) -> dict[str, tuple]:
         inputs[f"pair-n{n}"] = divot.preprocess(raw, max_n=n, seed=1)
     pair = inputs["pair-n1000"]
     counts = np.bincount(rng.integers(0, pair.n, pair.n), minlength=pair.n)
-    inputs["bootstrap-n1000"] = pair.resample(counts, "bootstrap:0")
+    inputs["bootstrap-n1000"] = pair.resample(counts)
     normal = rng.normal(size=1000)
     grids = {
         "grid-0..20": rng.integers(0, 21, 1000).astype(float),
@@ -71,7 +71,7 @@ def make_inputs(divot) -> dict[str, tuple]:
         inputs[name] = divot.preprocess(divot.SamplePair(xs, ys), max_n=1000, seed=1)
     out = {}
     for name, p in inputs.items():
-        k = math.ceil(divot.default_batch_frac(p.n) * p.n)
+        k = divot.pairdata.rows_per_batch(p.n, None)
         out[name] = (p.xs, divot.select_positions(p), k, p.by_x)
     return out
 
@@ -90,6 +90,8 @@ def main(argv=None) -> int:
                         help="directory holding the divot package to time as the before side")
     parser.add_argument("--rounds", type=int, default=151)
     parser.add_argument("--calls", type=int, default=20)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_batching.json",
+                        help="where the JSON report goes")
     args = parser.parse_args(argv)
     if args.rounds < 2 or args.calls < 1:
         parser.error("need --rounds >= 2 and --calls >= 1")
@@ -123,7 +125,7 @@ def main(argv=None) -> int:
               "unit": "us", "inputs": results}
     if args.src is not None:
         report["before_git_revision"] = git_revision(sides["before"].parent)
-    (ROOT / "BENCH_batching.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 

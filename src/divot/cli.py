@@ -120,7 +120,11 @@ class RunConfig:
 
 
 def _parse_config_file(path: str) -> dict:
-    """RunConfig values from `key=value` lines; a bad line raises ParseError."""
+    """RunConfig values from `key=value` lines; a bad line raises ParseError.
+
+    Each value is checked on its line, by the RunConfig and ScoreConfig that
+    hold it alone, so a value they reject names the file and line too.
+    """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -135,6 +139,7 @@ def _parse_config_file(path: str) -> dict:
                 raise ParseError(path, line_no, f"unknown key {key!r}")
             try:
                 out[key] = _coerce(key, value.strip())
+                RunConfig(**{key: out[key]}).score_config()
             except ValueError as exc:
                 raise ParseError(path, line_no, f"{key}: {exc}") from None
     return out

@@ -20,7 +20,6 @@ from .pairdata import (
     SamplePair,
     check_batch_frac,
     check_pair,
-    default_batch_frac,
     make_batches,
     select_positions,
 )
@@ -83,9 +82,8 @@ class Verdict:
 
 
 def _workspace_for(pairs: SamplePair, config: ScoreConfig, seed: int) -> MeasureWorkspace:
-    frac = config.batch_frac if config.batch_frac is not None else default_batch_frac(pairs.n)
     positions = select_positions(pairs, config.max_positions)
-    batches = make_batches(pairs, positions, frac)
+    batches = make_batches(pairs, positions, config.batch_frac)
     return workspace_from_batches(pairs, batches, config.source, seed)
 
 
@@ -128,7 +126,7 @@ def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
         rep_seed = seed ^ i
         rng = np.random.default_rng(rep_seed)
         counts = np.bincount(rng.integers(0, pairs.n, pairs.n), minlength=pairs.n)
-        sample = pairs.resample(counts, f"bootstrap:{i}")
+        sample = pairs.resample(counts)
         losses_xy[i] = score_direction(sample, X_TO_Y, config, rep_seed).loss
         losses_yx[i] = score_direction(sample, Y_TO_X, config, rep_seed).loss
     if losses_xy.var(ddof=1) == 0.0 and losses_yx.var(ddof=1) == 0.0:
@@ -167,12 +165,14 @@ def divot(pairs: SamplePair, config: ScoreConfig | None = None, seed: int = 0,
     1e-12) are reported as independent. With `bootstrap_b` replicates the
     decision is independent unless the two loss samples differ significantly
     at level alpha, in which case the direction with the smaller loss wins.
-    alpha must lie in (0, 1). A nan or infinite value, or a constant column,
-    raises DegenerateDataError naming the column (and the row); the columns
-    are checked once, not per bootstrap replicate.
+    alpha must lie in (0, 1) and seed be >= 0. A nan or infinite value, or a
+    constant column, raises DegenerateDataError naming the column (and the
+    row); the columns are checked once, not per bootstrap replicate.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if seed < 0:  # numpy seeds only from non-negative integers
+        raise ValueError(f"seed must be >= 0, got {seed}")
     check_pair(pairs)
     config = config or ScoreConfig()
     score_xy = score_direction(pairs, X_TO_Y, config, seed)

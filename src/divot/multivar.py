@@ -18,7 +18,6 @@ stream per child: one draw, whose prefixes serve all the child's stacks.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,9 @@ from .optimize import FitConfig, fit_theta
 from .pairdata import (
     check_batch_frac,
     check_column,
-    default_batch_frac,
     k_nearest_rows,
     nearest_batches,
+    rows_per_batch,
     select_position_values,
     standardize,
 )
@@ -241,8 +240,7 @@ def _score_families(z, families, source, batch_frac, max_positions, fit, seed) -
             raise ValueError(f"variable {i} with parents {tuple(parents)}: indices must be "
                              f"distinct and in [0, {m})")
         by_parents.setdefault(tuple(parents), []).append(i)
-    frac = batch_frac if batch_frac is not None else default_batch_frac(n)
-    k = math.ceil(frac * n)
+    k = rows_per_batch(n, batch_frac)
     if min(k, n) < 2:
         for i, parents in families:
             if parents:
@@ -354,14 +352,16 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
 
     Ties break toward the lexicographically smallest direction-flag vector.
     The data is checked and z-scored once (`_standardized`), so the result
-    does not depend on column units. A skeleton over other than one variable
-    per data column raises ValueError first. Before the enumeration, one
-    stacked pass (`_score_families`) scores every family an orientation can
-    hold: each variable with each subset of its skeleton neighbours. Its
-    stacks hold at most max_positions * n elements at once, and each flush
-    of them draws one source stream per child. Every orientation then reads
-    its terms from that memo.
+    does not depend on column units. A negative seed, then a skeleton over
+    other than one variable per data column, raises ValueError first. Before
+    the enumeration, one stacked pass (`_score_families`) scores every family
+    an orientation can hold: each variable with each subset of its skeleton
+    neighbours. Its stacks hold at most max_positions * n elements at once,
+    and each flush of them draws one source stream per child. Every
+    orientation then reads its terms from that memo.
     """
+    if seed < 0:  # numpy seeds only from non-negative integers
+        raise ValueError(f"seed must be >= 0, got {seed}")
     edges = skeleton.edges
     if len(edges) > MAX_EDGES:
         raise SkeletonTooLargeError(

@@ -17,17 +17,16 @@ from .errors import DegenerateDataError, InsufficientDataError, PairParseError, 
 class SamplePair:
     """An ordered dataset of (x, y) observations.
 
-    Arrays are treated as immutable after construction; `provenance` records
-    the preprocessing steps that produced this view of the data. `x_order`
-    and `y_order`, when given, must be the stable argsorts of `xs` and `ys`;
-    otherwise `by_x` and `by_y` compute them on first use and keep them.
+    Arrays are treated as immutable after construction. `x_order` and
+    `y_order` (keyword-only), when given, must be the stable argsorts of `xs`
+    and `ys`; otherwise `by_x` and `by_y` compute them on first use and keep
+    them.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    provenance: tuple[str, ...] = field(default_factory=tuple)
-    x_order: np.ndarray | None = field(default=None, repr=False, compare=False)
-    y_order: np.ndarray | None = field(default=None, repr=False, compare=False)
+    x_order: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
+    y_order: np.ndarray | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -59,20 +58,19 @@ class SamplePair:
 
     def swapped(self) -> "SamplePair":
         """The same dataset with the roles of x and y exchanged (and of their orders)."""
-        return SamplePair(self.ys, self.xs, self.provenance + ("swap",),
-                          self.y_order, self.x_order)
+        return SamplePair(self.ys, self.xs, x_order=self.y_order, y_order=self.x_order)
 
-    def resample(self, counts: np.ndarray, step: str) -> "SamplePair":
-        """Each row r taken counts[r] times, in row order, as a new pair with
-        `step` appended to its provenance. Its stable orders come from this
-        pair's in O(n) (see `_expand_order`), not from new sorts."""
+    def resample(self, counts: np.ndarray) -> "SamplePair":
+        """Each row r taken counts[r] times, in row order, as a new pair. Its
+        stable orders come from this pair's in O(n) (see `_expand_order`),
+        not from new sorts."""
         if len(counts) != self.n:
             raise ValueError(f"need one count per row ({self.n}), got {len(counts)}")
         idx = np.repeat(np.arange(self.n), counts)
         first = counts.cumsum() - counts
-        return SamplePair(self.xs[idx], self.ys[idx], self.provenance + (step,),
-                          _expand_order(self.by_x, counts, first),
-                          _expand_order(self.by_y, counts, first))
+        return SamplePair(self.xs[idx], self.ys[idx],
+                          x_order=_expand_order(self.by_x, counts, first),
+                          y_order=_expand_order(self.by_y, counts, first))
 
 
 def _expand_order(order: np.ndarray, counts: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -172,7 +170,7 @@ def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
             ys.append(y)
     if len(xs) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 data rows")
-    return SamplePair(np.array(xs), np.array(ys), (f"load:{path}",))
+    return SamplePair(np.array(xs), np.array(ys))
 
 
 def check_column(col: np.ndarray, label: str) -> None:
@@ -208,20 +206,15 @@ def normalize(pairs: SamplePair) -> SamplePair:
     underflows to 0 or overflows raises DegenerateDataError.
     """
     check_pair(pairs)
-    return SamplePair(standardize(pairs.xs, "column x"), standardize(pairs.ys, "column y"),
-                      pairs.provenance + ("normalize",))
+    return SamplePair(standardize(pairs.xs, "column x"), standardize(pairs.ys, "column y"))
 
 
 def trim_outliers(pairs: SamplePair, k_std: float = 2.0) -> SamplePair:
     """Drop rows where either normalized coordinate lies beyond k_std."""
     keep = (np.abs(pairs.xs) <= k_std) & (np.abs(pairs.ys) <= k_std)
-    removed = int(pairs.n - keep.sum())
-    if pairs.n - removed < 2:
+    if np.count_nonzero(keep) < 2:
         raise InsufficientDataError("fewer than 2 rows survive outlier trimming")
-    return SamplePair(
-        pairs.xs[keep], pairs.ys[keep],
-        pairs.provenance + (f"trim:k={k_std:g}:removed={removed}",),
-    )
+    return SamplePair(pairs.xs[keep], pairs.ys[keep])
 
 
 def subsample(pairs: SamplePair, max_n: int, seed: int) -> SamplePair:
@@ -230,10 +223,7 @@ def subsample(pairs: SamplePair, max_n: int, seed: int) -> SamplePair:
         return pairs
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(pairs.n, size=max_n, replace=False))
-    return SamplePair(
-        pairs.xs[idx], pairs.ys[idx],
-        pairs.provenance + (f"subsample:{max_n}:seed={seed}",),
-    )
+    return SamplePair(pairs.xs[idx], pairs.ys[idx])
 
 
 def preprocess(pairs: SamplePair, max_n: int = 500, k_std: float = 2.0, seed: int = 0) -> SamplePair:
@@ -270,6 +260,14 @@ def default_batch_frac(n: int) -> float:
     if n <= 200:
         return 0.15
     return 0.05
+
+
+def rows_per_batch(n: int, batch_frac: float | None) -> int:
+    """The batch size k = ceil(f * n) of n rows, with f = batch_frac, or
+    `default_batch_frac(n)` when batch_frac is None. A batch_frac outside
+    (0, 1] raises ValueError (`check_batch_frac`)."""
+    check_batch_frac(batch_frac)
+    return math.ceil((default_batch_frac(n) if batch_frac is None else batch_frac) * n)
 
 
 def select_position_values(x: np.ndarray, max_positions: int = 50,
@@ -488,18 +486,20 @@ def _nearest_rows(x: np.ndarray, p: float, k: int) -> np.ndarray:
     return np.sort(np.argsort(np.abs(x - p), kind="stable")[:k])
 
 
-def make_batches(pairs: SamplePair, positions: np.ndarray, batch_frac: float) -> BatchSet:
-    """Gather the ceil(batch_frac * n) nearest rows around each position.
+def make_batches(pairs: SamplePair, positions: np.ndarray,
+                 batch_frac: float | None) -> BatchSet:
+    """Gather the k nearest rows around each position, k = `rows_per_batch`:
+    ceil(batch_frac * n), or by the sample-size schedule of
+    `default_batch_frac` when batch_frac is None.
 
     Every batch has min(k, n) rows, so either all positions are kept, as a
     (g, k) batch matrix, or the batches would have fewer than 2 members and
     the data cannot support the measure.
     """
-    check_batch_frac(batch_frac)
+    k = rows_per_batch(pairs.n, batch_frac)
     positions = np.asarray(positions, dtype=float)
     if not len(positions):
         raise InsufficientDataError("no positions to batch around")
-    k = math.ceil(batch_frac * pairs.n)
     if min(k, pairs.n) < 2:
         raise InsufficientDataError(
             f"all {len(positions)} batches dropped (batch size {k} < 2)"

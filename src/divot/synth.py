@@ -34,7 +34,6 @@ class GeneratorSpec:
     mechanism: str = "linear"
     weight: float = 1.0
     noise: str = "uniform"  # uniform | laplace
-    noise_shift: float = 0.0
     confounder: tuple[float, float, int] | None = None
     n: int = 500
     seed: int = 0
@@ -51,10 +50,8 @@ class GeneratorSpec:
 
 def _noise(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     if spec.noise == "uniform":
-        e = rng.random(n)
-    else:
-        e = rng.laplace(0.0, 1.0, n)
-    return e + spec.noise_shift
+        return rng.random(n)
+    return rng.laplace(0.0, 1.0, n)
 
 
 def generate(spec: GeneratorSpec) -> SamplePair:
@@ -65,8 +62,7 @@ def generate(spec: GeneratorSpec) -> SamplePair:
     if spec.confounder is None:
         x = rng.uniform(-1.0, 1.0, spec.n)
         y = spec.weight * g(x) + _noise(spec, rng, spec.n)
-        tag = f"synthetic:{spec.mechanism}:w={spec.weight:g}:n={spec.n}:seed={spec.seed}"
-        return SamplePair(x, y, (tag,))
+        return SamplePair(x, y)
 
     w_x, w_y, fcm_id = spec.confounder
     u = rng.random(spec.n)
@@ -79,8 +75,4 @@ def generate(spec: GeneratorSpec) -> SamplePair:
     else:
         x = _noise(spec, rng, spec.n) + w_x * u
         y = spec.weight * g(x) + _noise(spec, rng, spec.n) + w_y * u
-    tag = (
-        f"synthetic:fcm{fcm_id}:{spec.mechanism}:wx={w_x:g}:wy={w_y:g}"
-        f":n={spec.n}:seed={spec.seed}"
-    )
-    return SamplePair(x, y, (tag,))
+    return SamplePair(x, y)

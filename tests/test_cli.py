@@ -170,6 +170,25 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message
     assert not out.exists()
 
 
+# as flags, batch_frac, noise and reps keep their messages, with no file or
+# line (test_bad_input_gives_one_error_line); argparse itself rejects --mode foo
+@pytest.mark.parametrize("command, line, message", [
+    ("infer", "mode=foo", "mode: mode must be 'anm' or 'pnl', got 'foo'"),
+    ("infer", "batch_frac=2", "batch_frac: batch_frac must be in (0, 1], got 2.0"),
+    ("infer", "noise=cauchy", "noise: unknown noise source 'cauchy'"),
+    ("bench", "reps=0", "reps: reps must be >= 1, got 0"),
+])
+def test_a_bad_config_value_names_its_file_and_line(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# comment\nseed=1\n{line}\n")
+    out = tmp_path / "out"
+    args = [str(write_pair_file(tmp_path / "pair.txt", n=100))] if command == "infer" else []
+    assert main([command, *args, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:3: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- config
 
 

@@ -55,6 +55,12 @@ def test_alpha_outside_unit_interval_rejected(alpha):
         divot(make_linear(n=100), CFG, seed=0, bootstrap_b=4, alpha=alpha)
 
 
+@pytest.mark.parametrize("bootstrap_b", [None, 4])
+def test_negative_seed_is_named(bootstrap_b):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        divot(make_linear(n=100), CFG, seed=-1, bootstrap_b=bootstrap_b)
+
+
 @pytest.mark.parametrize("max_positions", [0, -3])
 def test_position_count_below_one_rejected(max_positions):
     with pytest.raises(ValueError, match="max_positions must be >= 1"):

@@ -282,6 +282,11 @@ def test_position_count_below_one_rejected(edges):
         orient_skeleton(chain_data(3, n=100), Skeleton(3, edges), max_positions=0)
 
 
+def test_negative_seed_is_named():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        orient_skeleton(chain_data(3, n=100), Skeleton(3, ((0, 1), (1, 2))), seed=-1)
+
+
 @pytest.mark.parametrize("m, edges", [(3, ((0, 1), (1, 2))), (5, ((0, 1), (1, 4)))])
 def test_skeleton_size_mismatch_rejected_before_scoring(m, edges):
     data = np.column_stack([chain_data(3, n=100), chain_data(4, n=100)[:, 0]])

@@ -29,6 +29,7 @@ from divot.pairdata import (
     _nearest_rows,
     k_nearest_rows,
     nearest_batches,
+    rows_per_batch,
     select_position_values,
 )
 
@@ -199,14 +200,6 @@ def test_preprocess_idempotent_on_clean_data():
     assert np.allclose(twice.ys, once.ys, atol=1e-9)
 
 
-def test_provenance_records_steps():
-    rng = np.random.default_rng(5)
-    pairs = SamplePair(rng.normal(size=800), rng.normal(size=800))
-    pre = preprocess(pairs, max_n=500, seed=1)
-    steps = " ".join(pre.provenance)
-    assert "normalize" in steps and "trim" in steps and "subsample" in steps
-
-
 # ----------------------------------------------------------------- positions
 
 
@@ -256,11 +249,20 @@ def test_batch_frac_schedule():
 
 
 def test_min_batchable_n_is_where_the_default_schedule_batches_two_rows():
-    def batch_rows(n):
-        return math.ceil(default_batch_frac(n) * n)
+    assert rows_per_batch(MIN_BATCHABLE_N - 1, None) < 2
+    assert all(rows_per_batch(n, None) >= 2 for n in range(MIN_BATCHABLE_N, 2001))
 
-    assert batch_rows(MIN_BATCHABLE_N - 1) < 2
-    assert all(batch_rows(n) >= 2 for n in range(MIN_BATCHABLE_N, 2001))
+
+@pytest.mark.parametrize("n", [3, 10, 11, 50, 51, 200, 201, 1000])
+def test_no_batch_frac_batches_by_the_sample_size_schedule(n):
+    rng = np.random.default_rng(n)
+    pairs = SamplePair(np.round(rng.normal(size=n), 1), np.zeros(n))  # rounded: ties
+    positions = select_positions(pairs)
+    got = make_batches(pairs, positions, None)
+    want = make_batches(pairs, positions, default_batch_frac(n))
+    assert rows_per_batch(n, None) == math.ceil(default_batch_frac(n) * n)
+    assert got.batches.tobytes() == want.batches.tobytes()
+    assert got.positions.tobytes() == want.positions.tobytes()
 
 
 def test_all_batches_dropped_raises():
@@ -569,7 +571,7 @@ def test_a_bootstrap_replicate_of_a_continuous_pair_takes_no_exact_selection(
     rng = np.random.default_rng(0)
     for _ in range(3):
         counts = np.bincount(rng.integers(0, pairs.n, pairs.n), minlength=pairs.n)
-        sample = pairs.resample(counts, "bootstrap")
+        sample = pairs.resample(counts)
         for direction in (sample, sample.swapped()):
             make_batches(direction, select_positions(direction),
                          default_batch_frac(direction.n))
@@ -638,7 +640,7 @@ def resamples(draw):
 def test_resample_orders_equal_the_stable_argsort(case):
     x, y, counts = case
     idx = np.repeat(np.arange(len(x)), counts)
-    sample = SamplePair(x, y).resample(counts, "bootstrap:0")
+    sample = SamplePair(x, y).resample(counts)
     assert sample.xs.tobytes() == x[idx].tobytes() and sample.ys.tobytes() == y[idx].tobytes()
     assert sample.by_x.tolist() == np.argsort(x[idx], kind="stable").tolist()
     assert sample.by_y.tolist() == np.argsort(y[idx], kind="stable").tolist()
@@ -646,11 +648,16 @@ def test_resample_orders_equal_the_stable_argsort(case):
     assert swapped.by_x is sample.by_y and swapped.by_y is sample.by_x
 
 
+def test_orders_are_keyword_only():
+    # a third positional argument would otherwise pass silently as x's order
+    with pytest.raises(TypeError):
+        SamplePair(np.arange(3.0), np.arange(3.0), np.arange(3))
+
+
 def test_resample_rows_are_the_sorted_draws():
     pairs = SamplePair(np.arange(5.0), 10.0 + np.arange(5.0))
     draws = np.array([3, 0, 3, 4, 1])
-    sample = pairs.resample(np.bincount(draws, minlength=5), "bootstrap:0")
+    sample = pairs.resample(np.bincount(draws, minlength=5))
     assert sample.xs.tolist() == np.sort(draws).astype(float).tolist()
-    assert sample.provenance[-1] == "bootstrap:0"
     with pytest.raises(ValueError, match="one count per row"):
-        pairs.resample(np.array([1, 1]), "bootstrap:0")
+        pairs.resample(np.array([1, 1]))
