@@ -1,6 +1,7 @@
 """Compare two checkouts of divot on one benchmark workload, in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-anm --pairs 10
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload sweep-anm --pairs 10 \
+                                   [--out BENCH_pipeline.json]
 
 Each pair runs `bench/run.py` once in each checkout, with the same seed and
 the run length that BENCHMARK.json sets; the order inside a pair alternates, so a slow drift of the host
@@ -8,8 +9,9 @@ falls on both sides alike. The end-to-end metrics and their "better"
 directions come from CHANGE_DIR's BENCHMARK.json. For every metric the
 script records the median and quartiles on each side, how many pairs the
 change won, whether a claimed gain holds (`claim_met`) and whether the change
-stays within the metric's bound (`within_bound`), then merges the workload's entry into BENCH_pipeline.json at the
-root of this repository, beside the entries of other workloads.
+stays within the metric's bound (`within_bound`), then merges the workload's
+entry into `--out` (BENCH_pipeline.json at the root of this repository by
+default), beside the entries of other workloads.
 """
 from __future__ import annotations
 
@@ -96,6 +98,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json",
+                        help="the JSON report the workload's entry is merged into")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -130,10 +134,9 @@ def main(argv=None) -> int:
         "digests": {side: sorted({r.get("digest") for r in runs[side]}) for side in runs},
         "metrics": compare(runs["parent"], runs["change"], spec["end_to_end"]),
     }
-    out = ROOT / "BENCH_pipeline.json"
-    report = json.loads(out.read_text()) if out.exists() else {}
+    report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report.setdefault("workloads", {})[args.workload] = entry
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps({name: {"parent": m["parent"]["median"], "change": m["change"]["median"],
                              "pairs_won": m["pairs_won"], "claim_met": m["claim_met"],
                              "within_bound": m["within_bound"]}

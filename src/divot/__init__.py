@@ -45,7 +45,6 @@ from .multivar import (
 )
 from .noise import (
     NoiseModel,
-    SOURCES,
     draw_source_batches,
     model_variance,
     register_source,

@@ -82,6 +82,16 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if any(s < 0 for s in self.seeds):
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
+        # checked here too, not only where they are used, so that a bad
+        # config-file value names its file and line
+        if self.positions < 1:
+            raise ValueError(f"max_positions must be >= 1, got {self.positions}")
+        if self.bootstrap and self.bootstrap < 2:  # 0 disables the bootstrap
+            raise ValueError(f"need at least 2 bootstrap replicates, got {self.bootstrap}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.suite not in _SUITES:
+            raise ValueError(f"unknown suite {self.suite!r}")
         if not self.k_std > 0:  # nan fails too; inf keeps every row
             raise ValueError(f"k_std must be > 0, got {self.k_std}")
         if self.max_n < 2:  # the measure needs at least 2 rows
@@ -441,8 +451,6 @@ def _map_tasks(fn, items, workers: int):
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    if config.suite not in _SUITES:
-        raise DivotError(f"unknown suite {config.suite!r}")
     if not config.out:
         raise DivotError("bench requires --out for the CSV report")
     t0 = time.perf_counter()

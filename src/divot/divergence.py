@@ -6,15 +6,17 @@ noise draws, centered by the mean difference, and the residual energy is
 divided by (batch size - 1). The measure averages those terms over batches.
 
 Every batch has the same size k, so a workspace holds its g batches as (g, k)
-matrices and each kernel is one vectorized pass over them. A workspace sorts
-its draws and its effect values once. `measure_value`, `measure_with_grad` and
+matrices and each kernel is one vectorized pass over them. A workspace keeps
+only sorted data: its draws and its effect values, each sorted once, and the
+cause values in the effects' order. `measure_value`, `measure_with_grad` and
 `sorted_effects` all read the effects through one sorted view
-(`_sorted_view`), which sorts again only for a debias or when the transform
-breaks a batch's order; the workspace keeps the last view, so readers that
-pass the same debias and transform objects share it. The value and gradients
-share one residual computation (`_residuals`), and `measure_with_grad` sums
-r^2 and every gradient term in one stacked reduction (`_row_sums`), each row
-bit-equal to the sum of its own (g, k) matrix.
+(`_sorted_view`), which transforms and debiases the sorted effects once and
+sorts again only where that broke a batch's order; the workspace keeps the
+last view, so readers that pass the same debias and transform objects share
+it. The value and gradients share one residual computation (`_residuals`),
+and `measure_with_grad` sums r^2 and every gradient term in one stacked
+reduction (`_row_sums`), each row bit-equal to the sum of its own (g, k)
+matrix.
 
 A workspace may stack several problems of one shape as equal row blocks
 (`blocks`): `measure_value` then takes one scale per block and sums each
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,19 +78,17 @@ class MeasureValue:
 class MeasureWorkspace:
     """Everything fixed during optimization: the batches and their source draws.
 
-    Row b of each (g, k) matrix belongs to batch b: `ys` its effect values,
-    `xs` its cause values (None when not given), and `e_sorted` and
-    `y_sorted` its unscaled source draws and its effect values, sorted.
-    `anchors` (g,) holds each batch's position. The g rows form
-    `blocks` equal blocks of `batches_per_block` rows, each scored on its own.
+    Row b of each (g, k) matrix belongs to batch b: `e_sorted` its unscaled
+    source draws, sorted, `y_sorted` its effect values, sorted, and `xs` its
+    cause values in the order of `y_sorted` (None when not given). The g rows
+    form `blocks` equal blocks of `batches_per_block` rows, each scored on
+    its own.
     """
 
     source: str
-    anchors: np.ndarray
-    ys: np.ndarray
-    xs: np.ndarray | None
     e_sorted: np.ndarray
     y_sorted: np.ndarray
+    xs: np.ndarray | None
     blocks: int = 1
 
     # (debias, pnl, view) of the last sorted view built (see `_sorted_view`)
@@ -97,35 +96,38 @@ class MeasureWorkspace:
 
     @property
     def n_batches(self) -> int:
-        return len(self.anchors)
+        return len(self.y_sorted)
 
     @property
     def batches_per_block(self) -> int:
-        return len(self.anchors) // self.blocks
+        return len(self.y_sorted) // self.blocks
 
     @property
     def k(self) -> int:
-        return self.ys.shape[1]
+        return self.y_sorted.shape[1]
 
-    @cached_property
-    def y_tied(self) -> np.ndarray:
-        """(g, k - 1): True where a sorted effect has the same bits as the one before it."""
-        bits = self.y_sorted.view(np.int64)
-        return bits[:, 1:] == bits[:, :-1]
+
+def _row_gather(flat: np.ndarray, *arrays):
+    """Each (g, k) array taken at a row-wise argsort `flat`, which is turned
+    in place into one flat index; None stays None."""
+    flat += np.arange(0, flat.size, flat.shape[1])[:, None]
+    return tuple(None if a is None else a.take(flat) for a in arrays)
 
 
 def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
                     seed: int = 0, source_draws=None, blocks: int = 1) -> MeasureWorkspace:
     """The (g, k) matrices of g batches and one fixed source sample per member.
 
-    `ys_per_batch`, `xs_per_batch` and `source_draws` each give one vector
-    per batch: a (g, k) matrix, which the workspace keeps without a copy
-    (`source_draws` excepted), or a sequence of g vectors of one length k.
-    Vectors of mixed lengths raise ShapeError. Without `source_draws` the
-    draws come from a single stream seeded once, so repeated evaluations
-    during optimization see the same sample. The draws and the effect values
-    are sorted once, here: the workspace keeps only the sorted draws, sorting
-    a sample it drew in place and a caller's `source_draws` into a copy.
+    `anchors` gives each batch's position, one per batch; the measure does
+    not read them. `ys_per_batch`, `xs_per_batch` and `source_draws` each
+    give one vector per batch: a (g, k) matrix or a sequence of g vectors of
+    one length k. Vectors of mixed lengths raise ShapeError. Without
+    `source_draws` the draws come from a single stream seeded once, so
+    repeated evaluations during optimization see the same sample. The draws
+    and the effect values are sorted once, here, and the workspace keeps
+    only sorted data: it sorts a sample it drew in place and a caller's
+    `source_draws` into a copy, and with `xs_per_batch` it orders each
+    batch's effect and cause values by one stable argsort of its effects.
     `blocks` splits the g batches into that many equal blocks (see
     `MeasureWorkspace`); a g it does not divide raises ValueError.
     """
@@ -134,16 +136,17 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
     g, k = ys.shape
     if k < 2:
         raise InsufficientDataError("every batch needs at least 2 members")
-    anchors = np.asarray(anchors, dtype=float)
     if len(anchors) != g:
         raise InsufficientDataError("one anchor position per batch required")
     if blocks < 1 or g % blocks:
         raise ValueError(f"{g} batches do not split into {blocks} equal blocks")
-    xs = None
-    if xs_per_batch is not None:
+    if xs_per_batch is None:
+        y_sorted, xs = np.sort(ys, axis=1), None
+    else:
         xs = batch_matrix(xs_per_batch, float)
         if xs.shape != ys.shape:
             raise InsufficientDataError("xs_per_batch must match ys_per_batch lengths")
+        y_sorted, xs = _row_gather(np.argsort(ys, kind="stable", axis=1), ys, xs)
     if source_draws is None:  # drawn here, so sorted in place
         e_sorted = draw_source_batches(src, np.full(g, k), seed)
         e_sorted.sort(axis=1)
@@ -152,7 +155,7 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
         if draws.shape != ys.shape:
             raise InsufficientDataError("one source draw per batch member required")
         e_sorted = np.sort(draws, axis=1)
-    return MeasureWorkspace(src, anchors, ys, xs, e_sorted, np.sort(ys, axis=1), blocks)
+    return MeasureWorkspace(src, e_sorted, y_sorted, xs, blocks)
 
 
 def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
@@ -193,12 +196,11 @@ def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransfor
 
     Beside each value of d are its effect value y and tanh term t (both None
     without a transform) and, with a debias, its cause value x (else None).
-    Without a debias, while the transformed effects rise strictly wherever the
-    workspace's sorted effects change, they come from those sorted effects
-    with no sort: equal values give bit-equal d, t and y, so a stable sort
-    would return the same values in the same pairing. A debias shifts each
-    member by its own x, so it always sorts, as does a transform that reorders
-    or ties distinct effects: one stable argsort, gathered with one flat index.
+    d is computed once, from the workspace's sorted effects and the cause
+    values in their order, and stably sorted: where every row of d is
+    non-decreasing that sort is the identity and none runs; otherwise one
+    stable argsort of d is gathered with one flat index. Equal values of d
+    therefore come in the order of the sorted effects.
 
     The workspace keeps the last view it built, keyed on the identity of the
     debias and transform objects, so readers that share those objects (the
@@ -210,24 +212,12 @@ def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransfor
     last = ws._last_view
     if last is not None and last[0] is debias and last[1] is pnl:
         return last[2]
-    view = _build_view(ws, debias, pnl)
+    t, d = _transformed(ws, ws.y_sorted, debias, pnl)
+    view = (d, None if pnl is None else ws.y_sorted, t, None if debias is None else ws.xs)
+    if not np.greater_equal(d[:, 1:], d[:, :-1]).all():
+        view = _row_gather(np.argsort(d, kind="stable", axis=1), *view)
     object.__setattr__(ws, "_last_view", (debias, pnl, view))
     return view
-
-
-def _build_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None):
-    """The view `_sorted_view` describes, built afresh."""
-    if debias is None:  # so a transform is given
-        t, d = _transformed(ws, ws.y_sorted, None, pnl)
-        kept = np.greater(d[:, 1:], d[:, :-1])
-        kept |= ws.y_tied
-        if kept.all():
-            return d, ws.y_sorted, t, None
-    t, d = _transformed(ws, ws.ys, debias, pnl)
-    flat = np.argsort(d, kind="stable", axis=1)
-    flat += np.arange(0, d.size, ws.k)[:, None]
-    y, x = None if pnl is None else ws.ys, None if debias is None else ws.xs
-    return tuple(None if a is None else a.take(flat) for a in (d, y, t, x))
 
 
 def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
@@ -235,8 +225,9 @@ def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
     """The effect values, transformed and debiased, sorted per batch, in a new array.
 
     With neither a debias nor a transform these are the effects the
-    workspace sorted once. A transform alone that keeps each batch's order is
-    applied to them without a sort; a debias always sorts.
+    workspace sorted once. Otherwise they are computed from those sorted
+    effects and sorted only when that broke a batch's order; equal values
+    keep the order of the sorted effects.
     """
     return _sorted_view(ws, debias, pnl)[0].copy()
 

@@ -36,9 +36,6 @@ _ALIASES = {
     "laplace(0,1)": "laplace",
 }
 
-SOURCES = tuple(_BASE_VARIANCE)
-
-
 def register_source(name: str, sampler, base_variance: float):
     """Extension point: add a custom source distribution.
 

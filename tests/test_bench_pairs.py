@@ -1,5 +1,6 @@
 """The acceptance rules `scripts/bench_pairs.py` computes, on hand-made runs."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,36 @@ def test_a_gain_inside_the_parent_spread_does_not_meet_the_claim():
 def test_within_bound_is_relative_to_the_parent_median(spec, change, within):
     got = compare(spec, [100.0] * 4, [change] * 4)
     assert got["within_bound"] is within
+
+
+def fake_main(monkeypatch, tmp_path, *flags):
+    """`main` on two empty checkouts, with `run_bench` stubbed, and the
+    repository root moved to tmp_path/root; returns that root."""
+    root = tmp_path / "root"
+    root.mkdir(exist_ok=True)
+    change = tmp_path / "change"
+    change.mkdir(exist_ok=True)
+    (change / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [RATE]}))
+
+    def run_bench(checkout, workload, seed, seconds):
+        rate = 20.0 if checkout == change else 10.0
+        return {"metrics": {"verdicts_per_s": {"value": rate}}, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    assert bench_pairs.main([str(tmp_path), str(change), "--workload", "w", "--pairs", "2",
+                             *flags]) == 0
+    return root
+
+
+def test_a_run_merges_into_out_and_leaves_the_default_report_alone(monkeypatch, tmp_path):
+    out = tmp_path / "scratch.json"
+    out.write_text(json.dumps({"workloads": {"other": {"kept": True}}}))
+    root = fake_main(monkeypatch, tmp_path, "--out", str(out))
+    report = json.loads(out.read_text())
+    assert report["workloads"]["other"] == {"kept": True}
+    assert report["workloads"]["w"]["metrics"]["verdicts_per_s"]["pairs_won"] == 2
+    assert not (root / "BENCH_pipeline.json").exists()
+    # without --out the entry goes to BENCH_pipeline.json at the root
+    fake_main(monkeypatch, tmp_path)
+    assert list(json.loads((root / "BENCH_pipeline.json").read_text())["workloads"]) == ["w"]

@@ -170,13 +170,18 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message
     assert not out.exists()
 
 
-# as flags, batch_frac, noise and reps keep their messages, with no file or
-# line (test_bad_input_gives_one_error_line); argparse itself rejects --mode foo
+# as flags, batch_frac, noise, reps, positions, alpha and bootstrap keep their
+# messages, with no file or line (test_bad_input_gives_one_error_line);
+# argparse itself rejects --mode foo and --suite foo
 @pytest.mark.parametrize("command, line, message", [
     ("infer", "mode=foo", "mode: mode must be 'anm' or 'pnl', got 'foo'"),
     ("infer", "batch_frac=2", "batch_frac: batch_frac must be in (0, 1], got 2.0"),
     ("infer", "noise=cauchy", "noise: unknown noise source 'cauchy'"),
     ("bench", "reps=0", "reps: reps must be >= 1, got 0"),
+    ("infer", "positions=0", "positions: max_positions must be >= 1, got 0"),
+    ("infer", "alpha=2", "alpha: alpha must be in (0, 1), got 2.0"),
+    ("infer", "bootstrap=1", "bootstrap: need at least 2 bootstrap replicates, got 1"),
+    ("bench", "suite=foo", "suite: unknown suite 'foo'"),
 ])
 def test_a_bad_config_value_names_its_file_and_line(tmp_path, capsys, command, line, message):
     cfg = tmp_path / "run.cfg"

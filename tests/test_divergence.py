@@ -144,25 +144,24 @@ def test_batch_below_min_size_rejected():
 # --------------------------------------------------------------- workspaces
 
 
-def workspace_oracle(anchors, ys, xs, draws):
-    """The per-batch copies and sorts that build_workspace does as matrix operations."""
+def workspace_oracle(ys, xs, draws):
+    """The per-batch sorts that build_workspace does as matrix operations:
+    each batch's effects and cause values in the stable order of its
+    effects, and its draws sorted."""
+    orders = [np.argsort(y, kind="stable") for y in ys]
     return (
-        anchors,
-        np.vstack(ys),
-        np.vstack(xs) if xs is not None else None,
+        np.vstack([y[order] for y, order in zip(ys, orders)]),
+        np.vstack([x[order] for x, order in zip(xs, orders)]) if xs is not None else None,
         np.vstack([np.sort(e) for e in draws]),
-        np.vstack([np.sort(y) for y in ys]),
     )
 
 
 def assert_workspace_equal(ws, want):
-    anchors, ys, xs, e_sorted, y_sorted = want
-    assert np.array_equal(ws.anchors, anchors)
-    assert np.array_equal(ws.ys, ys)
+    y_sorted, xs, e_sorted = want
+    assert np.array_equal(ws.y_sorted, y_sorted)
     assert (ws.xs is None and xs is None) or np.array_equal(ws.xs, xs)
     assert np.array_equal(ws.e_sorted, e_sorted)
-    assert np.array_equal(ws.y_sorted, y_sorted)
-    assert ws.n_batches == len(anchors) and ws.k == ys.shape[1]
+    assert ws.n_batches == len(y_sorted) and ws.k == y_sorted.shape[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -173,29 +172,29 @@ def assert_workspace_equal(ws, want):
     st.integers(0, 2**32 - 1),
     st.booleans(),
     st.booleans(),
+    st.booleans(),
 )
-def test_workspace_stacks_match_per_batch_oracle(k, g, source, seed, with_xs, explicit_draws):
+def test_workspace_stacks_match_per_batch_oracle(k, g, source, seed, with_xs, explicit_draws,
+                                                 tied):
     sizes = [k] * g
     rng = np.random.default_rng(seed)
     anchors = rng.normal(size=g)
-    ys = [rng.normal(size=k) for _ in sizes]
+    # integer effects tie within a batch, so the cause values' stable order shows
+    ys = [rng.integers(-2, 3, k).astype(float) if tied else rng.normal(size=k) for _ in sizes]
     xs = [rng.normal(size=k) for _ in sizes] if with_xs else None
     drawn = draw_source_batches(source, sizes, seed)
     draws = [rng.normal(size=k) for _ in sizes] if explicit_draws else list(drawn)
     ws = build_workspace(source, anchors, ys, xs, seed,
                          source_draws=draws if explicit_draws else None)
-    assert_workspace_equal(ws, workspace_oracle(anchors, ys, xs, draws))
-    assert [y.tolist() for y in ws.ys] == [y.tolist() for y in ys]
-    assert ws.xs is None if xs is None else [x.tolist() for x in ws.xs] == [x.tolist() for x in xs]
-    # the (g, k) matrix form gives the same workspace, and a caller's draws
-    # are sorted into a copy, not in place
-    given_draws = np.array(draws) if explicit_draws else None
-    ws_matrix = build_workspace(source, anchors, np.array(ys),
-                                None if xs is None else np.array(xs), seed,
-                                source_draws=given_draws)
-    assert_workspace_equal(ws_matrix, workspace_oracle(anchors, ys, xs, draws))
-    if explicit_draws:
-        assert given_draws.tolist() == [e.tolist() for e in draws]
+    assert_workspace_equal(ws, workspace_oracle(ys, xs, draws))
+    # the (g, k) matrix form gives the same workspace, and a caller's
+    # matrices are sorted into copies, not in place
+    given = [None if a is None else np.array(a) for a in (ys, xs, draws)]
+    ws_matrix = build_workspace(source, anchors, given[0], given[1], seed,
+                                source_draws=given[2] if explicit_draws else None)
+    assert_workspace_equal(ws_matrix, workspace_oracle(ys, xs, draws))
+    for matrix, vectors in zip(given, (ys, xs, draws)):
+        assert matrix is None or matrix.tolist() == [v.tolist() for v in vectors]
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,7 +240,7 @@ def test_workspace_from_batches_gathers_each_batch(sizes):
     ys = [pairs.ys[b] for b in batches.batches]
     draws = draw_source_batches("uniform", sizes, 4)
     assert ws.xs is None
-    assert_workspace_equal(ws, workspace_oracle(batches.positions, ys, None, draws))
+    assert_workspace_equal(ws, workspace_oracle(ys, None, draws))
 
 
 def _mixed_batch_set():
@@ -276,22 +275,25 @@ def test_mixed_batch_sizes_raise_shape_error(build):
 # ------------------------------------------------------------------- debias
 
 
-def _ws(seed=7, per_row_xs=True):
+def _inputs(seed=7, per_row_xs=True):
+    """The anchors, effect values and cause values (or None) of three batches of 6."""
     rng = np.random.default_rng(seed)
-    sizes = [6, 6, 6]
-    ys = [rng.normal(size=6) + i for i, _ in enumerate(sizes)]
-    xs = [rng.normal(size=6) + i for i, _ in enumerate(sizes)] if per_row_xs else None
-    return build_workspace("uniform", [0.0, 1.0, 2.0], ys, xs, seed=seed)
+    ys = np.array([rng.normal(size=6) + i for i in range(3)])
+    xs = np.array([rng.normal(size=6) + i for i in range(3)]) if per_row_xs else None
+    return np.arange(3.0), ys, xs
+
+
+def _ws(seed=7, per_row_xs=True):
+    return build_workspace("uniform", *_inputs(seed, per_row_xs), seed=seed)
 
 
 def test_anchor_debias_is_absorbed_by_centering():
     # a shift a whole batch shares, w times its anchor, drops out with the
     # centring: why DebiasFn has no per-batch mode
-    ws = _ws()
-    base = measure_value(ws, 1.3)
+    anchors, ys, xs = _inputs()
+    base = measure_value(_ws(), 1.3)
     for w in (-2.0, 0.5, 10.0):
-        shifted = build_workspace("uniform", ws.anchors, ws.ys - w * ws.anchors[:, None],
-                                  ws.xs, source_draws=ws.e_sorted)
+        shifted = build_workspace("uniform", anchors, ys - w * anchors[:, None], xs, seed=7)
         assert measure_value(shifted, 1.3) == pytest.approx(base, abs=1e-12)
 
 
@@ -315,10 +317,9 @@ def test_per_row_debias_without_xs_raises():
 
 def test_debias_form():
     # per-row debiasing subtracts g(x) = w * x from each effect value
-    ws = _ws()
-    shifted = build_workspace("uniform", ws.anchors, ws.ys - 2.5 * ws.xs, ws.xs,
-                              source_draws=ws.e_sorted)
-    assert measure_value(ws, 1.3, DebiasFn(2.5, per_row=True)) == measure_value(shifted, 1.3)
+    anchors, ys, xs = _inputs()
+    shifted = build_workspace("uniform", anchors, ys - 2.5 * xs, xs, seed=7)
+    assert measure_value(_ws(), 1.3, DebiasFn(2.5, per_row=True)) == measure_value(shifted, 1.3)
 
 
 # ------------------------------------------------------------------ gradients
@@ -364,51 +365,44 @@ def test_gradients_match_finite_differences():
 # ---------------------------------------------- sort-free vs argsort kernel
 
 
-def argsort_measure_with_grad(ws, theta, debias=None, pnl=None):
-    """The measure and its gradients with a stable argsort on every call."""
-    g = {"theta": 0.0, "w": 0.0, "omega_a": 0.0, "omega_b": 0.0, "omega_c": 0.0}
+def two_step_view(ys, xs, debias=None, pnl=None):
+    """(d, y, t, x) by the sorted view's definition, from the unsorted
+    inputs: each batch stably sorted by its effect values, transformed and
+    debiased, then stably sorted by d. y and t are None without a transform,
+    x without a debias."""
+    order = np.argsort(ys, kind="stable", axis=1)
+    y = np.take_along_axis(ys, order, axis=1)
+    x = None if debias is None else np.take_along_axis(xs, order, axis=1)
+    t, d = None, y
     if pnl is not None:
-        t = np.tanh(pnl.omega_b * ws.ys + pnl.omega_c)
-        d = ws.ys + pnl.omega_a * t
-    else:
-        t = None
-        d = ws.ys
+        t = np.tanh(pnl.omega_b * y + pnl.omega_c)
+        d = y + pnl.omega_a * t
     if debias is not None:
-        d = d - debias.w * ws.xs
+        d = d - debias.w * x
     order = np.argsort(d, kind="stable", axis=1)
-    s = np.take_along_axis(d, order, axis=1) - theta * ws.e_sorted
+    return tuple(None if a is None else np.take_along_axis(a, order, axis=1)
+                 for a in (d, None if pnl is None else y, t, x))
+
+
+def argsort_measure_with_grad(ys, xs, e_sorted, theta, debias=None, pnl=None):
+    """The measure and its gradients from the unsorted inputs, with two
+    stable argsorts on every call."""
+    d, y, t, x = two_step_view(ys, xs, debias, pnl)
+    k, nb = ys.shape[1], len(ys)
+    g = {"theta": 0.0, "w": 0.0, "omega_a": 0.0, "omega_b": 0.0, "omega_c": 0.0}
+    s = d - theta * e_sorted
     r = s - s.mean(axis=1, keepdims=True)
-    scale = 2.0 / (ws.k - 1)
-    total = 0.0 + float((r * r).sum()) / (ws.k - 1)
-    g["theta"] += scale * float((r * (-ws.e_sorted)).sum())
+    scale = 2.0 / (k - 1)
+    total = 0.0 + float((r * r).sum()) / (k - 1)
+    g["theta"] += scale * float((r * (-e_sorted)).sum())
     if debias is not None:
-        xi = np.take_along_axis(ws.xs, order, axis=1)
-        g["w"] += scale * float((r * (-xi)).sum())
+        g["w"] += scale * float((r * (-x)).sum())
     if pnl is not None:
-        t_s = np.take_along_axis(t, order, axis=1)
-        y_s = np.take_along_axis(ws.ys, order, axis=1)
-        sech2 = 1.0 - t_s**2
-        g["omega_a"] += scale * float((r * t_s).sum())
-        g["omega_b"] += scale * float((r * (pnl.omega_a * y_s * sech2)).sum())
+        sech2 = 1.0 - t**2
+        g["omega_a"] += scale * float((r * t).sum())
+        g["omega_b"] += scale * float((r * (pnl.omega_a * y * sech2)).sum())
         g["omega_c"] += scale * float((r * (pnl.omega_a * sech2)).sum())
-    nb = ws.n_batches
     return total / nb, {key: val / nb for key, val in g.items()}
-
-
-def argsort_sorted_effects(ws, debias=None, pnl=None):
-    """The transformed, debiased effects in the order of a stable argsort.
-
-    np.sort may put -0.0 and 0.0 in either order; the stable order is the
-    one the measure's gradients are taken under.
-    """
-    if debias is None and pnl is None:
-        return ws.y_sorted
-    d = ws.ys
-    if pnl is not None:
-        d = d + pnl.omega_a * np.tanh(pnl.omega_b * d + pnl.omega_c)
-    if debias is not None:
-        d = d - debias.w * ws.xs
-    return np.take_along_axis(d, np.argsort(d, kind="stable", axis=1), axis=1)
 
 
 def bits(v):
@@ -444,21 +438,69 @@ def measure_cases(draw):
         if shape == "non-invertible":
             a, b = -max(a, 1.5), max(b, 1.5)  # a * b < -1
         pnl = PnlTransform(a, b, draw(st.floats(-2, 2)))
-    return ws, draw(st.floats(0.01, 3)), debias, pnl
+    return ws, ys, xs, draw(st.floats(0.01, 3)), debias, pnl
 
 
-@settings(max_examples=400, deadline=None)
-@given(measure_cases())
-def test_measure_matches_argsort_kernel_bit_for_bit(case):
-    ws, theta, debias, pnl = case
+def assert_kernel_matches_oracle(ws, ys, xs, theta, debias, pnl):
+    """The kernel's value, gradients and sorted effects on ws, built from
+    ys and xs, bit-equal to the two-step oracle's."""
     value, grads = measure_with_grad(ws, theta, debias, pnl)
-    want_value, want_grads = argsort_measure_with_grad(ws, theta, debias, pnl)
+    want_value, want_grads = argsort_measure_with_grad(ys, xs, ws.e_sorted, theta, debias, pnl)
     assert bits(value) == bits(want_value)
     assert bits(measure_value(ws, theta, debias, pnl)) == bits(want_value)
     assert grads.keys() == want_grads.keys()
     for name, want in want_grads.items():
         assert bits(grads[name]) == bits(want), name
-    assert bits(sorted_effects(ws, debias, pnl)) == bits(argsort_sorted_effects(ws, debias, pnl))
+    got, want = sorted_effects(ws, debias, pnl), two_step_view(ys, xs, debias, pnl)[0]
+    if xs is None:  # np.sort, which sorts such a workspace's effects, may
+        got, want = got + 0.0, want + 0.0  # put -0.0 and 0.0 in either order
+    assert bits(got) == bits(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(measure_cases())
+def test_measure_matches_argsort_kernel_bit_for_bit(case):
+    assert_kernel_matches_oracle(*case)
+
+
+@st.composite
+def tied_cases(draw):
+    """Workspaces of integer effect and cause values, so that effects tie
+    within a batch, and a debias w of 1 or 0.5 ties the d of distinct members."""
+    g, k = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    values = st.lists(st.integers(-3, 3).map(float), min_size=g * k, max_size=g * k)
+    ys = np.array(draw(values)).reshape(g, k)
+    xs = np.array(draw(values)).reshape(g, k)
+    ws = build_workspace("uniform", np.zeros(g), ys, xs, seed=draw(st.integers(0, 99)))
+    debias = draw(st.sampled_from([None, -1.0, 0.5, 1.0, 2.0]))
+    pnl = draw(st.sampled_from([None, (0.5, 1.0, 0.25), (-2.0, 1.5, 0.0)]))  # a * b < -1
+    return (ws, ys, xs, draw(st.floats(0.01, 3)), None if debias is None else DebiasFn(debias),
+            None if pnl is None else PnlTransform(*pnl))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_cases())
+def test_a_tied_view_is_the_stable_sort_of_the_y_sorted_effects(case):
+    assert_kernel_matches_oracle(*case)
+
+
+def test_a_debias_that_keeps_every_row_in_order_takes_no_argsort(monkeypatch):
+    # with w = 1, row 0's d is 0 throughout and row 1's d = y / 2 rises, so
+    # the view keeps the y-sorted order, in which x comes as the effects do
+    ys = np.array([[3.0, 1.0, 2.0, 0.0], [2.0, 0.0, 3.0, 1.0]])
+    xs = np.array([[3.0, 1.0, 2.0, 0.0], [1.0, 0.0, 1.5, 0.5]])
+    debias = DebiasFn(1.0)
+    ws = build_workspace("uniform", [0.0, 1.0], ys, xs, seed=5)
+    want = argsort_measure_with_grad(ys, xs, ws.e_sorted, 0.7, debias)
+    calls = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    value, grads = measure_with_grad(ws, 0.7, debias)
+    assert sorted_effects(ws, debias).tolist() == [[0.0] * 4, [0.0, 0.5, 1.0, 1.5]]
+    assert divergence._sorted_view(ws, debias, None)[3].tolist() == [[0.0, 1.0, 2.0, 3.0],
+                                                                      [0.0, 0.5, 1.0, 1.5]]
+    assert calls == []
+    assert bits(value) == bits(want[0]) and grads == want[1]
 
 
 def test_sort_is_skipped_only_while_the_order_is_kept(monkeypatch):
@@ -492,9 +534,9 @@ def test_sort_is_skipped_only_while_the_order_is_kept(monkeypatch):
 def test_readers_of_the_same_parameter_objects_share_one_view(monkeypatch):
     ws = _ws()
     debias, pnl = DebiasFn(0.3, per_row=True), PnlTransform(-3.0, 2.0, 0.0)
-    built = []
-    real = divergence._build_view
-    monkeypatch.setattr(divergence, "_build_view", lambda *a: built.append(1) or real(*a))
+    built = []  # `_transformed` runs once for each view built
+    real = divergence._transformed
+    monkeypatch.setattr(divergence, "_transformed", lambda *a: built.append(1) or real(*a))
     value, grads = measure_with_grad(ws, 1.0, debias, pnl)
     assert bits(measure_value(ws, 1.0, debias, pnl)) == bits(value)
     d = sorted_effects(ws, debias, pnl)
@@ -503,7 +545,9 @@ def test_readers_of_the_same_parameter_objects_share_one_view(monkeypatch):
     d[:] = 0.0
     assert bits(measure_with_grad(ws, 1.0, debias, pnl)[0]) == bits(value)
     sorted_effects(ws)[:] = 0.0
-    assert bits(measure_value(ws, 1.0)) == bits(argsort_measure_with_grad(ws, 1.0)[0])
+    _, ys, xs = _inputs()
+    assert bits(measure_value(ws, 1.0)) == bits(argsort_measure_with_grad(ys, xs, ws.e_sorted,
+                                                                          1.0)[0])
     # equal but distinct objects build a fresh view with the same bits
     again = measure_with_grad(ws, 1.0, dataclasses.replace(debias), pnl)
     assert len(built) == 2 and bits(again[0]) == bits(value) and again[1] == grads

@@ -28,15 +28,20 @@ from divot.divergence import sorted_effects
 from divot.pairdata import make_batches, select_positions
 
 
-def random_workspace(seed, n_batches=5, k=8, source="uniform"):
+def random_inputs(seed, n_batches=5, k=8, source="uniform"):
+    """The anchors, effect values, cause values and source draws of a random workspace."""
     rng = np.random.default_rng(seed)
     sizes = [k] * n_batches
     draws = draw_source_batches(source, sizes, seed)
     ys = [rng.normal(loc=rng.uniform(-1, 1), scale=rng.uniform(0.5, 2), size=k)
           for _ in range(n_batches)]
     xs = [rng.normal(size=k) for _ in range(n_batches)]
-    return build_workspace(source, np.arange(float(n_batches)), ys, xs,
-                           source_draws=draws)
+    return np.arange(float(n_batches)), ys, xs, draws
+
+
+def random_workspace(seed, n_batches=5, k=8, source="uniform"):
+    anchors, ys, xs, draws = random_inputs(seed, n_batches, k, source)
+    return build_workspace(source, anchors, ys, xs, source_draws=draws)
 
 
 def test_closed_form_recovers_scale_exactly():
@@ -101,16 +106,11 @@ def test_objective_is_unimodal_in_theta():
 
 
 def test_fit_invariant_to_batch_order():
-    ws = random_workspace(5)
+    anchors, ys, xs, draws = random_inputs(5)
     perm = [3, 1, 4, 0, 2]
-    ws_perm = build_workspace(
-        ws.source,
-        ws.anchors[perm],
-        [ws.ys[i] for i in perm],
-        [ws.xs[i] for i in perm],
-        source_draws=[ws.e_sorted[i] for i in perm],
-    )
-    assert fit_theta(ws) == pytest.approx(fit_theta(ws_perm), abs=1e-14)
+    ws_perm = build_workspace("uniform", anchors[perm], [ys[i] for i in perm],
+                              [xs[i] for i in perm], source_draws=draws[perm])
+    assert fit_theta(random_workspace(5)) == pytest.approx(fit_theta(ws_perm), abs=1e-14)
 
 
 def test_fit_is_deterministic():
@@ -177,9 +177,9 @@ def test_joint_determinism():
 def test_joint_fit_builds_one_sorted_view_per_step(monkeypatch):
     # the scale refit every 10 steps reads the view its step's gradient reads
     ws = random_workspace(4, 6, 10)
-    built, evals = [], []
-    build, evaluate = divergence._build_view, optimize.measure_with_grad
-    monkeypatch.setattr(divergence, "_build_view", lambda *a: built.append(1) or build(*a))
+    built, evals = [], []  # `_transformed` runs once for each view built
+    build, evaluate = divergence._transformed, optimize.measure_with_grad
+    monkeypatch.setattr(divergence, "_transformed", lambda *a: built.append(1) or build(*a))
     monkeypatch.setattr(optimize, "measure_with_grad",
                         lambda *a: evals.append(1) or evaluate(*a))
     res = fit_joint(ws, (0.1, 0.1, 0.0), FitConfig(max_iters=35, tolerance=0.0))
