@@ -133,9 +133,11 @@ def bench_digests(divot):
 
 
 def verdict_digests(divot):
+    from divot import cli
+
     configs = {
         "anm": divot.ScoreConfig(),
-        "pnl": divot.ScoreConfig(mode="pnl", fit=divot.FitConfig(max_iters=60)),
+        "pnl": cli.RunConfig(mode="pnl", max_iters=60).score_config(),
         "laplace": divot.ScoreConfig(source="laplace", batch_frac=0.2),
     }
     for mech in divot.MECHANISMS:

@@ -43,13 +43,8 @@ from .multivar import (
     orient_skeleton,
     variable_term,
 )
-from .noise import (
-    NoiseModel,
-    draw_source_batches,
-    model_variance,
-    register_source,
-)
-from .optimize import FitConfig, FitResult, bisect_theta, closed_form_theta, fit_joint, fit_theta
+from .noise import NoiseModel, draw_source_batches, model_variance
+from .optimize import FitResult, bisect_theta, closed_form_theta, fit_joint, fit_theta
 from .ot1d import w2_squared_1d
 from .pairdata import (
     BatchSet,

@@ -15,8 +15,9 @@ All randomness flows from --seed/--seeds. synthetic scores reps 0..reps-1,
 tuebingen scores every pair once per seed, and confounder and significance
 use each seed as a trial index that also seeds the trial's generated data.
 A repeated value in --seeds, --sizes, --mechanisms or --weights is an error,
-and so are a size below 3, a weight that is not finite and a metadata row
-without an `x->y`/`y->x` direction. Records carry a
+and so are a --sizes or --max-n value whose batches would hold fewer than 2
+rows, a weight that is not finite and a metadata row without an
+`x->y`/`y->x` direction. Records carry a
 digest of the resolved configuration so reports are reproducible and
 self-describing.
 """
@@ -39,8 +40,7 @@ from .decide import INDEPENDENT, X_TO_Y, Y_TO_X, ScoreConfig, Verdict, divot
 from .divergence import PnlTransform
 from .errors import DivotError, ParseError
 from .noise import canonical_source
-from .optimize import FitConfig
-from .pairdata import MIN_BATCHABLE_N, load_pairs, preprocess
+from .pairdata import load_pairs, preprocess, rows_per_batch
 from .synth import MECHANISMS, GeneratorSpec, generate
 
 DEFAULT_SIZES = (100, 200, 500)
@@ -94,10 +94,8 @@ class RunConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if not self.k_std > 0:  # nan fails too; inf keeps every row
             raise ValueError(f"k_std must be > 0, got {self.k_std}")
-        if self.max_n < 2:  # the measure needs at least 2 rows
-            raise ValueError(f"max_n must be >= 2, got {self.max_n}")
-        if any(n < MIN_BATCHABLE_N for n in self.sizes):
-            raise ValueError(f"sizes must be >= {MIN_BATCHABLE_N}, got {min(self.sizes)}")
+        if _SUITES[self.suite].max_n is None:  # the other suites ignore --max-n
+            _check_batchable("max_n", self.max_n, self.batch_frac)
         bad = [w for w in self.weights if not np.isfinite(w)]
         if bad:  # a nan weight would otherwise surface as a nan in a generated column
             raise ValueError(f"weights must be finite, got {bad[0]}")
@@ -115,7 +113,7 @@ class RunConfig:
             source=self.noise,
             batch_frac=self.batch_frac,
             max_positions=self.positions,
-            fit=FitConfig(max_iters=self.max_iters),
+            max_iters=self.max_iters,
         )
 
     def digest(self) -> str:
@@ -129,11 +127,31 @@ class RunConfig:
         ).hexdigest()[:12]
 
 
+def _check_batchable(name: str, n: int, batch_frac: float | None) -> None:
+    """Raise ValueError, naming `name`, if `rows_per_batch` gives n rows
+    batches of fewer than the 2 rows make_batches needs.
+
+    The message gives the least n that batches, as every larger n does: 3 on
+    the sample-size schedule, else the least n with batch_frac * n > 1
+    (exact for batch_frac above 2 ** -52).
+    """
+    if rows_per_batch(n, batch_frac) >= 2:
+        return
+    least = 2 if batch_frac is None else max(2, int(min(1 / batch_frac, 2.0 ** 53)) - 1)
+    while least < 2 ** 53 and rows_per_batch(least, batch_frac) < 2:
+        least += 1
+    raise ValueError(f"{name} must be >= {least}, got {n}, "
+                     f"for batches of 2 rows at batch_frac {batch_frac or 'auto'}")
+
+
 def _parse_config_file(path: str) -> dict:
     """RunConfig values from `key=value` lines; a bad line raises ParseError.
 
     Each value is checked on its line, by the RunConfig and ScoreConfig that
     hold it alone, so a value they reject names the file and line too.
+    max_n is checked there at batch_frac 1, where only a max_n that no
+    batch_frac batches fails: whether it batches at the batch_frac the run
+    resolves to is checked once every value is merged.
     """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -149,7 +167,7 @@ def _parse_config_file(path: str) -> dict:
                 raise ParseError(path, line_no, f"unknown key {key!r}")
             try:
                 out[key] = _coerce(key, value.strip())
-                RunConfig(**{key: out[key]}).score_config()
+                RunConfig(**{"batch_frac": 1.0, key: out[key]}).score_config()
             except ValueError as exc:
                 raise ParseError(path, line_no, f"{key}: {exc}") from None
     return out
@@ -330,6 +348,8 @@ def load_truth_table(meta_path: str) -> dict:
 
 
 def _synthetic_items(config: RunConfig):
+    for n in config.sizes:  # checked here, as only this suite reads them
+        _check_batchable("sizes", n, config.batch_frac)
     for mech in config.mechanisms:
         for n in config.sizes:
             for rep in range(config.reps):

@@ -9,13 +9,13 @@ loss samples; an insignificant difference means "independent".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .divergence import MeasureValue, MeasureWorkspace, workspace_from_batches
 from .noise import canonical_source
-from .optimize import FitConfig, FitResult, fit_joint
+from .optimize import FitResult, fit_joint
 from .pairdata import (
     SamplePair,
     check_batch_frac,
@@ -34,19 +34,25 @@ TIE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ScoreConfig:
-    """Pipeline knobs shared by both directions."""
+    """Pipeline knobs shared by both directions.
+
+    `max_iters` caps the gradient steps of the `pnl` joint fit; the `anm`
+    scale has a closed form and takes none.
+    """
 
     mode: str = "anm"  # anm | pnl
     source: str = "uniform"
     batch_frac: float | None = None  # None -> sample-size schedule
     max_positions: int = 50
-    fit: FitConfig = field(default_factory=FitConfig)
+    max_iters: int = 500
 
     def __post_init__(self):
         if self.mode not in ("anm", "pnl"):
             raise ValueError(f"mode must be 'anm' or 'pnl', got {self.mode!r}")
         object.__setattr__(self, "source", canonical_source(self.source))
         check_batch_frac(self.batch_frac)
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +95,7 @@ def _workspace_for(pairs: SamplePair, config: ScoreConfig, seed: int) -> Measure
 
 def _fit(ws: MeasureWorkspace, config: ScoreConfig) -> FitResult:
     omega0 = (0.1, 0.1, 0.0) if config.mode == "pnl" else None
-    return fit_joint(ws, omega0, config.fit)
+    return fit_joint(ws, omega0, config.max_iters)
 
 
 def score_direction(pairs: SamplePair, direction: str, config: ScoreConfig,

@@ -29,7 +29,7 @@ from .errors import (
     SkeletonParseError,
     SkeletonTooLargeError,
 )
-from .optimize import FitConfig, fit_theta
+from .optimize import fit_theta
 from .pairdata import (
     check_batch_frac,
     check_column,
@@ -188,15 +188,13 @@ def _parent_batches(z: np.ndarray, parents: tuple[int, ...], max_positions: int,
         gap *= gap
         dist += gap
     np.sqrt(dist, out=dist)
-    rows = np.broadcast_to(np.arange(n), dist.shape)
-    return k_nearest_rows(rows, dist, min(k, n), scratch=gap)[0]
+    return k_nearest_rows(dist, min(k, n), scratch=gap)
 
 
 def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
                   source: str = "uniform",
                   batch_frac: float | None = None,
                   max_positions: int = 50,
-                  fit: FitConfig | None = None,
                   seed: int = 0,
                   *, memo: dict | None = None) -> float:
     """Raw measure of variable i's z-scored conditional given its z-scored parents.
@@ -215,11 +213,11 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
         data, memo = _standardized(data, batch_frac), {}
     key = (i, tuple(parents))
     if key not in memo:
-        memo.update(_score_families(data, [key], source, batch_frac, max_positions, fit, seed))
+        memo.update(_score_families(data, [key], source, batch_frac, max_positions, seed))
     return memo[key]
 
 
-def _score_families(z, families, source, batch_frac, max_positions, fit, seed) -> dict:
+def _score_families(z, families, source, batch_frac, max_positions, seed) -> dict:
     """{(i, parents): term} for each family of `families`, scored in stacked passes.
 
     Every family is checked first: indices that repeat or fall outside
@@ -252,23 +250,24 @@ def _score_families(z, families, source, batch_frac, max_positions, fit, seed) -
         idx = _parent_batches(z, parents, max_positions, k) if parents else np.arange(n)[None]
         for i in children:
             if size + idx.size > bound and stacks:
-                terms.update(_score_stacks(stacks, source, fit, seed))
+                terms.update(_score_stacks(stacks, source, seed))
                 stacks, size = {}, 0
             stacks.setdefault(idx.shape, []).append(((i, parents), z[:, i][idx]))
             size += idx.size
-    terms.update(_score_stacks(stacks, source, fit, seed))
+    terms.update(_score_stacks(stacks, source, seed))
     return terms
 
 
-def _score_stacks(stacks, source, fit, seed) -> dict:
+def _score_stacks(stacks, source, seed) -> dict:
     """{family: term} for each stack of {(g, k): [(family, child values)]},
     scored as one workspace of one block per family.
 
     A child's draws come from its own stream (`variable_seed`), drawn once
     for all the stacks: one sampler call sized to the largest g * k among the
     child's families, whose first g * k values, row by row, are each family's
-    draws. A sampler's first m values equal an m-value call from the same
-    state (see `register_source`), so each equals a draw for that shape alone.
+    draws. Every built-in sampler draws in sequence, its first m values equal
+    to an m-value call from the same state (`draw_source_batches`), so each
+    equals a draw for that shape alone.
     """
     need = {}
     for (g, k), blocks in stacks.items():
@@ -283,7 +282,7 @@ def _score_stacks(stacks, source, fit, seed) -> dict:
                              np.concatenate([ys for _, ys in blocks]), None,
                              source_draws=np.concatenate(draws).reshape(-1, k),
                              blocks=len(blocks))
-        values = measure_value(ws, fit_theta(ws, config=fit))
+        values = measure_value(ws, fit_theta(ws))
         terms.update(zip((family for family, _ in blocks),
                          values if ws.blocks > 1 else [values]))
     return terms
@@ -293,7 +292,6 @@ def multivariate_measure(data: np.ndarray, dag: DagOrientation,
                          source: str = "uniform",
                          batch_frac: float | None = None,
                          max_positions: int = 50,
-                         fit: FitConfig | None = None,
                          seed: int = 0,
                          *, memo: dict | None = None) -> float:
     """Sum of per-variable conditional measures under the orientation.
@@ -310,9 +308,9 @@ def multivariate_measure(data: np.ndarray, dag: DagOrientation,
         raise ValueError(f"orientation is over {dag.m} variables, data has {m} columns")
     if fresh:
         memo = _score_families(data, [(i, dag.parents(i)) for i in range(m)], source,
-                               batch_frac, max_positions, fit, seed)
+                               batch_frac, max_positions, seed)
     return sum(
-        variable_term(data, i, dag.parents(i), source, batch_frac, max_positions, fit, seed,
+        variable_term(data, i, dag.parents(i), source, batch_frac, max_positions, seed,
                       memo=memo)
         for i in range(m)
     )
@@ -346,7 +344,6 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
                     source: str = "uniform",
                     batch_frac: float | None = None,
                     max_positions: int = 50,
-                    fit: FitConfig | None = None,
                     seed: int = 0) -> OrientationResult:
     """Score every acyclic orientation of the skeleton and keep the minimum.
 
@@ -386,7 +383,7 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
                  for r in range(len(nbrs[i]) + 1)
                  for parents in itertools.combinations(nbrs[i], r)]
     memo = _score_families(data, list(dict.fromkeys(families)), source, batch_frac,
-                           max_positions, fit, seed)
+                           max_positions, seed)
     scored = []
     for flags in itertools.product((0, 1), repeat=len(edges)):
         directed = tuple(
@@ -396,7 +393,7 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
             dag = DagOrientation(skeleton.m, directed)
         except ValueError:  # the orientation has a cycle
             continue
-        score = multivariate_measure(data, dag, source, batch_frac, max_positions, fit, seed,
+        score = multivariate_measure(data, dag, source, batch_frac, max_positions, seed,
                                      memo=memo)
         scored.append((flags, score, dag))
     if not scored:

@@ -3,6 +3,10 @@
 The reparameterization e = theta * e_source is strictly increasing in the
 source draw, so sorting the source sorts the noise; that monotonicity is what
 lets the scale be fitted in closed form downstream.
+
+The sources are the four built in here. Each sampler draws in sequence: its
+first m values equal an m-value call from the same generator state, which
+lets one draw serve several batch shapes (`draw_source_batches`).
 """
 from __future__ import annotations
 
@@ -10,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
 from .pairdata import batch_size
 
 # canonical name -> variance of one unscaled source draw
@@ -36,27 +39,6 @@ _ALIASES = {
     "laplace(0,1)": "laplace",
 }
 
-def register_source(name: str, sampler, base_variance: float):
-    """Extension point: add a custom source distribution.
-
-    `sampler(rng, n)` must return n i.i.d. unscaled draws, in an array of
-    its own (a workspace sorts the draws it takes in place), and
-    `base_variance` their variance; the scale parameter then works exactly
-    as for the built-in sources. A workspace takes all its draws from one
-    sampler call, laid out batch by batch. The sampler must draw in
-    sequence: its first m values equal an m-value call from the same rng
-    state. Skeleton orientation relies on this, slicing each variable's
-    draws for several batch shapes from one call; every built-in sampler
-    meets it. `base_variance` must be positive and finite: an infinite one
-    would normalize every measure to 0.
-    """
-    key = name.strip().lower()
-    if not 0.0 < base_variance < np.inf:
-        raise ValueError(f"base_variance must be positive and finite, got {base_variance}")
-    _SAMPLERS[key] = sampler
-    _BASE_VARIANCE[key] = float(base_variance)
-
-
 def canonical_source(name: str) -> str:
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
@@ -80,10 +62,6 @@ class NoiseModel:
             raise ValueError(f"theta must be positive, got {self.theta}")
 
 
-def _draw(source: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.asarray(_SAMPLERS[source](rng, n), dtype=float)
-
-
 def draw_source_batches(source: str, sizes, seed: int) -> np.ndarray:
     """Unscaled source draws for g batches of k members, as one (g, k) matrix.
 
@@ -91,18 +69,16 @@ def draw_source_batches(source: str, sizes, seed: int) -> np.ndarray:
     ShapeError). One sampler call on a stream seeded once draws the g * k
     values, row by row, so the draws are a deterministic function of
     (source, sizes, seed) and can be reused across optimizer iterations.
-    Samplers draw values in sequence (see `register_source`): the first m
-    values of a call equal an m-value call on the same seed, so row b equals
-    batch b's draws from one call per batch on the same stream, and the
-    first g' * k' values of one draw, row by row, equal a draw of g' batches
-    of k'.
+    Every sampler draws in sequence: the first m values of a call equal an
+    m-value call on the same seed, so row b equals batch b's draws from one
+    call per batch on the same stream, and the first g' * k' values of one
+    draw, row by row, equal a draw of g' batches of k'. The matrix is the
+    caller's own (a workspace sorts its rows in place).
     """
     g = len(sizes)
     k = batch_size(sizes)
-    flat = _draw(canonical_source(source), np.random.default_rng(seed), g * k)
-    if flat.shape != (g * k,):
-        raise InsufficientDataError("one source draw per batch member required")
-    return flat.reshape(g, k)
+    rng = np.random.default_rng(seed)
+    return _SAMPLERS[canonical_source(source)](rng, g * k).reshape(g, k)
 
 
 def model_variance(model: NoiseModel) -> float:

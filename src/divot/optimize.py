@@ -28,25 +28,10 @@ from .divergence import (
 )
 from .errors import NumericError
 
-DEFAULT_THETA_RANGE = (1e-8, 100.0)
+THETA_RANGE = (1e-8, 100.0)  # every fitted scale is clamped to it
+TOLERANCE = 1e-8  # the joint fit converges when a step changes the objective by less
 THETA_REFRESH_PERIOD = 10
 CYCLIC_PERIOD = 50
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    theta_range: tuple[float, float] = DEFAULT_THETA_RANGE
-    max_iters: int = 500
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        lo, hi = self.theta_range
-        if not (0 < lo < hi):
-            raise ValueError(f"theta_range lower bound must be > 0, got {self.theta_range}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.tolerance >= 0.0:  # nan fails too
-            raise ValueError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +45,8 @@ class FitResult:
 
 def closed_form_theta(ws: MeasureWorkspace,
                       debias: DebiasFn | None = None,
-                      pnl: PnlTransform | None = None,
-                      theta_range: tuple[float, float] = DEFAULT_THETA_RANGE
-                      ) -> float | list[float]:
-    """Exact minimizer of the quadratic-in-theta objective, clamped to range.
+                      pnl: PnlTransform | None = None) -> float | list[float]:
+    """Exact minimizer of the quadratic-in-theta objective, clamped to THETA_RANGE.
 
     With the sort order frozen the objective is
     sum_b ||d_b - theta * e_b||^2 / (k - 1) over batch-centered sorted
@@ -71,7 +54,7 @@ def closed_form_theta(ws: MeasureWorkspace,
     several blocks gets a list of one scale per block, each summed over its
     own batches.
     """
-    return _closed_form(ws, debias, pnl, theta_range, _centred_draws(ws))
+    return _closed_form(ws, debias, pnl, _centred_draws(ws))
 
 
 def _centred_draws(ws: MeasureWorkspace) -> tuple[np.ndarray, list[float]]:
@@ -82,34 +65,32 @@ def _centred_draws(ws: MeasureWorkspace) -> tuple[np.ndarray, list[float]]:
 
 
 def _closed_form(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None,
-                 theta_range: tuple[float, float],
                  draws: tuple[np.ndarray, list[float]]) -> float | list[float]:
     """`closed_form_theta` given the workspace's `_centred_draws`."""
     et, energies = draws
     ds = _sorted_view(ws, debias, pnl)[0]
     dt = ds - ds.mean(axis=1, keepdims=True)
     dt *= et
-    thetas = [_clamped_ratio(num, energy, ws.k, theta_range)
+    thetas = [_clamped_ratio(num, energy, ws.k)
               for num, energy in zip(_row_sums(dt[None], ws.blocks), energies)]
     return thetas[0] if ws.blocks == 1 else thetas
 
 
-def _clamped_ratio(num: float, energy: float, k: int,
-                   theta_range: tuple[float, float]) -> float:
+def _clamped_ratio(num: float, energy: float, k: int) -> float:
     """One block's scale: its summed products over its draws' energy, each
-    over (k - 1), clamped to theta_range."""
+    over (k - 1), clamped to THETA_RANGE."""
+    lo, hi = THETA_RANGE
     num = 0.0 + num / (k - 1)
     den = 0.0 + energy / (k - 1)
     if den <= 0.0:
-        return theta_range[0]
-    theta = num / den
-    return float(min(max(theta, theta_range[0]), theta_range[1]))
+        return lo
+    return float(min(max(num / den, lo), hi))
 
 
 def bisect_theta(ws: MeasureWorkspace,
                  debias: DebiasFn | None = None,
                  pnl: PnlTransform | None = None,
-                 theta_range: tuple[float, float] = DEFAULT_THETA_RANGE,
+                 theta_range: tuple[float, float] = THETA_RANGE,
                  tol: float = 1e-10) -> float:
     """Root of the analytic theta-gradient by bisection over theta_range."""
     lo, hi = theta_range
@@ -131,14 +112,9 @@ def bisect_theta(ws: MeasureWorkspace,
     return float(0.5 * (lo + hi))
 
 
-def fit_theta(ws: MeasureWorkspace,
-              debias: DebiasFn | None = None,
-              pnl: PnlTransform | None = None,
-              config: FitConfig | None = None) -> float | list[float]:
-    """Best noise scale, in closed form, for fixed debias/PNL parameters and
-    draws: a float, or one per block for a workspace of several blocks."""
-    config = config or FitConfig()
-    return closed_form_theta(ws, debias, pnl, config.theta_range)
+# the best noise scale for fixed debias/PNL parameters and draws: a float, or
+# one per block for a workspace of several blocks
+fit_theta = closed_form_theta
 
 
 def _learning_rate(t: int) -> float:
@@ -150,31 +126,31 @@ def _learning_rate(t: int) -> float:
 
 def fit_joint(ws: MeasureWorkspace,
               omega0: tuple[float, float, float] | None = None,
-              config: FitConfig | None = None) -> FitResult:
-    """Gradient steps on omega, theta refitted every THETA_REFRESH_PERIOD steps.
+              max_iters: int = 500) -> FitResult:
+    """At most max_iters gradient steps on omega, theta refitted every
+    THETA_REFRESH_PERIOD steps.
 
     With omega0 None only the scale is fitted, exactly as fit_theta does.
     Each step evaluates the objective and its gradient once, at the point the
     previous step reached; the value tracks the best point and tests
-    convergence (a change below `config.tolerance`), the gradient takes the
-    next step. Returns the parameters achieving the best observed objective.
+    convergence (a change below TOLERANCE), the gradient takes the next step.
+    Returns the parameters achieving the best observed objective.
     """
-    config = config or FitConfig()
     if omega0 is None:
-        theta = fit_theta(ws, config=config)
+        theta = fit_theta(ws)
         return FitResult(theta, None,
                          normalized_measure(ws, theta, measure_value(ws, theta)), 0, True)
 
     omega = tuple(float(v) for v in omega0)
     draws = _centred_draws(ws)
     pnl = PnlTransform(*omega)
-    theta = _closed_form(ws, None, pnl, config.theta_range, draws)
+    theta = _closed_form(ws, None, pnl, draws)
     obj, grads = measure_with_grad(ws, theta, None, pnl)
     best = (obj, theta, omega)
     prev = obj
     converged = False
     iterations = 0
-    for t in range(1, config.max_iters + 1):
+    for t in range(1, max_iters + 1):
         iterations = t
         lr = _learning_rate(t)
         omega = (
@@ -185,13 +161,13 @@ def fit_joint(ws: MeasureWorkspace,
         pnl = PnlTransform(*omega)
         try:
             if t % THETA_REFRESH_PERIOD == 0:
-                theta = _closed_form(ws, None, pnl, config.theta_range, draws)
+                theta = _closed_form(ws, None, pnl, draws)
             obj, grads = measure_with_grad(ws, theta, None, pnl)
         except NumericError as exc:
             raise NumericError(f"objective diverged at iteration {t}: {exc}") from None
         if obj < best[0]:
             best = (obj, theta, omega)
-        if abs(prev - obj) < config.tolerance:
+        if abs(prev - obj) < TOLERANCE:
             converged = True
             break
         prev = obj

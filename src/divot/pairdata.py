@@ -246,11 +246,6 @@ def check_batch_frac(batch_frac: float | None) -> None:
         raise ValueError(f"batch_frac must be in (0, 1], got {batch_frac}")
 
 
-# the smallest n whose default batch, ceil(default_batch_frac(n) * n) rows,
-# has the 2 rows a batch needs: ceil(0.4 * 3) = 2
-MIN_BATCHABLE_N = 3
-
-
 def default_batch_frac(n: int) -> float:
     """Batch size (as a fraction of n) by sample-size bracket."""
     if n <= 10:
@@ -318,16 +313,14 @@ def select_positions(pairs: SamplePair, max_positions: int = 50) -> np.ndarray:
     return select_position_values(pairs.xs, max_positions, pairs.by_x)
 
 
-def k_nearest_rows(rows: np.ndarray, dist: np.ndarray, k: int,
-                   scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per line, the k entries of `rows` with the smallest `dist`, ties to the lowest row.
-
-    `rows` (ascending along each line) holds the row index of each distance,
-    so with rows = arange(n) on every line the result equals
-    np.sort(np.argsort(dist, kind="stable")[:, :k], axis=1). Also returns
-    each line's k-th smallest distance. Needs 1 <= k <= dist.shape[1] and no nan.
-    `scratch`, a spare float array of dist's shape, holds the partition that
-    finds the k-th distances in place of a new copy of dist.
+def k_nearest_rows(dist: np.ndarray, k: int,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+    """Per line of `dist`, which holds a distance to each row, the k nearest
+    rows in ascending order, ties to the lowest row: the result equals
+    np.sort(np.argsort(dist, kind="stable")[:, :k], axis=1). Needs
+    1 <= k <= dist.shape[1] and no nan. `scratch`, a spare float array of
+    dist's shape, holds the partition that finds the k-th distances in place
+    of a new copy of dist.
     """
     if scratch is None:
         scratch = np.partition(dist, k - 1, axis=1)
@@ -343,7 +336,7 @@ def k_nearest_rows(rows: np.ndarray, dist: np.ndarray, k: int,
         nearer = dist < kth
         tied = pick & ~nearer
         pick = nearer | (tied & (np.cumsum(tied, axis=1) <= k - nearer.sum(axis=1, keepdims=True)))
-    return rows[pick].reshape(len(dist), k), kth[:, 0]
+    return np.broadcast_to(np.arange(dist.shape[1]), dist.shape)[pick].reshape(len(dist), k)
 
 
 def nearest_batches(x: np.ndarray, positions: np.ndarray, k: int,

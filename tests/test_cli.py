@@ -140,9 +140,10 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
     (["--columns", "0", "-3"], None, "columns must be non-negative field indices, got 0 -3"),
     (["--columns", "-1", "0"], None, "columns must be non-negative field indices, got -1 0"),
     ([], "seed=1\ndebias_per_row = 1\n", "run.cfg:2: unknown key 'debias_per_row'"),
-    (["--max-n", "-4"], None, "max_n must be >= 2, got -4"),
-    (["--max-n", "0"], None, "max_n must be >= 2, got 0"),
-    (["--max-n", "1"], None, "max_n must be >= 2, got 1"),
+    # at batch_frac 1 a batch holds every row, so 2 rows are the least
+    (["--max-n", "-4", "--batch-frac", "1"], None, "max_n must be >= 2, got -4"),
+    (["--max-n", "0", "--batch-frac", "1"], None, "max_n must be >= 2, got 0"),
+    (["--max-n", "1", "--batch-frac", "1"], None, "max_n must be >= 2, got 1"),
     (["--seed", "-1"], None, "seed must be >= 0, got -1"),
     (["bench", "--suite", "significance", "--seeds", "-1"], None, "seeds must be >= 0, got -1"),
     (["--k-std", "nan"], None, "k_std must be > 0, got nan"),
@@ -151,6 +152,13 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
     (["bench", "--suite", "significance", "--weights", "nan", "--mechanisms", "linear",
       "--seeds", "0", "--bootstrap", "2"], None, "weights must be finite, got nan"),
     (["bench", "--suite", "synthetic", "--sizes", "2"], None, "sizes must be >= 3, got 2"),
+    # sizes whose batches would hold 1 row name their flag, not the dropped batches
+    (["bench", "--suite", "synthetic", "--sizes", "5", "--batch-frac", "0.1"], None,
+     "sizes must be >= 11, got 5, for batches of 2 rows at batch_frac 0.1"),
+    (["bench", "--suite", "synthetic", "--sizes", "20", "--batch-frac", "0.05"], None,
+     "sizes must be >= 21, got 20, for batches of 2 rows at batch_frac 0.05"),
+    (["--max-n", "2"], None,
+     "max_n must be >= 3, got 2, for batches of 2 rows at batch_frac auto"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)
@@ -241,6 +249,26 @@ def test_config_file_sets_every_field_to_its_typed_value(tmp_path):
     for key, (_, value) in CONFIG_VALUES.items():
         # repr tells 3 from 3.0 and (4, 5) from ('4', '5')
         assert repr(getattr(resolved, key)) == repr(value), key
+
+
+def test_a_max_n_that_batch_frac_batches_runs_from_flags_and_from_a_config_file(tmp_path):
+    # the config line max_n=2 alone would not batch at the default batch_frac
+    pair = write_pair_file(tmp_path / "pair.txt", n=100)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_n=2\nbatch_frac=1\n")
+    out = tmp_path / "v.json"
+    for flags in (["--max-n", "2", "--batch-frac", "1"], ["--config", str(cfg)]):
+        assert main(["infer", str(pair), *flags, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config_digest"]
+
+
+def test_sizes_and_max_n_are_checked_only_where_they_are_read():
+    # infer reads no --sizes, and confounder and significance subsample to
+    # 1000 rows whatever --max-n says
+    with pytest.raises(ValueError, match="max_n must be >= 667, got 500"):
+        RunConfig(batch_frac=0.0015)
+    assert RunConfig(batch_frac=0.0015, max_n=1000).sizes == (100, 200, 500)
+    assert RunConfig(suite="significance", batch_frac=0.0015).max_n == 500
 
 
 def test_config_auto_batch_frac(tmp_path):

@@ -67,6 +67,12 @@ def test_position_count_below_one_rejected(max_positions):
         divot(make_linear(n=100), ScoreConfig(max_positions=max_positions), seed=0)
 
 
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_max_iters_below_one_rejected_by_name(max_iters):
+    with pytest.raises(ValueError, match=rf"^max_iters must be >= 1, got {max_iters}$"):
+        ScoreConfig(mode="pnl", max_iters=max_iters)
+
+
 def test_linear_anm_recovery_rate():
     wins = 0
     for rep in range(100):

@@ -454,7 +454,7 @@ def test_stacked_family_terms_match_single_family_terms(graph, seed, n, decimals
         mp.setattr(divot.multivar, "_score_stacks", recorded_stacks)
         mp.setattr(divot.multivar, "draw_source_batches", recorded_draw)
         terms = _score_families(_standardized(data, None), families, source, None,
-                                max_positions, None, seed)
+                                max_positions, seed)
     assert max(sizes) <= max_positions * n
     # one stream per child per flush
     assert len(drawn) == sum(map(len, flushes))
@@ -499,8 +499,7 @@ def test_stack_bound_splits_one_shape_into_several_workspaces():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(divot.multivar, "build_workspace", recorded)
-        terms = _score_families(_standardized(data, None), families, "uniform", None, 3,
-                                None, 5)
+        terms = _score_families(_standardized(data, None), families, "uniform", None, 3, 5)
     assert blocks == [3, 3, 2]
     assert [terms[f] for f in families] == [
         variable_term(data, i, (), max_positions=3, seed=5) for i in range(8)]
@@ -584,6 +583,6 @@ def test_multi_parent_pick_matches_full_argsort(rows, n_anchors, k):
     k = min(k, len(z))
     anchors = z[np.linspace(0, len(z) - 1, min(n_anchors, len(z))).astype(int)]
     dist = np.sqrt(((z[None, :, :] - anchors[:, None, :]) ** 2).sum(axis=2))
-    got, _ = k_nearest_rows(np.broadcast_to(np.arange(len(z)), dist.shape), dist, k)
+    got = k_nearest_rows(dist, k)
     want = np.sort(np.argsort(dist, kind="stable")[:, :k])
     assert got.tolist() == want.tolist()

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divot import (
-    InsufficientDataError,
     NoiseModel,
     build_workspace,
     draw_source_batches,
@@ -115,39 +114,17 @@ def test_stream_prefix_equals_shorter_draw(source, sizes, seed):
     assert prefix.tobytes() == draw_source_batches(source, [m], seed)[0].tobytes()
 
 
-def test_workspace_draws_from_one_registered_sampler_call():
-    from divot.noise import register_source
-
+def test_workspace_draws_from_one_registered_sampler_call(monkeypatch):
     calls = []
+    sampler = _SAMPLERS["uniform"]
 
-    def sampler(rng, n):
+    def spy(rng, n):
         calls.append(n)
-        return rng.random(n)
+        return sampler(rng, n)
 
-    register_source("one-call-test", sampler, 1.0 / 12.0)
-    ws = build_workspace("one-call-test", [0.0, 1.0, 2.0],
+    monkeypatch.setitem(_SAMPLERS, "uniform", spy)
+    ws = build_workspace("uniform", [0.0, 1.0, 2.0],
                          [np.arange(3.0), np.arange(3.0), np.arange(3.0)], seed=5)
     assert calls == [9]
     flat = np.random.default_rng(5).random(9)
     assert ws.e_sorted.tolist() == [sorted(flat[:3]), sorted(flat[3:6]), sorted(flat[6:])]
-
-    # a sampler that returns the wrong number of draws is refused, for
-    # batches of 3 and of 4 members
-    register_source("short-draw-test", lambda rng, n: rng.random(n - 1), 1.0 / 12.0)
-    for ys in ([np.arange(3.0)] * 2, [np.arange(4.0)] * 2):
-        with pytest.raises(InsufficientDataError, match="one source draw per batch member"):
-            build_workspace("short-draw-test", [0.0, 1.0], ys, seed=5)
-
-
-def test_custom_source_registration():
-    from divot.noise import register_source
-
-    register_source("exp-test", lambda rng, n: rng.exponential(1.0, n), 1.0)
-    model = NoiseModel("exp-test", theta=2.0)
-    draws = draw_source_batches("exp-test", [10**5], seed=4)[0]
-    assert draws.min() >= 0.0
-    assert abs(draws.var(ddof=1) - 1.0) < 0.02
-    assert model_variance(model) == pytest.approx(4.0)
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="positive and finite"):
-            register_source("bad", lambda rng, n: rng.random(n), bad)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from divot import (
     DebiasFn,
-    FitConfig,
     MeasureValue,
     PnlTransform,
     NoiseModel,
@@ -58,16 +57,17 @@ def test_closed_form_with_offset():
     assert closed_form_theta(ws) == pytest.approx(2.0, abs=1e-12)
 
 
-def closed_form_theta_oracle(ws, debias, pnl, theta_range):
+def closed_form_theta_oracle(ws, debias, pnl):
     """The scale fit as one formula."""
+    lo, hi = optimize.THETA_RANGE
     ds = sorted_effects(ws, debias, pnl)
     dt = ds - ds.mean(axis=1, keepdims=True)
     et = ws.e_sorted - ws.e_sorted.mean(axis=1, keepdims=True)
     num = 0.0 + float((dt * et).sum()) / (ws.k - 1)
     den = 0.0 + float((et * et).sum()) / (ws.k - 1)
     if den <= 0.0:
-        return theta_range[0]
-    return float(min(max(num / den, theta_range[0]), theta_range[1]))
+        return lo
+    return float(min(max(num / den, lo), hi))
 
 
 @settings(max_examples=200, deadline=None)
@@ -77,13 +77,11 @@ def closed_form_theta_oracle(ws, debias, pnl, theta_range):
     k=st.integers(2, 40),
     debias=st.sampled_from([None, DebiasFn(-0.7)]),
     pnl=st.sampled_from([None, PnlTransform(0.5, -0.2, 0.3), PnlTransform(-3.0, 2.0, 0.1)]),
-    theta_range=st.sampled_from([(1e-8, 100.0), (0.5, 0.6)]),
 )
-def test_closed_form_matches_its_formula_bit_for_bit(seed, n_batches, k, debias, pnl,
-                                                      theta_range):
+def test_closed_form_matches_its_formula_bit_for_bit(seed, n_batches, k, debias, pnl):
     ws = random_workspace(seed, n_batches, k)
-    want = closed_form_theta_oracle(ws, debias, pnl, theta_range)
-    got = closed_form_theta(ws, debias, pnl, theta_range)
+    want = closed_form_theta_oracle(ws, debias, pnl)
+    got = closed_form_theta(ws, debias, pnl)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -131,17 +129,6 @@ def test_clamping_to_range():
     assert fit_theta(ws2) == pytest.approx(100.0)
 
 
-def test_fitconfig_validation():
-    with pytest.raises(ValueError):
-        FitConfig(theta_range=(0.0, 100.0))
-    with pytest.raises(ValueError):
-        FitConfig(max_iters=0)
-    for tolerance in (-1e-8, np.nan):
-        with pytest.raises(ValueError, match="^tolerance must be >= 0"):
-            FitConfig(tolerance=tolerance)
-    assert FitConfig(tolerance=0.0).tolerance == 0.0
-
-
 def test_joint_without_parameters_reduces_to_fit_theta():
     ws = random_workspace(3)
     res = fit_joint(ws)
@@ -163,7 +150,7 @@ def test_joint_pnl_on_additive_data_not_worse():
                          [pairs.ys[i] for i in batches.batches],
                          [pairs.xs[i] for i in batches.batches], seed=0)
     plain = fit_joint(ws)
-    pnl = fit_joint(ws, omega0=(0.1, 0.1, 0.0), config=FitConfig(max_iters=400))
+    pnl = fit_joint(ws, omega0=(0.1, 0.1, 0.0), max_iters=400)
     assert pnl.measure.raw <= plain.measure.raw * 1.05
     assert PnlTransform(*pnl.omega).invertible
 
@@ -182,12 +169,13 @@ def test_joint_fit_builds_one_sorted_view_per_step(monkeypatch):
     monkeypatch.setattr(divergence, "_transformed", lambda *a: built.append(1) or build(*a))
     monkeypatch.setattr(optimize, "measure_with_grad",
                         lambda *a: evals.append(1) or evaluate(*a))
-    res = fit_joint(ws, (0.1, 0.1, 0.0), FitConfig(max_iters=35, tolerance=0.0))
+    monkeypatch.setattr(optimize, "TOLERANCE", 0.0)  # no early stop: 35 steps
+    res = fit_joint(ws, (0.1, 0.1, 0.0), 35)
     assert res.iterations == 35
     assert len(evals) == len(built) == 36
 
 
-def two_evaluation_fit_oracle(ws, omega0, config):
+def two_evaluation_fit_oracle(ws, omega0, max_iters):
     """The joint fit as it was before one evaluation per step.
 
     Each step took a gradient at the current point, discarding its value,
@@ -200,7 +188,7 @@ def two_evaluation_fit_oracle(ws, omega0, config):
     base_step = 1.0
 
     def theta_fit(pnl):
-        theta = closed_form_theta(ws, None, pnl, config.theta_range)
+        theta = closed_form_theta(ws, None, pnl)
         measure_value(ws, theta, None, pnl)
         return theta
 
@@ -216,7 +204,7 @@ def two_evaluation_fit_oracle(ws, omega0, config):
     prev = obj
     converged = False
     iterations = 0
-    for t in range(1, config.max_iters + 1):
+    for t in range(1, max_iters + 1):
         iterations = t
         lr = learning_rate(t)
         _, grads = measure_with_grad(ws, theta, None, pnl)
@@ -234,7 +222,7 @@ def two_evaluation_fit_oracle(ws, omega0, config):
             raise NumericError(f"objective diverged at iteration {t}: {exc}") from None
         if obj < best[0]:
             best = (obj, theta, omega)
-        if abs(prev - obj) < config.tolerance:
+        if abs(prev - obj) < optimize.TOLERANCE:
             converged = True
             break
         prev = obj
@@ -252,19 +240,20 @@ def two_evaluation_fit_oracle(ws, omega0, config):
     k=st.integers(2, 12),
     omega0=st.sampled_from([(0.1, 0.1, 0.0), (0.5, -0.2, 0.3)]),
     max_iters=st.integers(1, 120),
-    tolerance=st.sampled_from([1e-8, 1e-3]),
+    tolerance=st.sampled_from([optimize.TOLERANCE, 1e-3]),  # 1e-3 converges early
 )
 def test_joint_fit_matches_two_evaluation_oracle(seed, n_batches, k, omega0, max_iters,
                                                  tolerance):
     ws = random_workspace(seed, n_batches, k)
-    config = FitConfig(max_iters=max_iters, tolerance=tolerance)
-    try:
-        want = two_evaluation_fit_oracle(ws, omega0, config)
-    except NumericError as exc:
-        with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
-            fit_joint(ws, omega0, config)
-        return
-    res = fit_joint(ws, omega0, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "TOLERANCE", tolerance)
+        try:
+            want = two_evaluation_fit_oracle(ws, omega0, max_iters)
+        except NumericError as exc:
+            with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
+                fit_joint(ws, omega0, max_iters)
+            return
+        res = fit_joint(ws, omega0, max_iters)
     got = (res.theta, res.omega, res.measure, res.iterations, res.converged)
     assert got == want
 

@@ -25,7 +25,6 @@ from divot import (
 )
 from divot import pairdata
 from divot.pairdata import (
-    MIN_BATCHABLE_N,
     _nearest_rows,
     k_nearest_rows,
     nearest_batches,
@@ -248,11 +247,6 @@ def test_batch_frac_schedule():
     assert default_batch_frac(500) == 0.05
 
 
-def test_min_batchable_n_is_where_the_default_schedule_batches_two_rows():
-    assert rows_per_batch(MIN_BATCHABLE_N - 1, None) < 2
-    assert all(rows_per_batch(n, None) >= 2 for n in range(MIN_BATCHABLE_N, 2001))
-
-
 @pytest.mark.parametrize("n", [3, 10, 11, 50, 51, 200, 201, 1000])
 def test_no_batch_frac_batches_by_the_sample_size_schedule(n):
     rng = np.random.default_rng(n)
@@ -459,15 +453,10 @@ def test_make_batches_matrix_matches_per_position_batches(case, batch_frac):
 def test_k_nearest_rows_matches_stable_argsort(case):
     dist_lists, k = case
     dist = np.array(dist_lists)
-    rows = np.broadcast_to(np.arange(dist.shape[1]), dist.shape)
-    got, kth = k_nearest_rows(rows, dist, k)
     want = np.sort(np.argsort(dist, kind="stable", axis=1)[:, :k], axis=1)
-    assert got.tolist() == want.tolist()
-    assert kth.tolist() == np.sort(dist, axis=1)[:, k - 1].tolist()
+    assert k_nearest_rows(dist, k).tolist() == want.tolist()
     # the partition run in a caller's spare buffer picks the same rows
-    got, kth = k_nearest_rows(rows, dist, k, scratch=np.full(dist.shape, np.nan))
-    assert got.tolist() == want.tolist()
-    assert kth.tolist() == np.sort(dist, axis=1)[:, k - 1].tolist()
+    assert k_nearest_rows(dist, k, scratch=np.full(dist.shape, np.nan)).tolist() == want.tolist()
 
 
 @settings(max_examples=300, deadline=None)
