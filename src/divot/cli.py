@@ -16,8 +16,9 @@ tuebingen scores every pair once per seed, and confounder and significance
 use each seed as a trial index that also seeds the trial's generated data.
 A repeated value in --seeds, --sizes, --mechanisms or --weights is an error,
 and so are a --sizes or --max-n value whose batches would hold fewer than 2
-rows, a weight that is not finite and a metadata row without an
-`x->y`/`y->x` direction. Records carry a
+rows, a pair left with that few rows once its outliers are trimmed (named
+with its row count), a --workers below 1, a weight that is not finite and a
+metadata row without an `x->y`/`y->x` direction. Records carry a
 digest of the resolved configuration so reports are reproducible and
 self-describing.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -82,6 +84,8 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if any(s < 0 for s in self.seeds):
             raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         # checked here too, not only where they are used, so that a bad
         # config-file value names its file and line
         if self.positions < 1:
@@ -207,14 +211,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _score(pairs, config: RunConfig, seed: int, max_n: int | None = None,
+def _score(pairs, label: str, config: RunConfig, seed: int, max_n: int | None = None,
            default_b: int | None = None):
     """Preprocess `pairs`, then time one divot() call: (verdict, rows used, seconds).
 
     `max_n` replaces config.max_n, and `default_b` is the bootstrap size when
-    config.bootstrap is 0.
+    config.bootstrap is 0. Rows too few to batch once outliers are trimmed
+    raise ValueError naming the pairs by `label` (a pair file's path).
     """
     pre = preprocess(pairs, max_n or config.max_n, config.k_std, seed)
+    _check_batchable(f"rows of {label}", pre.n, config.batch_frac)
     t0 = time.perf_counter()
     verdict = divot(pre, config.score_config(), seed=seed,
                     bootstrap_b=config.bootstrap or default_b, alpha=config.alpha)
@@ -256,7 +262,7 @@ def _verdict_record(verdict: Verdict, config: RunConfig, seed: int, source_file:
 def cmd_infer(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     pairs = load_pairs(args.pair_file, tuple(args.columns))
-    verdict, _, elapsed = _score(pairs, config, config.seed)
+    verdict, _, elapsed = _score(pairs, args.pair_file, config, config.seed)
     record = _verdict_record(verdict, config, config.seed, args.pair_file)
     text = json.dumps(record, indent=2, sort_keys=True)
     print(text)
@@ -454,19 +460,28 @@ def _run_item(item) -> dict:
     """One suite record: load or generate the pairs, then score them."""
     config, data, seed, fields = item
     suite = _SUITES[config.suite]
-    pairs = load_pairs(data) if isinstance(data, str) else generate(data)
-    verdict, n_used, elapsed = _score(pairs, config, seed, suite.max_n, suite.default_b)
+    if isinstance(data, str):
+        pairs, label = load_pairs(data), data
+    else:
+        pairs, label = generate(data), f"the {data.mechanism} pair of seed {data.seed}"
+    verdict, n_used, elapsed = _score(pairs, label, config, seed, suite.max_n, suite.default_b)
     record = {**_verdict_record(verdict, config, seed, None),
               "correct": int(verdict.decision == fields.get("truth")),
               "n_used": n_used, "elapsed_s": round(elapsed, 6), **fields}
     return _row(config, {name: record[name] for name in suite.columns})
 
 
-def _map_tasks(fn, items, workers: int):
+CHUNK = 4  # items a worker process takes at a time
+
+
+def _map_tasks(fn, items: list, workers: int):
+    """fn over items, in order, on at most one worker process per chunk of
+    items: a pool starts all its processes at once, needed or not."""
+    workers = min(workers, -(-len(items) // CHUNK))
     if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=4))
+        return list(pool.map(fn, items, chunksize=CHUNK))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -487,7 +502,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: add nothing to it."""
     parser = argparse.ArgumentParser(
         prog="divot",
         description="Causal direction inference via one-dimensional optimal transport",

@@ -1,11 +1,17 @@
 """End-to-end direction decision: score both directions, compare, bootstrap.
 
-Both candidate directions are scored with the same seed. Each fits its noise
-scale, and in `pnl` mode the post-nonlinear transform with it; the normalized
-measure (raw divided by the fitted noise variance) is the loss, and the
-smaller loss wins. The bootstrap path resamples the data, scores both
-directions per replicate, and applies a two-sided Welch t-test to the two
-loss samples; an insignificant difference means "independent".
+Both candidate directions are scored against one source sample. Each
+direction is batched first; then one draw sized to the larger batch count g,
+sorted once (`sorted_source_draws`), gives each direction's workspace its
+first g rows. Every sampler draws in sequence, so those rows equal a draw of
+the direction's own with the same seed, bit for bit, and a verdict scores as
+`score_direction` scores each direction alone. Each direction fits its noise
+scale, and in `pnl` mode the post-nonlinear transform with it; the
+normalized measure (raw divided by the fitted noise variance) is the loss,
+and the smaller loss wins. The bootstrap path resamples the data, scores
+both directions per replicate the same way (one draw a replicate), and
+applies a two-sided Welch t-test to the two loss samples; an insignificant
+difference means "independent".
 """
 from __future__ import annotations
 
@@ -13,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import MeasureValue, MeasureWorkspace, workspace_from_batches
+from .divergence import (
+    MeasureValue,
+    MeasureWorkspace,
+    sorted_source_draws,
+    workspace_from_batches,
+)
 from .noise import canonical_source
 from .optimize import FitResult, fit_joint
 from .pairdata import (
@@ -87,29 +98,48 @@ class Verdict:
     bootstrap: BootstrapResult | None = None
 
 
-def _workspace_for(pairs: SamplePair, config: ScoreConfig, seed: int) -> MeasureWorkspace:
-    positions = select_positions(pairs, config.max_positions)
-    batches = make_batches(pairs, positions, config.batch_frac)
-    return workspace_from_batches(pairs, batches, config.source, seed)
-
-
 def _fit(ws: MeasureWorkspace, config: ScoreConfig) -> FitResult:
     omega0 = (0.1, 0.1, 0.0) if config.mode == "pnl" else None
     return fit_joint(ws, omega0, config.max_iters)
 
 
+def _oriented(pairs: SamplePair, direction: str) -> SamplePair:
+    if direction == Y_TO_X:
+        return pairs.swapped()
+    if direction == X_TO_Y:
+        return pairs
+    raise ValueError(f"direction must be {X_TO_Y!r} or {Y_TO_X!r}, got {direction!r}")
+
+
+def _score_directions(pairs: SamplePair, directions, config: ScoreConfig,
+                      seed: int) -> list[DirectionScore]:
+    """One DirectionScore per direction, all from one source draw.
+
+    Every direction is batched first. Their batches share k (one n), so one
+    sorted draw of the largest g serves them all, each workspace taking its
+    first g rows: the draw a direction would make alone.
+    """
+    batched = []
+    for direction in directions:
+        oriented = _oriented(pairs, direction)
+        positions = select_positions(oriented, config.max_positions)
+        batched.append((direction, oriented,
+                        make_batches(oriented, positions, config.batch_frac)))
+    g = max(len(batches) for _, _, batches in batched)
+    k = batched[0][2].batches.shape[1]
+    e_sorted = sorted_source_draws(config.source, g, k, seed)
+    scores = []
+    for direction, oriented, batches in batched:
+        fit = _fit(workspace_from_batches(oriented, batches, config.source,
+                                          e_sorted=e_sorted), config)
+        scores.append(DirectionScore(direction, fit.measure, fit.theta, fit.omega, config.mode))
+    return scores
+
+
 def score_direction(pairs: SamplePair, direction: str, config: ScoreConfig,
                     seed: int = 0) -> DirectionScore:
     """Fit the measure for one hypothesized direction of preprocessed pairs."""
-    if direction == Y_TO_X:
-        oriented = pairs.swapped()
-    elif direction == X_TO_Y:
-        oriented = pairs
-    else:
-        raise ValueError(f"direction must be {X_TO_Y!r} or {Y_TO_X!r}, got {direction!r}")
-    ws = _workspace_for(oriented, config, seed)
-    fit = _fit(ws, config)
-    return DirectionScore(direction, fit.measure, fit.theta, fit.omega, config.mode)
+    return _score_directions(pairs, (direction,), config, seed)[0]
 
 
 def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
@@ -117,12 +147,12 @@ def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
     """Welch two-sample t-test on per-replicate direction losses.
 
     Replicate i draws n row indices with replacement and scores both
-    directions; replicate seeds are seed XOR i. The replicate holds the drawn
-    rows sorted by index, each as often as drawn: a resample is a multiset of
-    rows, so sorting leaves its law unchanged, and it lets each replicate
-    take its stable x- and y-orders from the parent's (`SamplePair.resample`)
-    instead of sorting both columns again. Equal values in a replicate
-    therefore come in parent row order.
+    directions from one source draw; replicate seeds are seed XOR i. The
+    replicate holds the drawn rows sorted by index, each as often as drawn:
+    a resample is a multiset of rows, so sorting leaves its law unchanged,
+    and it lets each replicate take its stable x- and y-orders from the
+    parent's (`SamplePair.resample`) instead of sorting both columns again.
+    Equal values in a replicate therefore come in parent row order.
     """
     if b < 2:
         raise ValueError(f"need at least 2 bootstrap replicates, got {b}")
@@ -132,9 +162,9 @@ def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
         rep_seed = seed ^ i
         rng = np.random.default_rng(rep_seed)
         counts = np.bincount(rng.integers(0, pairs.n, pairs.n), minlength=pairs.n)
-        sample = pairs.resample(counts)
-        losses_xy[i] = score_direction(sample, X_TO_Y, config, rep_seed).loss
-        losses_yx[i] = score_direction(sample, Y_TO_X, config, rep_seed).loss
+        score_xy, score_yx = _score_directions(pairs.resample(counts), (X_TO_Y, Y_TO_X),
+                                               config, rep_seed)
+        losses_xy[i], losses_yx[i] = score_xy.loss, score_yx.loss
     if losses_xy.var(ddof=1) == 0.0 and losses_yx.var(ddof=1) == 0.0:
         return BootstrapResult(b, losses_xy, losses_yx, 1.0, degenerate=True)
     return BootstrapResult(b, losses_xy, losses_yx, welch_p_value(losses_xy, losses_yx))
@@ -181,8 +211,7 @@ def divot(pairs: SamplePair, config: ScoreConfig | None = None, seed: int = 0,
         raise ValueError(f"seed must be >= 0, got {seed}")
     check_pair(pairs)
     config = config or ScoreConfig()
-    score_xy = score_direction(pairs, X_TO_Y, config, seed)
-    score_yx = score_direction(pairs, Y_TO_X, config, seed)
+    score_xy, score_yx = _score_directions(pairs, (X_TO_Y, Y_TO_X), config, seed)
 
     if bootstrap_b is None:
         if abs(score_xy.loss - score_yx.loss) <= TIE_EPS:

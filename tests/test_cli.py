@@ -76,6 +76,17 @@ def test_infer_missing_file_no_partial_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_infer_names_a_file_with_too_few_rows_to_batch(tmp_path, capsys):
+    pair = tmp_path / "two.txt"
+    pair.write_text("0.1 0.5\n0.7 0.2\n")
+    out = tmp_path / "verdict.json"
+    assert main(["infer", str(pair), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: rows of {pair} must be >= 3, got 2, "
+                   "for batches of 2 rows at batch_frac auto\n")
+    assert not out.exists()
+
+
 def test_infer_is_byte_deterministic(tmp_path):
     pair = write_pair_file(tmp_path / "pair.txt")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -159,6 +170,7 @@ def test_infer_pnl_mode_reports_invertibility(tmp_path):
      "sizes must be >= 21, got 20, for batches of 2 rows at batch_frac 0.05"),
     (["--max-n", "2"], None,
      "max_n must be >= 3, got 2, for batches of 2 rows at batch_frac auto"),
+    (["bench", "--workers", "0"], None, "workers must be >= 1, got 0"),
 ])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message):
     pair = write_pair_file(tmp_path / "pair.txt", n=100)
@@ -190,6 +202,7 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, flags, config, message
     ("infer", "alpha=2", "alpha: alpha must be in (0, 1), got 2.0"),
     ("infer", "bootstrap=1", "bootstrap: need at least 2 bootstrap replicates, got 1"),
     ("bench", "suite=foo", "suite: unknown suite 'foo'"),
+    ("bench", "workers=-1", "workers: workers must be >= 1, got -1"),
 ])
 def test_a_bad_config_value_names_its_file_and_line(tmp_path, capsys, command, line, message):
     cfg = tmp_path / "run.cfg"
@@ -308,14 +321,61 @@ def test_bench_summary_goes_beside_an_out_in_a_dotted_directory(tmp_path):
 
 def test_bench_workers_match_serial(tmp_path):
     serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
+    # 8 items: two chunks, so two worker processes
     base = ["bench", "--suite", "synthetic", "--sizes", "100",
-            "--mechanisms", "linear", "--reps", "4"]
+            "--mechanisms", "linear", "--reps", "8"]
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--workers", "2", "--out", str(pooled)]) == 0
     a, b = read_csv(serial), read_csv(pooled)
     drop = {"elapsed_s"}
     assert [{k: v for k, v in r.items() if k not in drop} for r in a] == \
            [{k: v for k, v in r.items() if k not in drop} for r in b]
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        FakePool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("items, workers, started", [
+    (9, 1000, [3]),  # one worker per chunk of 4 items
+    (8, 1000, [2]),
+    (9, 2, [2]),
+    (4, 8, []),  # one chunk: run in this process
+    (0, 8, []),
+])
+def test_bench_starts_at_most_one_worker_per_chunk(monkeypatch, items, workers, started):
+    from divot import cli
+
+    monkeypatch.setattr(FakePool, "started", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    assert cli._map_tasks(lambda i: i * i, list(range(items)), workers) == \
+           [i * i for i in range(items)]
+    assert FakePool.started == started
+
+
+def test_main_builds_its_parser_once(capsys):
+    from divot import cli
+
+    cli.build_parser()
+    built = cli.build_parser.cache_info().misses
+    assert main(["bench", "--suite", "synthetic", "--reps", "1"]) == 1
+    assert main(["bench", "--suite", "synthetic", "--reps", "1"]) == 1
+    assert cli.build_parser.cache_info().misses == built
+    assert capsys.readouterr().err.count("bench requires --out") == 2
 
 
 def test_bench_requires_out(tmp_path, capsys):

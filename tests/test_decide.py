@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divot import (
+    MECHANISMS,
     DegenerateDataError,
     GeneratorSpec,
     SamplePair,
@@ -17,6 +18,7 @@ from divot import (
     score_direction,
 )
 from divot import decide as decide_mod
+from divot import divergence
 from divot.decide import welch_p_value
 
 CFG = ScoreConfig(source="uniform")
@@ -156,6 +158,43 @@ def test_affine_rescaling_leaves_decision_unchanged():
     assert shifted.score_yx.loss == pytest.approx(base.score_yx.loss, abs=1e-12)
 
 
+# -------------------------------------------------------- one draw a verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["uniform", "normal", "beta", "laplace"]), st.sampled_from(MECHANISMS),
+       st.integers(0, 2**16), st.sampled_from(["anm", "pnl"]))
+# cubic, seed 0: the x->y direction batches around 49 positions, y->x around 41
+@example("beta", "cubic", 0, "anm")
+def test_shared_draw_scores_equal_each_direction_scored_alone(source, mechanism, seed, mode):
+    # both directions slice one draw sized to the larger g; beta is a
+    # rejection sampler, and at n=100 the two g often differ
+    pairs = generate(GeneratorSpec(mechanism=mechanism, n=100, seed=seed))
+    pre = preprocess(pairs, max_n=100, seed=seed)
+    config = ScoreConfig(mode=mode, source=source, max_iters=20)
+    verdict = divot(pre, config, seed=seed)
+    assert verdict.score_xy == score_direction(pre, "x->y", config, seed)
+    assert verdict.score_yx == score_direction(pre, "y->x", config, seed)
+
+
+def test_a_verdict_draws_its_source_once_and_once_per_replicate(monkeypatch):
+    sizes = []
+    draw = divergence.draw_source_batches
+
+    def counted(source, batch_sizes, seed):
+        sizes.append(len(batch_sizes))
+        return draw(source, batch_sizes, seed)
+
+    monkeypatch.setattr(divergence, "draw_source_batches", counted)
+    pre = preprocess(generate(GeneratorSpec(mechanism="cubic", n=100, seed=0)), seed=0)
+    divot(pre, CFG, seed=0)
+    # one draw, sized to the larger of the two directions' batch counts
+    assert sizes == [max(len(decide_mod.select_positions(p)) for p in (pre, pre.swapped()))]
+    sizes.clear()
+    divot(pre, CFG, seed=0, bootstrap_b=6)
+    assert len(sizes) == 6 + 1
+
+
 # ------------------------------------------------------------------ bootstrap
 
 
@@ -177,14 +216,15 @@ def test_identical_loss_samples_give_p_one():
 def test_degenerate_zero_variance_flag(monkeypatch):
     calls = {"n": 0}
 
-    def fake_score(pairs, direction, config, seed=0):
+    def fake_scores(pairs, directions, config, seed):
         calls["n"] += 1
-        return type("S", (), {"loss": 0.25})()
+        return [type("S", (), {"loss": 0.25})() for _ in directions]
 
-    monkeypatch.setattr(decide_mod, "score_direction", fake_score)
+    # both directions of a replicate are scored in one call
+    monkeypatch.setattr(decide_mod, "_score_directions", fake_scores)
     res = decide_mod.bootstrap_test(make_linear(), CFG, b=5, seed=0)
     assert res.degenerate and res.p_value == 1.0
-    assert calls["n"] == 10
+    assert calls["n"] == 5
 
 
 def test_replicates_are_seed_reproducible():
