@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import os
@@ -502,9 +501,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared: add nothing to it."""
     parser = argparse.ArgumentParser(
         prog="divot",
         description="Causal direction inference via one-dimensional optimal transport",

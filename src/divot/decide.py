@@ -1,17 +1,17 @@
 """End-to-end direction decision: score both directions, compare, bootstrap.
 
 Both candidate directions are scored against one source sample. Each
-direction is batched first; then one draw sized to the larger batch count g,
-sorted once (`sorted_source_draws`), gives each direction's workspace its
-first g rows. Every sampler draws in sequence, so those rows equal a draw of
-the direction's own with the same seed, bit for bit, and a verdict scores as
-`score_direction` scores each direction alone. Each direction fits its noise
-scale, and in `pnl` mode the post-nonlinear transform with it; the
-normalized measure (raw divided by the fitted noise variance) is the loss,
-and the smaller loss wins. The bootstrap path resamples the data, scores
-both directions per replicate the same way (one draw a replicate), and
-applies a two-sided Welch t-test to the two loss samples; an insignificant
-difference means "independent".
+direction is batched first; then one draw sized to the larger batch count g
+(`batch_draws`) gives each direction's workspace its first g rows, which it
+sorts into a copy. Every sampler draws in sequence, so those rows equal a
+draw of the direction's own with the same seed, bit for bit, and a verdict
+scores each direction as `score_direction` scores it alone. Each direction
+fits its noise scale, and in `pnl` mode the post-nonlinear transform with
+it; the normalized measure (raw divided by the fitted noise variance) is the
+loss, and the smaller loss wins. The bootstrap path resamples the data,
+scores both directions per replicate the same way (one draw a replicate),
+and applies a two-sided Welch t-test to the two loss samples; an
+insignificant difference means "independent".
 """
 from __future__ import annotations
 
@@ -19,15 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import (
-    MeasureValue,
-    MeasureWorkspace,
-    sorted_source_draws,
-    workspace_from_batches,
-)
+from .divergence import MeasureValue, MeasureWorkspace, batch_draws, workspace_from_batches
 from .noise import canonical_source
 from .optimize import FitResult, fit_joint
 from .pairdata import (
+    BatchSet,
     SamplePair,
     check_batch_frac,
     check_pair,
@@ -111,35 +107,45 @@ def _oriented(pairs: SamplePair, direction: str) -> SamplePair:
     raise ValueError(f"direction must be {X_TO_Y!r} or {Y_TO_X!r}, got {direction!r}")
 
 
-def _score_directions(pairs: SamplePair, directions, config: ScoreConfig,
-                      seed: int) -> list[DirectionScore]:
-    """One DirectionScore per direction, all from one source draw.
-
-    Every direction is batched first. Their batches share k (one n), so one
-    sorted draw of the largest g serves them all, each workspace taking its
-    first g rows: the draw a direction would make alone.
-    """
-    batched = []
-    for direction in directions:
-        oriented = _oriented(pairs, direction)
-        positions = select_positions(oriented, config.max_positions)
-        batched.append((direction, oriented,
-                        make_batches(oriented, positions, config.batch_frac)))
-    g = max(len(batches) for _, _, batches in batched)
-    k = batched[0][2].batches.shape[1]
-    e_sorted = sorted_source_draws(config.source, g, k, seed)
-    scores = []
-    for direction, oriented, batches in batched:
-        fit = _fit(workspace_from_batches(oriented, batches, config.source,
-                                          e_sorted=e_sorted), config)
-        scores.append(DirectionScore(direction, fit.measure, fit.theta, fit.omega, config.mode))
-    return scores
+def _batches(oriented: SamplePair, config: ScoreConfig) -> BatchSet:
+    positions = select_positions(oriented, config.max_positions)
+    return make_batches(oriented, positions, config.batch_frac)
 
 
 def score_direction(pairs: SamplePair, direction: str, config: ScoreConfig,
-                    seed: int = 0) -> DirectionScore:
-    """Fit the measure for one hypothesized direction of preprocessed pairs."""
-    return _score_directions(pairs, (direction,), config, seed)[0]
+                    seed: int = 0, *, batches: BatchSet | None = None,
+                    draws: np.ndarray | None = None) -> DirectionScore:
+    """Fit the measure for one hypothesized direction of preprocessed pairs.
+
+    A verdict scores its two directions from one source draw (`_score_both`):
+    it passes each direction its `batches`, made from the pairs oriented for
+    it, and `draws`, the `batch_draws` of `seed` with at least g rows, of
+    which the direction takes the first g. Without them the direction
+    batches the pairs and draws from `seed` itself, which gives the same
+    batches and draws, so the same score.
+    """
+    oriented = _oriented(pairs, direction)
+    if batches is None:
+        batches = _batches(oriented, config)
+    own_draws = None if draws is None else draws[:len(batches)]
+    ws = workspace_from_batches(oriented, batches, config.source, seed, own_draws)
+    fit = _fit(ws, config)
+    return DirectionScore(direction, fit.measure, fit.theta, fit.omega, config.mode)
+
+
+def _score_both(pairs: SamplePair, config: ScoreConfig,
+                seed: int) -> tuple[DirectionScore, DirectionScore]:
+    """The x->y and y->x scores from one source draw.
+
+    Both directions are batched first. Their batches share k (one n), so one
+    draw of the larger g serves both, each taking its first g rows: the
+    sample it would draw alone.
+    """
+    batches = {d: _batches(_oriented(pairs, d), config) for d in (X_TO_Y, Y_TO_X)}
+    g = max(len(b) for b in batches.values())
+    draws = batch_draws(config.source, g, batches[X_TO_Y].batches.shape[1], seed)
+    return tuple(score_direction(pairs, d, config, seed, batches=b, draws=draws)
+                 for d, b in batches.items())
 
 
 def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
@@ -162,8 +168,7 @@ def bootstrap_test(pairs: SamplePair, config: ScoreConfig, b: int = 50,
         rep_seed = seed ^ i
         rng = np.random.default_rng(rep_seed)
         counts = np.bincount(rng.integers(0, pairs.n, pairs.n), minlength=pairs.n)
-        score_xy, score_yx = _score_directions(pairs.resample(counts), (X_TO_Y, Y_TO_X),
-                                               config, rep_seed)
+        score_xy, score_yx = _score_both(pairs.resample(counts), config, rep_seed)
         losses_xy[i], losses_yx[i] = score_xy.loss, score_yx.loss
     if losses_xy.var(ddof=1) == 0.0 and losses_yx.var(ddof=1) == 0.0:
         return BootstrapResult(b, losses_xy, losses_yx, 1.0, degenerate=True)
@@ -211,7 +216,7 @@ def divot(pairs: SamplePair, config: ScoreConfig | None = None, seed: int = 0,
         raise ValueError(f"seed must be >= 0, got {seed}")
     check_pair(pairs)
     config = config or ScoreConfig()
-    score_xy, score_yx = _score_directions(pairs, (X_TO_Y, Y_TO_X), config, seed)
+    score_xy, score_yx = _score_both(pairs, config, seed)
 
     if bootstrap_b is None:
         if abs(score_xy.loss - score_yx.loss) <= TIE_EPS:

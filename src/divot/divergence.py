@@ -8,17 +8,16 @@ divided by (batch size - 1). The measure averages those terms over batches.
 Every batch has the same size k, so a workspace holds its g batches as (g, k)
 matrices and each kernel is one vectorized pass over them. A workspace keeps
 only sorted data: its draws and its effect values, each sorted once, and the
-cause values in the effects' order; workspaces of one k may share the rows of
-one sorted draw (`sorted_source_draws`), each taking its first g rows.
-`measure_value`, `measure_with_grad` and `sorted_effects` all read the
-effects through one sorted view
-(`_sorted_view`), which transforms and debiases the sorted effects once and
-sorts again only where that broke a batch's order; the workspace keeps the
-last view, so readers that pass the same debias and transform objects share
-it. The value and gradients share one residual computation (`_residuals`),
-and `measure_with_grad` sums r^2 and every gradient term in one stacked
-reduction (`_row_sums`), each row bit-equal to the sum of its own (g, k)
-matrix.
+cause values in the effects' order; workspaces of one k may take their
+draws from one sample (`batch_draws`), each sorting its own first g rows
+into a copy. `measure_value`, `measure_with_grad` and `sorted_effects` all
+read the effects through one sorted view (`_sorted_view`), which transforms
+and debiases the sorted effects once and sorts again only where that broke
+a batch's order; the workspace keeps the last view, so readers that pass
+the same debias and transform objects share it. The value and gradients
+share one residual computation (`_residuals`), and `measure_with_grad` sums
+r^2 and every gradient term in one stacked reduction (`_row_sums`), each row
+bit-equal to the sum of its own (g, k) matrix.
 
 A workspace may stack several problems of one shape as equal row blocks
 (`blocks`): `measure_value` then takes one scale per block and sums each
@@ -116,22 +115,19 @@ def _row_gather(flat: np.ndarray, *arrays):
     return tuple(None if a is None else a.take(flat) for a in arrays)
 
 
-def sorted_source_draws(source: str, g: int, k: int, seed: int) -> np.ndarray:
-    """g rows of k unscaled source draws from one stream seeded once, each
-    row sorted in place.
+def batch_draws(source: str, g: int, k: int, seed: int) -> np.ndarray:
+    """The (g, k) unscaled source draws, unsorted, of one stream seeded once:
+    the sample a workspace of g batches of k draws from `seed`.
 
     Every sampler draws in sequence (`draw_source_batches`), so the first g'
-    rows equal `sorted_source_draws(source, g', k, seed)` bit for bit: one
-    draw sized to the largest g serves workspaces of several g and one k.
+    rows equal `batch_draws(source, g', k, seed)` bit for bit, and one draw
+    sized to the largest g serves workspaces of several g and one k.
     """
-    e_sorted = draw_source_batches(source, np.full(g, k), seed)
-    e_sorted.sort(axis=1)
-    return e_sorted
+    return draw_source_batches(source, np.full(g, k), seed)
 
 
 def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
-                    seed: int = 0, source_draws=None, blocks: int = 1,
-                    draws_sorted: bool = False) -> MeasureWorkspace:
+                    seed: int = 0, source_draws=None, blocks: int = 1) -> MeasureWorkspace:
     """The (g, k) matrices of g batches and one fixed source sample per member.
 
     `anchors` gives each batch's position, one per batch; the measure does
@@ -140,15 +136,12 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
     one length k. Vectors of mixed lengths raise ShapeError. Without
     `source_draws` the draws come from a single stream seeded once, so
     repeated evaluations during optimization see the same sample. The draws
-    and the effect values are sorted once, and the workspace keeps only
-    sorted data: it sorts a sample it drew in place and a caller's
-    `source_draws` into a copy, unless `draws_sorted` says each of their
-    rows is sorted already: it then keeps them as given, uncopied (no
-    workspace writes to its draws, so several may share one array's rows).
-    With `xs_per_batch` it orders each batch's effect and cause values by
-    one stable argsort of its effects. `blocks` splits the g batches into
-    that many equal blocks (see `MeasureWorkspace`); a g it does not divide
-    raises ValueError.
+    and the effect values are sorted once, here, and the workspace keeps
+    only sorted data: it sorts a sample it drew in place and a caller's
+    `source_draws` into a copy, and with `xs_per_batch` it orders each
+    batch's effect and cause values by one stable argsort of its effects.
+    `blocks` splits the g batches into that many equal blocks (see
+    `MeasureWorkspace`); a g it does not divide raises ValueError.
     """
     src = canonical_source(source)
     ys = batch_matrix(ys_per_batch, float)
@@ -166,30 +159,23 @@ def build_workspace(source: str, anchors, ys_per_batch, xs_per_batch=None,
         if xs.shape != ys.shape:
             raise InsufficientDataError("xs_per_batch must match ys_per_batch lengths")
         y_sorted, xs = _row_gather(np.argsort(ys, kind="stable", axis=1), ys, xs)
-    if source_draws is None:
-        e_sorted = sorted_source_draws(src, g, k, seed)
+    if source_draws is None:  # drawn here, so sorted in place
+        e_sorted = batch_draws(src, g, k, seed)
+        e_sorted.sort(axis=1)
     else:
-        e_sorted = batch_matrix(source_draws, float)
-        if e_sorted.shape != ys.shape:
+        draws = batch_matrix(source_draws, float)
+        if draws.shape != ys.shape:
             raise InsufficientDataError("one source draw per batch member required")
-        if not draws_sorted:
-            e_sorted = np.sort(e_sorted, axis=1)
+        e_sorted = np.sort(draws, axis=1)
     return MeasureWorkspace(src, e_sorted, y_sorted, xs, blocks)
 
 
 def workspace_from_batches(pairs, batches, source: str, seed: int = 0,
-                           e_sorted: np.ndarray | None = None) -> MeasureWorkspace:
+                           source_draws=None) -> MeasureWorkspace:
     """Workspace for a SamplePair batched on its x (cause) axis: one gather of
-    the effect values, and no cause values (`xs` None).
-
-    `e_sorted`, sorted source draws of at least g rows of k (as
-    `sorted_source_draws` gives them), supplies the draws: the workspace
-    takes its first g rows, uncopied. Without it the workspace draws its
-    own from `seed`, which is the same sample.
-    """
-    draws = None if e_sorted is None else e_sorted[:len(batches)]
+    the effect values, and no cause values (`xs` None)."""
     return build_workspace(source, batches.positions, pairs.ys[batches.batches],
-                           seed=seed, source_draws=draws, draws_sorted=True)
+                           seed=seed, source_draws=source_draws)
 
 
 def _debiased(ws: MeasureWorkspace, d: np.ndarray, debias: DebiasFn | None,

@@ -367,17 +367,6 @@ def test_bench_starts_at_most_one_worker_per_chunk(monkeypatch, items, workers, 
     assert FakePool.started == started
 
 
-def test_main_builds_its_parser_once(capsys):
-    from divot import cli
-
-    cli.build_parser()
-    built = cli.build_parser.cache_info().misses
-    assert main(["bench", "--suite", "synthetic", "--reps", "1"]) == 1
-    assert main(["bench", "--suite", "synthetic", "--reps", "1"]) == 1
-    assert cli.build_parser.cache_info().misses == built
-    assert capsys.readouterr().err.count("bench requires --out") == 2
-
-
 def test_bench_requires_out(tmp_path, capsys):
     code = main(["bench", "--suite", "synthetic", "--reps", "1", "--sizes", "100"])
     assert code != 0

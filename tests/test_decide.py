@@ -178,21 +178,30 @@ def test_shared_draw_scores_equal_each_direction_scored_alone(source, mechanism,
 
 
 def test_a_verdict_draws_its_source_once_and_once_per_replicate(monkeypatch):
-    sizes = []
-    draw = divergence.draw_source_batches
+    sizes, directions = [], []
+    draw, score = divergence.draw_source_batches, decide_mod.score_direction
 
-    def counted(source, batch_sizes, seed):
+    def counted_draw(source, batch_sizes, seed):
         sizes.append(len(batch_sizes))
         return draw(source, batch_sizes, seed)
 
-    monkeypatch.setattr(divergence, "draw_source_batches", counted)
+    def counted_score(pairs, direction, *args, **kwargs):
+        directions.append(direction)
+        return score(pairs, direction, *args, **kwargs)
+
+    monkeypatch.setattr(divergence, "draw_source_batches", counted_draw)
+    monkeypatch.setattr(decide_mod, "score_direction", counted_score)
     pre = preprocess(generate(GeneratorSpec(mechanism="cubic", n=100, seed=0)), seed=0)
     divot(pre, CFG, seed=0)
-    # one draw, sized to the larger of the two directions' batch counts
+    # one draw, sized to the larger of the two directions' batch counts, and
+    # each direction still scored by score_direction
     assert sizes == [max(len(decide_mod.select_positions(p)) for p in (pre, pre.swapped()))]
+    assert directions == ["x->y", "y->x"]
     sizes.clear()
+    directions.clear()
     divot(pre, CFG, seed=0, bootstrap_b=6)
     assert len(sizes) == 6 + 1
+    assert directions == ["x->y", "y->x"] * (6 + 1)
 
 
 # ------------------------------------------------------------------ bootstrap
@@ -216,15 +225,14 @@ def test_identical_loss_samples_give_p_one():
 def test_degenerate_zero_variance_flag(monkeypatch):
     calls = {"n": 0}
 
-    def fake_scores(pairs, directions, config, seed):
+    def fake_score(pairs, direction, config, seed=0, **shared):
         calls["n"] += 1
-        return [type("S", (), {"loss": 0.25})() for _ in directions]
+        return type("S", (), {"loss": 0.25})()
 
-    # both directions of a replicate are scored in one call
-    monkeypatch.setattr(decide_mod, "_score_directions", fake_scores)
+    monkeypatch.setattr(decide_mod, "score_direction", fake_score)
     res = decide_mod.bootstrap_test(make_linear(), CFG, b=5, seed=0)
     assert res.degenerate and res.p_value == 1.0
-    assert calls["n"] == 5
+    assert calls["n"] == 10
 
 
 def test_replicates_are_seed_reproducible():

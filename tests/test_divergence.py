@@ -244,25 +244,20 @@ def test_workspace_from_batches_gathers_each_batch(sizes):
 
 
 @pytest.mark.parametrize("source", ["uniform", "beta"])
-def test_workspaces_share_the_first_rows_of_one_sorted_draw(source):
+def test_workspaces_share_the_first_rows_of_one_draw(source):
+    # beta is a rejection sampler; every sampler draws in sequence
     rng = np.random.default_rng(12)
     pairs = SamplePair(rng.normal(size=12), rng.normal(size=12))
     batches = BatchSet(rng.normal(size=3), [np.sort(rng.choice(12, 4, replace=False))
                                             for _ in range(3)])
-    e_sorted = divergence.sorted_source_draws(source, 5, 4, seed=4)
-    shared = workspace_from_batches(pairs, batches, source, e_sorted=e_sorted)
+    draws = divergence.batch_draws(source, 5, 4, seed=4)
+    kept = draws.copy()
+    assert draws[:3].tobytes() == divergence.batch_draws(source, 3, 4, seed=4).tobytes()
+    shared = workspace_from_batches(pairs, batches, source, source_draws=draws[:3])
     alone = workspace_from_batches(pairs, batches, source, seed=4)
     assert shared.e_sorted.tobytes() == alone.e_sorted.tobytes()
-    assert np.shares_memory(shared.e_sorted, e_sorted)
-    # draws flagged as sorted are kept as they are; others are sorted into a copy
-    draws = rng.random((3, 4))
-    unsorted = draws.copy()
-    ws = build_workspace(source, np.zeros(3), np.ones((3, 4)), source_draws=draws)
-    assert ws.e_sorted.tobytes() == np.sort(unsorted).tobytes()
-    assert np.array_equal(draws, unsorted)
-    draws.sort(axis=1)
-    assert build_workspace(source, np.zeros(3), np.ones((3, 4)), source_draws=draws,
-                           draws_sorted=True).e_sorted is draws
+    # the shared draw is sorted into a copy, not in place
+    assert draws.tobytes() == kept.tobytes()
 
 
 def _mixed_batch_set():
