@@ -1,4 +1,4 @@
-"""Print one sha256 per divot output over a fixed set of inputs, 72 lines.
+"""Print one sha256 per divot output over a fixed set of inputs, 76 lines.
 
     python3 scripts/output_digest.py [--src DIR]
 
@@ -16,7 +16,9 @@ split) and again with the beta source (a rejection sampler: each variable's
 one draw is sliced for roots and families of different shapes), and the
 chain in raw units with one column scaled by 10, and the bits of the measure
 kernel (`measure_with_grad` and `sorted_effects`) on a grid of debias and
-transform settings over workspaces built from both pair files.
+transform settings over workspaces built from both pair files, and the
+`generate` arrays of one spec under each built-in noise law (a law the
+imported divot rejects prints its error in place of a digest).
 `--src` imports divot from another checkout's `src` directory, so running the
 script once per checkout and diffing the two listings shows whether a change
 kept every output byte-identical.
@@ -42,6 +44,7 @@ INFER_CONFIGS = {
     "beta-frac0.3": ["--noise", "beta", "--batch-frac", "0.3"],
 }
 TIMING_COLUMNS = {"elapsed_s", "mean_elapsed_s"}
+NOISE_LAWS = ("normal", "uniform", "beta", "laplace")
 
 
 def sha(data: bytes) -> str:
@@ -220,6 +223,18 @@ def kernel_digests(divot):
                 yield f"kernel/{file_name}/{debias_name}/{pnl_name}", sha(bits)
 
 
+def synth_digests(divot):
+    """The x and y bits of one confounded spec, whose noise enters both columns."""
+    for law in NOISE_LAWS:
+        try:
+            pairs = divot.generate(divot.GeneratorSpec(mechanism="cubic", noise=law,
+                                                       confounder=(0.3, 0.7, 3), n=200, seed=6))
+        except ValueError as exc:
+            yield f"synth/{law}", f"{type(exc).__name__}: {exc}"
+            continue
+        yield f"synth/{law}", sha(pairs.xs.tobytes() + pairs.ys.tobytes())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -234,7 +249,7 @@ def main(argv=None) -> int:
         try:
             for name, digest in (*infer_digests(divot), *bench_digests(divot),
                                  *verdict_digests(divot), *orient_digests(divot),
-                                 *kernel_digests(divot)):
+                                 *kernel_digests(divot), *synth_digests(divot)):
                 print(f"{digest}  {name}")
         finally:
             os.chdir(cwd)

@@ -76,6 +76,10 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # built here, once, so that a bad value fails before any input is read
+        object.__setattr__(self, "_score_config", ScoreConfig(
+            mode=self.mode, source=self.noise, batch_frac=self.batch_frac,
+            max_positions=self.positions, max_iters=self.max_iters))
         # the bench suites average over reps and seeds, each value once
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
@@ -87,8 +91,6 @@ class RunConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         # checked here too, not only where they are used, so that a bad
         # config-file value names its file and line
-        if self.positions < 1:
-            raise ValueError(f"max_positions must be >= 1, got {self.positions}")
         if self.bootstrap and self.bootstrap < 2:  # 0 disables the bootstrap
             raise ValueError(f"need at least 2 bootstrap replicates, got {self.bootstrap}")
         if not 0.0 < self.alpha < 1.0:
@@ -111,13 +113,7 @@ class RunConfig:
                 raise ValueError(f"{name} must not repeat a value, got {listed}")
 
     def score_config(self) -> ScoreConfig:
-        return ScoreConfig(
-            mode=self.mode,
-            source=self.noise,
-            batch_frac=self.batch_frac,
-            max_positions=self.positions,
-            max_iters=self.max_iters,
-        )
+        return self._score_config
 
     def digest(self) -> str:
         # identifies the pipeline configuration; I/O and scheduling knobs
@@ -150,8 +146,8 @@ def _check_batchable(name: str, n: int, batch_frac: float | None) -> None:
 def _parse_config_file(path: str) -> dict:
     """RunConfig values from `key=value` lines; a bad line raises ParseError.
 
-    Each value is checked on its line, by the RunConfig and ScoreConfig that
-    hold it alone, so a value they reject names the file and line too.
+    Each value is checked on its line, by a RunConfig that holds it alone, so
+    a value it (or the ScoreConfig it builds) rejects names the file and line.
     max_n is checked there at batch_frac 1, where only a max_n that no
     batch_frac batches fails: whether it batches at the batch_frac the run
     resolves to is checked once every value is merged.
@@ -170,7 +166,7 @@ def _parse_config_file(path: str) -> dict:
                 raise ParseError(path, line_no, f"unknown key {key!r}")
             try:
                 out[key] = _coerce(key, value.strip())
-                RunConfig(**{"batch_frac": 1.0, key: out[key]}).score_config()
+                RunConfig(**{"batch_frac": 1.0, key: out[key]})
             except ValueError as exc:
                 raise ParseError(path, line_no, f"{key}: {exc}") from None
     return out

@@ -58,6 +58,8 @@ class ScoreConfig:
             raise ValueError(f"mode must be 'anm' or 'pnl', got {self.mode!r}")
         object.__setattr__(self, "source", canonical_source(self.source))
         check_batch_frac(self.batch_frac)
+        if self.max_positions < 1:
+            raise ValueError(f"max_positions must be >= 1, got {self.max_positions}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

@@ -345,19 +345,12 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
 
 
 def variance_divergence(batches, ys_per_batch, model: NoiseModel,
-                        debias: DebiasFn | None = None,
-                        pnl: PnlTransform | None = None,
-                        seed: int = 0,
-                        xs_per_batch=None,
-                        source_draws=None) -> MeasureValue:
-    """Raw and variance-normalized measure for given batches at a fixed model.
-
-    `batches` supplies the anchor positions; `source_draws` (unscaled, one
-    vector per batch) overrides the seeded stream when provided.
-    """
+                        source_draws) -> MeasureValue:
+    """Raw and variance-normalized measure at a fixed model, for given batches
+    (their anchor positions) and unscaled `source_draws`, one vector per batch."""
     ws = build_workspace(model.source, batches.positions, ys_per_batch,
-                         xs_per_batch, seed, source_draws)
-    return normalized_measure(ws, model.theta, measure_value(ws, model.theta, debias, pnl))
+                         source_draws=source_draws)
+    return normalized_measure(ws, model.theta, measure_value(ws, model.theta))
 
 
 def normalized_measure(ws: MeasureWorkspace, theta: float, raw: float) -> MeasureValue:

@@ -26,6 +26,7 @@ from .divergence import build_workspace, measure_value
 from .noise import draw_source_batches
 from .errors import (
     InsufficientDataError,
+    ShapeError,
     SkeletonParseError,
     SkeletonTooLargeError,
 )
@@ -136,12 +137,22 @@ def _is_acyclic_edges(m: int, edges) -> bool:
     return seen == m
 
 
-def _standardized(data: np.ndarray, batch_frac: float | None) -> np.ndarray:
-    """`check_batch_frac`, then `check_column` and `standardize` on each data
-    column (labelled "data column j"), into one Fortran-order matrix whose
-    columns are contiguous."""
-    check_batch_frac(batch_frac)
+def _data_matrix(data) -> np.ndarray:
+    """`data` as floats, checked to be a (rows, variables) array of >= 2 rows."""
     data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ShapeError(f"data must be a 2-d (rows, variables) array, got shape {data.shape}")
+    if len(data) < 2:
+        raise InsufficientDataError(f"data needs at least 2 rows, got shape {data.shape}")
+    return data
+
+
+def _standardized(data: np.ndarray, batch_frac: float | None) -> np.ndarray:
+    """`check_batch_frac`, `_data_matrix`, then `check_column` and
+    `standardize` on each data column (labelled "data column j"), into one
+    Fortran-order matrix whose columns are contiguous."""
+    check_batch_frac(batch_frac)
+    data = _data_matrix(data)
     z = np.empty(data.shape, order="F")
     for j in range(data.shape[1]):
         label = f"data column {j}"
@@ -201,8 +212,9 @@ def variable_term(data: np.ndarray, i: int, parents: tuple[int, ...],
 
     The term is a pure function of the family (i, parents) once the data and
     the other arguments are fixed. Without `memo` the call checks and
-    z-scores `data` (`_standardized`): a nan or infinite cell, or a constant
-    column, raises DegenerateDataError naming the data column (and the row).
+    z-scores `data` (`_standardized`): data with the wrong shape raises as
+    `_data_matrix` says, and a nan or infinite cell, or a constant column,
+    raises DegenerateDataError naming the data column (and the row).
     `memo` maps families to terms computed with the same arguments, and
     gains this family's term, scored by a pass over it alone
     (`_score_families`); with it, `data` must be the z-scored matrix.
@@ -349,23 +361,24 @@ def orient_skeleton(data: np.ndarray, skeleton: Skeleton,
 
     Ties break toward the lexicographically smallest direction-flag vector.
     The data is checked and z-scored once (`_standardized`), so the result
-    does not depend on column units. A negative seed, then a skeleton over
-    other than one variable per data column, raises ValueError first. Before
-    the enumeration, one stacked pass (`_score_families`) scores every family
-    an orientation can hold: each variable with each subset of its skeleton
-    neighbours. Its stacks hold at most max_positions * n elements at once,
-    and each flush of them draws one source stream per child. Every
-    orientation then reads its terms from that memo.
+    does not depend on column units. A negative seed, then data of the wrong
+    shape (`_data_matrix`), then a skeleton over other than one variable per
+    data column, raises first. Before the enumeration, one stacked pass
+    (`_score_families`) scores every family an orientation can hold: each
+    variable with each subset of its skeleton neighbours. Its stacks hold at
+    most max_positions * n elements at once, and each flush of them draws one
+    source stream per child. Every orientation then reads its terms from that
+    memo.
     """
     if seed < 0:  # numpy seeds only from non-negative integers
         raise ValueError(f"seed must be >= 0, got {seed}")
+    data = _data_matrix(data)
     edges = skeleton.edges
     if len(edges) > MAX_EDGES:
         raise SkeletonTooLargeError(
             f"{len(edges)} edges exceed the enumeration limit of {MAX_EDGES}; "
             "orient edges pairwise with the bivariate tool instead"
         )
-    data = np.asarray(data, dtype=float)
     if skeleton.m != data.shape[1]:
         raise ValueError(f"skeleton is over {skeleton.m} variables, "
                          f"data has {data.shape[1]} columns")

@@ -1,34 +1,34 @@
-"""Hypothesized noise distributions: a fixed source scaled by a positive theta.
+"""The built-in noise laws, and hypothesized noise: a law scaled by a positive theta.
 
-The reparameterization e = theta * e_source is strictly increasing in the
-source draw, so sorting the source sorts the noise; that monotonicity is what
-lets the scale be fitted in closed form downstream.
-
-The sources are the four built in here. Each sampler draws in sequence: its
-first m values equal an m-value call from the same generator state, which
-lets one draw serve several batch shapes (`draw_source_batches`).
+`_LAWS` is the one definition of each law, its variance and its sampler: the
+scorer and `synth.generate` (through `sampler`) both read it. The
+reparameterization e = theta * e_source is strictly increasing in the source
+draw, so sorting the source sorts the noise; that monotonicity is what lets
+the scale be fitted in closed form downstream. Each sampler draws in
+sequence: its first m values equal an m-value call from the same generator
+state, which lets one draw serve several batch shapes (`draw_source_batches`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .pairdata import batch_size
 
-# canonical name -> variance of one unscaled source draw
-_BASE_VARIANCE = {
-    "normal": 1.0,
-    "uniform": 1.0 / 12.0,
-    "beta": 1.0 / 8.0,  # Beta(0.5, 0.5): ab / ((a+b)^2 (a+b+1))
-    "laplace": 2.0,
-}
 
-_SAMPLERS = {
-    "normal": lambda rng, n: rng.standard_normal(n),
-    "uniform": lambda rng, n: rng.random(n),
-    "beta": lambda rng, n: rng.beta(0.5, 0.5, n),
-    "laplace": lambda rng, n: rng.laplace(0.0, 1.0, n),
+class _Law(NamedTuple):
+    variance: float  # of one unscaled draw
+    sample: Callable  # (rng, n) -> n unscaled draws
+
+
+_LAWS = {  # canonical name -> law
+    "normal": _Law(1.0, lambda rng, n: rng.standard_normal(n)),
+    "uniform": _Law(1.0 / 12.0, lambda rng, n: rng.random(n)),
+    # Beta(0.5, 0.5): ab / ((a+b)^2 (a+b+1))
+    "beta": _Law(1.0 / 8.0, lambda rng, n: rng.beta(0.5, 0.5, n)),
+    "laplace": _Law(2.0, lambda rng, n: rng.laplace(0.0, 1.0, n)),
 }
 
 _ALIASES = {
@@ -39,14 +39,18 @@ _ALIASES = {
     "laplace(0,1)": "laplace",
 }
 
+
 def canonical_source(name: str) -> str:
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
-    if key not in _BASE_VARIANCE:
-        raise ValueError(
-            f"unknown noise source {name!r}; choose from {tuple(_BASE_VARIANCE)}"
-        )
+    if key not in _LAWS:
+        raise ValueError(f"unknown noise source {name!r}; choose from {tuple(_LAWS)}")
     return key
+
+
+def sampler(source: str) -> Callable:
+    """The sampler of a built-in law: (rng, n) -> n unscaled draws from rng."""
+    return _LAWS[canonical_source(source)].sample
 
 
 @dataclass(frozen=True)
@@ -78,9 +82,9 @@ def draw_source_batches(source: str, sizes, seed: int) -> np.ndarray:
     g = len(sizes)
     k = batch_size(sizes)
     rng = np.random.default_rng(seed)
-    return _SAMPLERS[canonical_source(source)](rng, g * k).reshape(g, k)
+    return sampler(source)(rng, g * k).reshape(g, k)
 
 
 def model_variance(model: NoiseModel) -> float:
     """Analytic Var(theta * E_source)."""
-    return model.theta**2 * _BASE_VARIANCE[model.source]
+    return model.theta**2 * _LAWS[model.source].variance

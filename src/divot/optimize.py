@@ -87,23 +87,18 @@ def _clamped_ratio(num: float, energy: float, k: int) -> float:
     return float(min(max(num / den, lo), hi))
 
 
-def bisect_theta(ws: MeasureWorkspace,
-                 debias: DebiasFn | None = None,
-                 pnl: PnlTransform | None = None,
-                 theta_range: tuple[float, float] = THETA_RANGE,
-                 tol: float = 1e-10) -> float:
-    """Root of the analytic theta-gradient by bisection over theta_range."""
-    lo, hi = theta_range
+def bisect_theta(ws: MeasureWorkspace) -> float:
+    """Root of the analytic theta-gradient by bisection over THETA_RANGE, to 1e-10."""
+    lo, hi = THETA_RANGE
 
     def grad(theta: float) -> float:
-        return measure_with_grad(ws, theta, debias, pnl)[1]["theta"]
+        return measure_with_grad(ws, theta)[1]["theta"]
 
-    g_lo = grad(lo)
-    if g_lo >= 0.0:
+    if grad(lo) >= 0.0:
         return float(lo)
     if grad(hi) <= 0.0:
         return float(hi)
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if grad(mid) < 0.0:
             lo = mid

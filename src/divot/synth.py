@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import canonical_source, sampler
 from .pairdata import SamplePair
 
 MECHANISMS = ("linear", "cubic", "sine", "piecewise")
@@ -28,12 +29,13 @@ class GeneratorSpec:
 
     Without `confounder` the process is x ~ U(-1,1), y = weight * g(x) + e.
     With `confounder` = (w_x, w_y, fcm_id) the processes of the unknown-
-    confounder study are used instead (fcm_id in {1, 2, 3}).
+    confounder study are used instead (fcm_id in {1, 2, 3}). Each noise term
+    is one unscaled draw of the built-in law `noise` (`noise.sampler`).
     """
 
     mechanism: str = "linear"
     weight: float = 1.0
-    noise: str = "uniform"  # uniform | laplace
+    noise: str = "uniform"
     confounder: tuple[float, float, int] | None = None
     n: int = 500
     seed: int = 0
@@ -41,27 +43,21 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.noise not in ("uniform", "laplace"):
-            raise ValueError(f"noise must be 'uniform' or 'laplace', got {self.noise!r}")
+        object.__setattr__(self, "noise", canonical_source(self.noise))
         mechanism_fn(self.mechanism)
         if self.confounder is not None and self.confounder[2] not in (1, 2, 3):
             raise ValueError("confounder fcm_id must be 1, 2 or 3")
-
-
-def _noise(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    if spec.noise == "uniform":
-        return rng.random(n)
-    return rng.laplace(0.0, 1.0, n)
 
 
 def generate(spec: GeneratorSpec) -> SamplePair:
     """Draw a SamplePair from the process described by spec (deterministic)."""
     rng = np.random.default_rng(spec.seed)
     g = mechanism_fn(spec.mechanism)
+    noise = sampler(spec.noise)
 
     if spec.confounder is None:
         x = rng.uniform(-1.0, 1.0, spec.n)
-        y = spec.weight * g(x) + _noise(spec, rng, spec.n)
+        y = spec.weight * g(x) + noise(rng, spec.n)
         return SamplePair(x, y)
 
     w_x, w_y, fcm_id = spec.confounder
@@ -70,9 +66,9 @@ def generate(spec: GeneratorSpec) -> SamplePair:
         x = u
         y = u.copy()
     elif fcm_id == 2:
-        x = _noise(spec, rng, spec.n) + w_x * u
-        y = _noise(spec, rng, spec.n) + w_y * u
+        x = noise(rng, spec.n) + w_x * u
+        y = noise(rng, spec.n) + w_y * u
     else:
-        x = _noise(spec, rng, spec.n) + w_x * u
-        y = spec.weight * g(x) + _noise(spec, rng, spec.n) + w_y * u
+        x = noise(rng, spec.n) + w_x * u
+        y = spec.weight * g(x) + noise(rng, spec.n) + w_y * u
     return SamplePair(x, y)

@@ -87,6 +87,12 @@ def test_infer_names_a_file_with_too_few_rows_to_batch(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_bad_score_setting_fails_before_the_pair_file_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["infer", str(missing), "--max-iters", "0"]) == 1
+    assert capsys.readouterr().err == "error: max_iters must be >= 1, got 0\n"
+
+
 def test_infer_is_byte_deterministic(tmp_path):
     pair = write_pair_file(tmp_path / "pair.txt")
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

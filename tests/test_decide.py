@@ -75,6 +75,13 @@ def test_max_iters_below_one_rejected_by_name(max_iters):
         ScoreConfig(mode="pnl", max_iters=max_iters)
 
 
+@pytest.mark.parametrize("max_positions", [0, -3])
+def test_max_positions_below_one_rejected_by_name(max_positions):
+    # at construction, not at the first select_positions
+    with pytest.raises(ValueError, match=rf"^max_positions must be >= 1, got {max_positions}$"):
+        ScoreConfig(max_positions=max_positions)
+
+
 def test_linear_anm_recovery_rate():
     wins = 0
     for rep in range(100):

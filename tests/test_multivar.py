@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from divot import (
     DagOrientation,
     DegenerateDataError,
+    InsufficientDataError,
     SamplePair,
     ScoreConfig,
+    ShapeError,
     Skeleton,
     SkeletonParseError,
     SkeletonTooLargeError,
@@ -296,6 +298,27 @@ def test_skeleton_size_mismatch_rejected_before_scoring(m, edges):
                            match=f"^skeleton is over {m} variables, data has 4 columns$"):
             orient_skeleton(data, Skeleton(m, edges), seed=0)
     assert scored == []
+
+
+@pytest.mark.parametrize("shape, error, message", [
+    ((6,), ShapeError, r"^data must be a 2-d \(rows, variables\) array, got shape \(6,\)$"),
+    ((6, 4, 2), ShapeError,
+     r"^data must be a 2-d \(rows, variables\) array, got shape \(6, 4, 2\)$"),
+    ((0, 3), InsufficientDataError, r"^data needs at least 2 rows, got shape \(0, 3\)$"),
+    ((1, 3), InsufficientDataError, r"^data needs at least 2 rows, got shape \(1, 3\)$"),
+], ids=["1-d", "3-d", "0-rows", "1-row"])
+@pytest.mark.parametrize("call", ["orient_skeleton", "variable_term", "multivariate_measure"])
+def test_data_not_rows_by_variables_is_named_by_its_shape(shape, error, message, call):
+    # over 4 variables: the shape is checked before the variable count
+    data = np.arange(float(np.prod(shape))).reshape(shape)
+    edges = ((0, 1), (1, 2), (2, 3))
+    with pytest.raises(error, match=message):
+        if call == "orient_skeleton":
+            orient_skeleton(data, Skeleton(4, edges))
+        elif call == "variable_term":
+            variable_term(data, 1, (0,))
+        else:
+            multivariate_measure(data, DagOrientation(4, edges))
 
 
 def test_multivariate_ranking_sorted_and_ties_lexicographic():

@@ -9,7 +9,7 @@ from divot import (
     draw_source_batches,
     model_variance,
 )
-from divot.noise import _SAMPLERS
+from divot.noise import _LAWS, sampler
 
 BUILT_IN_SOURCES = ("normal", "uniform", "beta", "laplace")
 
@@ -83,7 +83,7 @@ def test_batch_stream_is_deterministic_and_sequential():
 def per_batch_draws_oracle(source, sizes, seed):
     """One sampler call per batch on one stream, as draw_source_batches once did."""
     rng = np.random.default_rng(seed)
-    return [np.asarray(_SAMPLERS[source](rng, k), dtype=float) for k in sizes]
+    return [np.asarray(sampler(source)(rng, k), dtype=float) for k in sizes]
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,13 +116,13 @@ def test_stream_prefix_equals_shorter_draw(source, sizes, seed):
 
 def test_workspace_draws_from_one_registered_sampler_call(monkeypatch):
     calls = []
-    sampler = _SAMPLERS["uniform"]
+    uniform = _LAWS["uniform"]
 
     def spy(rng, n):
         calls.append(n)
-        return sampler(rng, n)
+        return uniform.sample(rng, n)
 
-    monkeypatch.setitem(_SAMPLERS, "uniform", spy)
+    monkeypatch.setitem(_LAWS, "uniform", uniform._replace(sample=spy))
     ws = build_workspace("uniform", [0.0, 1.0, 2.0],
                          [np.arange(3.0), np.arange(3.0), np.arange(3.0)], seed=5)
     assert calls == [9]

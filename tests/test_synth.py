@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from divot import GeneratorSpec, MECHANISMS, generate
+from divot.noise import _ALIASES, _LAWS, sampler
 from divot.synth import mechanism_fn
 
 
@@ -82,7 +83,8 @@ def test_fcm3_includes_mechanism():
 def test_spec_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(n=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown noise source 'gamma'; choose from "
+                                         r"\('normal', 'uniform', 'beta', 'laplace'\)$"):
         GeneratorSpec(noise="gamma")
     with pytest.raises(ValueError):
         GeneratorSpec(confounder=(1.0, 1.0, 4))
@@ -92,3 +94,27 @@ def test_all_mechanisms_generate():
     for mech in MECHANISMS:
         pairs = generate(GeneratorSpec(mechanism=mech, n=50, seed=9))
         assert pairs.n == 50
+
+
+@pytest.mark.parametrize("name, law", [(law, law) for law in _LAWS] + list(_ALIASES.items()))
+def test_spec_takes_every_built_in_law_by_its_canonical_name(name, law):
+    assert GeneratorSpec(noise=name).noise == law
+
+
+@pytest.mark.parametrize("law", tuple(_LAWS))
+def test_generate_draws_noise_by_the_law_sampler(law):
+    # the process of each path, replayed on the same rng stream
+    g = mechanism_fn("cubic")
+    pairs = generate(GeneratorSpec(mechanism="cubic", weight=0.5, noise=law, n=300, seed=12))
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1.0, 1.0, 300)
+    y = 0.5 * g(x) + sampler(law)(rng, 300)
+    assert pairs.xs.tobytes() == x.tobytes() and pairs.ys.tobytes() == y.tobytes()
+
+    pairs = generate(GeneratorSpec(mechanism="cubic", noise=law, confounder=(0.3, 0.7, 3),
+                                   n=300, seed=13))
+    rng = np.random.default_rng(13)
+    u = rng.random(300)
+    x = sampler(law)(rng, 300) + 0.3 * u
+    y = 1.0 * g(x) + sampler(law)(rng, 300) + 0.7 * u
+    assert pairs.xs.tobytes() == x.tobytes() and pairs.ys.tobytes() == y.tobytes()
