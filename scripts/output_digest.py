@@ -1,6 +1,6 @@
 """Print one sha256 per divot output over a fixed set of inputs, 76 lines.
 
-    python3 scripts/output_digest.py [--src DIR]
+    python3 scripts/output_digest.py [--src DIR | --against DIR]
 
 The outputs are `divot infer` JSON records (four configurations on one pair
 file with tied values, one without, and one whose x lies on an integer grid,
@@ -21,7 +21,10 @@ transform settings over workspaces built from both pair files, and the
 imported divot rejects prints its error in place of a digest).
 `--src` imports divot from another checkout's `src` directory, so running the
 script once per checkout and diffing the two listings shows whether a change
-kept every output byte-identical.
+kept every output byte-identical. `--against DIR` does both in one command: it
+builds the listing for this checkout's `src` and for DIR (a checkout, or its
+`src` directory), each in its own process, prints each line whose digest
+differs and exits 1 on any difference.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ import csv
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -235,11 +239,42 @@ def synth_digests(divot):
         yield f"synth/{law}", sha(pairs.xs.tobytes() + pairs.ys.tobytes())
 
 
+def listing(src: Path) -> dict[str, str]:
+    """This script's listing for the divot package in `src`, run in a new
+    process, as {name: digest}."""
+    proc = subprocess.run([sys.executable, __file__, "--src", str(src)],
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"listing for {src} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in proc.stdout.splitlines())}
+
+
+def against(other: Path) -> int:
+    """Print each line whose digest differs between this checkout's listing
+    and `other`'s; 1 if any does."""
+    src = other / "src" if (other / "src" / "divot").is_dir() else other
+    theirs, ours = listing(src), listing(ROOT / "src")
+    differ = [name for name in {**theirs, **ours}
+              if theirs.get(name) != ours.get(name)]
+    for name in differ:
+        print(f"{name}: {theirs.get(name, '(missing)')} in {other}, "
+              f"{ours.get(name, '(missing)')} here")
+    print(f"{len(differ)} of {len({**theirs, **ours})} lines differ")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src",
-                        help="directory holding the divot package (default: this checkout's)")
+    where = parser.add_mutually_exclusive_group()
+    where.add_argument("--src", type=Path, default=ROOT / "src",
+                       help="directory holding the divot package (default: this checkout's)")
+    where.add_argument("--against", type=Path, metavar="DIR",
+                       help="compare this checkout's listing with DIR's and exit 1 on any "
+                            "difference")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
     sys.path.insert(0, str(args.src.resolve()))
     import divot
 

@@ -15,9 +15,11 @@ read the effects through one sorted view (`_sorted_view`), which transforms
 and debiases the sorted effects once and sorts again only where that broke
 a batch's order; the workspace keeps the last view, so readers that pass
 the same debias and transform objects share it. The value and gradients
-share one residual computation (`_residuals`), and `measure_with_grad` sums
-r^2 and every gradient term in one stacked reduction (`_row_sums`), each row
-bit-equal to the sum of its own (g, k) matrix.
+share one residual computation (`_residuals`). `measure_with_grad` reuses
+the workspace's last theta * e while the same float theta is passed
+(`_kept_scaled_draws`), and it sums r^2 and every gradient term in one
+stacked reduction (`_row_sums`), each row bit-equal to the sum of its own
+(g, k) matrix.
 
 A workspace may stack several problems of one shape as equal row blocks
 (`blocks`): `measure_value` then takes one scale per block and sums each
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, NumericError
-from .noise import NoiseModel, canonical_source, draw_source_batches, model_variance
+from .noise import NoiseModel, canonical_source, draw_source_batches, scaled_variance
 from .pairdata import batch_matrix
 
 
@@ -94,6 +96,8 @@ class MeasureWorkspace:
 
     # (debias, pnl, view) of the last sorted view built (see `_sorted_view`)
     _last_view = None
+    # (theta, theta * e_sorted) of the last float scale (see `_kept_scaled_draws`)
+    _last_scaled = None
 
     @property
     def n_batches(self) -> int:
@@ -226,10 +230,20 @@ def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransfor
         return last[2]
     t, d = _transformed(ws, ws.y_sorted, debias, pnl)
     view = (d, None if pnl is None else ws.y_sorted, t, None if debias is None else ws.xs)
-    if not np.greater_equal(d[:, 1:], d[:, :-1]).all():
+    if not _rows_ascending(d):
         view = _row_gather(np.argsort(d, kind="stable", axis=1), *view)
     object.__setattr__(ws, "_last_view", (debias, pnl, view))
     return view
+
+
+def _rows_ascending(a: np.ndarray) -> bool:
+    """Whether every row of a (g, k) array is non-decreasing (a nan breaks
+    the order): one comparison of each value with the next in the flat
+    array, the pairs that span two rows counted as in order."""
+    flat = a.reshape(-1)
+    ok = np.greater_equal(flat[1:], flat[:-1])
+    ok[a.shape[1] - 1::a.shape[1]] = True
+    return bool(ok.all())
 
 
 def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
@@ -244,13 +258,33 @@ def sorted_effects(ws: MeasureWorkspace, debias: DebiasFn | None = None,
     return _sorted_view(ws, debias, pnl)[0].copy()
 
 
-def _residuals(ws: MeasureWorkspace, d: np.ndarray, theta: float | list[float]) -> np.ndarray:
-    """The batch-centred residuals of d - theta * e, in a fresh array; with
-    several blocks theta holds one scale per block."""
+def _scaled_draws(ws: MeasureWorkspace, theta: float | list[float]) -> np.ndarray:
+    """theta * e over the sorted draws, in a fresh array; with several
+    blocks theta holds one scale per block."""
     if ws.blocks > 1:
         theta = np.repeat(theta, ws.batches_per_block)[:, None]
-    r = np.multiply(ws.e_sorted, theta)
-    np.subtract(d, r, out=r)
+    return np.multiply(ws.e_sorted, theta)
+
+
+def _kept_scaled_draws(ws: MeasureWorkspace, theta: float) -> np.ndarray:
+    """`_scaled_draws` at one scale, kept on the workspace for a float theta
+    and returned while the same float object is passed again: the joint fit
+    holds its scale for THETA_REFRESH_PERIOD steps. Readers must not write
+    into it."""
+    last = ws._last_scaled
+    if last is not None and last[0] is theta:
+        return last[1]
+    scaled = _scaled_draws(ws, theta)
+    if type(theta) is float:  # immutable, so its identity pins its value
+        object.__setattr__(ws, "_last_scaled", (theta, scaled))
+    return scaled
+
+
+def _residuals(ws: MeasureWorkspace, d: np.ndarray, scaled: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """The batch-centred residuals of d - theta * e, from `scaled`, the
+    draws' theta * e, written to `out`, which may be `scaled` itself."""
+    r = np.subtract(d, scaled, out=out)
     mean = np.add.reduce(r, axis=1, keepdims=True)
     mean /= ws.k  # what ndarray.mean computes
     r -= mean
@@ -286,7 +320,9 @@ def measure_value(ws: MeasureWorkspace, theta: float | list[float],
     A workspace of several blocks takes one scale per block in `theta` and
     returns a list of one measure per block.
     """
-    r = _residuals(ws, _sorted_view(ws, debias, pnl)[0], theta)
+    d = _sorted_view(ws, debias, pnl)[0]
+    scaled = _scaled_draws(ws, theta)
+    r = _residuals(ws, d, scaled, out=scaled)
     np.multiply(r, r, out=r)
     energies = _row_sums(r[None], ws.blocks)
     if ws.blocks == 1:
@@ -307,25 +343,28 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
 
     Row 0 of one (m, g, k) array holds r * r and each further row r times a
     derivative term of the residual r: e for theta and x for w, both negated
-    after the sum, then t, (a * y) * sech^2 and a * sech^2 for omega. One
-    reduction sums all rows.
+    after the sum, then t, (a * y) * sech^2 and a * sech^2 for omega. The
+    residuals are written into row 0 (`_residuals`, from the theta * e the
+    workspace keeps while theta is the same float object), each product
+    straight into its row, and row 0 is squared last. One reduction sums all
+    rows.
     """
     d, y, t, x = _sorted_view(ws, debias, pnl)
-    r = _residuals(ws, d, theta)
-    prod = np.empty((2 + (debias is not None) + 3 * (pnl is not None),) + r.shape)
-    np.multiply(r, r, out=prod[0])
-    prod[1] = ws.e_sorted
+    prod = np.empty((2 + (debias is not None) + 3 * (pnl is not None),) + d.shape)
+    r = _residuals(ws, d, _kept_scaled_draws(ws, theta), out=prod[0])
+    np.multiply(ws.e_sorted, r, out=prod[1])
     if debias is not None:
-        prod[2] = x
+        np.multiply(x, r, out=prod[2])
     if pnl is not None:
         sech2 = prod[-1]
-        prod[-3] = t
+        np.multiply(t, r, out=prod[-3])
         np.multiply(t, t, out=sech2)
         np.subtract(1.0, sech2, out=sech2)
         np.multiply(y, pnl.omega_a, out=prod[-2])
         prod[-2] *= sech2
         sech2 *= pnl.omega_a
-    prod[1:] *= r
+        prod[-2:] *= r
+    r *= r
     energy, e_sum, *sums = _row_sums(prod)
     value = _measure(ws, energy, theta)
     scale = 2.0 / (ws.k - 1)
@@ -354,5 +393,8 @@ def variance_divergence(batches, ys_per_batch, model: NoiseModel,
 
 
 def normalized_measure(ws: MeasureWorkspace, theta: float, raw: float) -> MeasureValue:
-    """MeasureValue of a raw measure at theta, normalized by the workspace's source."""
-    return MeasureValue(raw=raw, normalized=raw / model_variance(NoiseModel(ws.source, theta)))
+    """MeasureValue of a raw measure at theta, normalized by the variance of
+    the workspace's source scaled by theta: raw / (theta**2 * Var(E_source)),
+    the float operations of `model_variance`, with theta taken as given
+    (a fitted scale lies in THETA_RANGE)."""
+    return MeasureValue(raw=raw, normalized=raw / scaled_variance(ws.source, theta))

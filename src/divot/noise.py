@@ -87,4 +87,10 @@ def draw_source_batches(source: str, sizes, seed: int) -> np.ndarray:
 
 def model_variance(model: NoiseModel) -> float:
     """Analytic Var(theta * E_source)."""
-    return model.theta**2 * _LAWS[model.source].variance
+    return scaled_variance(model.source, model.theta)
+
+
+def scaled_variance(source: str, theta: float) -> float:
+    """Var(theta * E_source) of a canonical law name (`canonical_source`),
+    with no check of theta: `model_variance` without building a NoiseModel."""
+    return theta**2 * _LAWS[source].variance

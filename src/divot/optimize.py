@@ -7,7 +7,8 @@ gradient descent with one value-and-gradient evaluation per step and the
 scale refitted in closed form every THETA_REFRESH_PERIOD (10) steps, from the
 centred draws the fit computes once and the sorted view that step's
 evaluation then reads. The step size follows a triangular cycle of
-CYCLIC_PERIOD (50) steps between 0.1 and 1.
+CYCLIC_PERIOD (50) steps between 0.1 and 1, its values computed once
+(`_RATES`).
 """
 from __future__ import annotations
 
@@ -60,16 +61,23 @@ def closed_form_theta(ws: MeasureWorkspace,
 def _centred_draws(ws: MeasureWorkspace) -> tuple[np.ndarray, list[float]]:
     """The sorted draws centred per batch, and their summed squares per
     block: the part of the scale fit that no parameter changes."""
-    et = ws.e_sorted - ws.e_sorted.mean(axis=1, keepdims=True)
+    et = _row_centred(ws.e_sorted)
     return et, _row_sums((et * et)[None], ws.blocks)
+
+
+def _row_centred(a: np.ndarray) -> np.ndarray:
+    """a less its row means, in a new array; each mean is computed as
+    ndarray.mean computes it."""
+    mean = np.add.reduce(a, axis=1, keepdims=True)
+    mean /= a.shape[1]
+    return np.subtract(a, mean)
 
 
 def _closed_form(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransform | None,
                  draws: tuple[np.ndarray, list[float]]) -> float | list[float]:
     """`closed_form_theta` given the workspace's `_centred_draws`."""
     et, energies = draws
-    ds = _sorted_view(ws, debias, pnl)[0]
-    dt = ds - ds.mean(axis=1, keepdims=True)
+    dt = _row_centred(_sorted_view(ws, debias, pnl)[0])
     dt *= et
     thetas = [_clamped_ratio(num, energy, ws.k)
               for num, energy in zip(_row_sums(dt[None], ws.blocks), energies)]
@@ -119,6 +127,10 @@ def _learning_rate(t: int) -> float:
     return 0.1 + 0.9 * tri
 
 
+# the step size of step t is _RATES[t % CYCLIC_PERIOD]
+_RATES = tuple(_learning_rate(t) for t in range(CYCLIC_PERIOD))
+
+
 def fit_joint(ws: MeasureWorkspace,
               omega0: tuple[float, float, float] | None = None,
               max_iters: int = 500) -> FitResult:
@@ -147,7 +159,7 @@ def fit_joint(ws: MeasureWorkspace,
     iterations = 0
     for t in range(1, max_iters + 1):
         iterations = t
-        lr = _learning_rate(t)
+        lr = _RATES[t % CYCLIC_PERIOD]
         omega = (
             omega[0] - lr * grads["omega_a"],
             omega[1] - lr * grads["omega_b"],

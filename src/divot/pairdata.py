@@ -143,22 +143,62 @@ def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
 
     `columns` selects which fields become x and y, as non-negative field
     indices (a negative one raises ValueError); row order is preserved.
+
+    The file is parsed in one pass over all its lines (`_parse_at_once`).
+    Only a file with a bad line, one with too few fields, a field float()
+    rejects or a non-finite value, is read again line by line
+    (`_parse_lines`), which raises PairParseError naming the first such line.
     """
-    xs: list[float] = []
-    ys: list[float] = []
     cx, cy = columns
     if cx < 0 or cy < 0:
         raise ValueError(f"columns must be non-negative field indices, got {cx} {cy}")
-    need = max(cx, cy) + 1
+    need = max(2, cx + 1, cy + 1)
+    xs, ys = _parse_at_once(path, cx, cy, need) or _parse_lines(path, cx, cy, need)
+    if len(xs) < 2:
+        raise InsufficientDataError(f"{path}: fewer than 2 data rows")
+    return SamplePair(xs, ys)
+
+
+def _parse_at_once(path: str, cx: int, cy: int,
+                   need: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Columns cx and cy of every data line, or None if a line is bad.
+
+    The text is split into lines (universal newlines, so the lines a file
+    iterator yields), each line into fields, and blank and '#' lines are
+    dropped. Each column is converted by one np.array(..., dtype=float),
+    which parses a field as float() does, and checked for finiteness once.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:  # the line loop may find a bad line before it
+            return None
+    rows = [f for f in map(str.split, text.split("\n")) if f and f[0][0] != "#"]
+    if min(map(len, rows), default=need) < need:
+        return None
+    try:
+        xs = np.array([f[cx] for f in rows], dtype=float)
+        ys = np.array([f[cy] for f in rows], dtype=float)
+    except ValueError:  # a field float() rejects
+        return None
+    return (xs, ys) if np.isfinite(xs).all() and np.isfinite(ys).all() else None
+
+
+def _parse_lines(path: str, cx: int, cy: int, need: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns cx and cy read line by line; the first line with fewer than
+    `need` fields, a non-numeric field or a non-finite value raises
+    PairParseError with its line number."""
+    xs: list[float] = []
+    ys: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             fields = stripped.split()
-            if len(fields) < max(2, need):
+            if len(fields) < need:
                 raise PairParseError(
-                    path, line_no, f"expected at least {max(2, need)} columns, got {len(fields)}"
+                    path, line_no, f"expected at least {need} columns, got {len(fields)}"
                 )
             try:
                 x, y = float(fields[cx]), float(fields[cy])
@@ -168,9 +208,7 @@ def load_pairs(path: str, columns: tuple[int, int] = (0, 1)) -> SamplePair:
                 raise PairParseError(path, line_no, f"non-finite value: {x} {y}")
             xs.append(x)
             ys.append(y)
-    if len(xs) < 2:
-        raise InsufficientDataError(f"{path}: fewer than 2 data rows")
-    return SamplePair(np.array(xs), np.array(ys))
+    return np.array(xs), np.array(ys)
 
 
 def check_column(col: np.ndarray, label: str) -> None:
@@ -293,9 +331,9 @@ def select_position_values(x: np.ndarray, max_positions: int = 50,
     else:  # the range exceeds the largest float: lay the grid out at half scale
         grid = 2 * (lo / 2 + (hi / 2 - lo / 2) / max_positions * np.arange(max_positions))
     # snap each grid point to the nearest available value (ties to the lower)
-    right = np.searchsorted(uniq, grid, side="left")
-    right = np.clip(right, 0, len(uniq) - 1)
-    left = np.clip(right - 1, 0, len(uniq) - 1)
+    # searchsorted gives 0..len(uniq), so one bound each keeps both indices in range
+    right = np.minimum(np.searchsorted(uniq, grid, side="left"), len(uniq) - 1)
+    left = np.maximum(right - 1, 0)
     pick_left = np.abs(grid - uniq[left]) <= np.abs(uniq[right] - grid)
     # the grid ascends and snapping keeps its order, so only repeats remain
     return _distinct(np.where(pick_left, uniq[left], uniq[right]))

@@ -1,6 +1,8 @@
 """Seeded synthetic cause-effect generators, including confounded variants."""
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,9 @@ class GeneratorSpec:
     With `confounder` = (w_x, w_y, fcm_id) the processes of the unknown-
     confounder study are used instead (fcm_id in {1, 2, 3}). Each noise term
     is one unscaled draw of the built-in law `noise` (`noise.sampler`).
+    A non-finite weight, an n that is not an integer or below 1, and a
+    confounder that is not such a 3-tuple with finite weights raise
+    ValueError naming the field.
     """
 
     mechanism: str = "linear"
@@ -41,12 +46,23 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if not math.isfinite(self.weight):
+            raise ValueError(f"weight must be finite, got {self.weight!r}")
         object.__setattr__(self, "noise", canonical_source(self.noise))
         mechanism_fn(self.mechanism)
-        if self.confounder is not None and self.confounder[2] not in (1, 2, 3):
-            raise ValueError("confounder fcm_id must be 1, 2 or 3")
+        if self.confounder is not None:
+            if not isinstance(self.confounder, tuple) or len(self.confounder) != 3:
+                raise ValueError("confounder must be a 3-tuple (w_x, w_y, fcm_id), "
+                                 f"got {self.confounder!r}")
+            if not (math.isfinite(self.confounder[0]) and math.isfinite(self.confounder[1])):
+                raise ValueError("confounder weights must be finite, "
+                                 f"got {self.confounder[0]!r} and {self.confounder[1]!r}")
+            if self.confounder[2] not in (1, 2, 3):
+                raise ValueError("confounder fcm_id must be 1, 2 or 3")
 
 
 def generate(spec: GeneratorSpec) -> SamplePair:

@@ -568,3 +568,28 @@ def test_readers_of_the_same_parameter_objects_share_one_view(monkeypatch):
     # equal but distinct objects build a fresh view with the same bits
     again = measure_with_grad(ws, 1.0, dataclasses.replace(debias), pnl)
     assert len(built) == 2 and bits(again[0]) == bits(value) and again[1] == grads
+
+
+def test_reused_workspace_buffers_read_as_a_fresh_workspace():
+    # a workspace keeps its last sorted view and its last theta * e: alternating
+    # two settings on one workspace, with theta changed between calls and held
+    # over two calls (as the joint fit holds it), must read neither stale
+    ws = _ws()
+    settings_ = [(0.7, DebiasFn(0.3, per_row=True), PnlTransform(-3.0, 2.0, 0.0)),
+                 (1.3, None, PnlTransform(0.8, 1.2, 0.1))]
+    kept = sorted_effects(ws, settings_[0][1], settings_[0][2])
+    kept_bits = kept.tobytes()
+    for step in range(8):
+        theta, debias, pnl = settings_[step % 2]
+        theta = theta + 0.125 * step  # a new float each step
+        for _ in range(2):  # the same theta object, new parameter objects
+            debias = None if debias is None else dataclasses.replace(debias)
+            pnl = dataclasses.replace(pnl)
+            value, grads = measure_with_grad(ws, theta, debias, pnl)
+            want_value, want_grads = measure_with_grad(_ws(), theta, debias, pnl)
+            assert bits(value) == bits(want_value)
+            assert grads.keys() == want_grads.keys()
+            for name, want in want_grads.items():
+                assert bits(grads[name]) == bits(want), name
+            assert bits(measure_value(ws, theta, debias, pnl)) == bits(want_value)
+    assert kept.tobytes() == kept_bits

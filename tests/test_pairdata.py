@@ -98,6 +98,84 @@ def test_load_too_few_rows(tmp_path):
         load_pairs(str(p))
 
 
+def _load_pairs_line_by_line(path, columns=(0, 1)):
+    """The line loop load_pairs used before it parsed whole files, kept as its oracle."""
+    xs, ys = [], []
+    cx, cy = columns
+    if cx < 0 or cy < 0:
+        raise ValueError(f"columns must be non-negative field indices, got {cx} {cy}")
+    need = max(cx, cy) + 1
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = stripped.split()
+            if len(fields) < max(2, need):
+                raise PairParseError(
+                    path, line_no, f"expected at least {max(2, need)} columns, got {len(fields)}"
+                )
+            try:
+                x, y = float(fields[cx]), float(fields[cy])
+            except ValueError as exc:
+                raise PairParseError(path, line_no, f"non-numeric field: {exc}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise PairParseError(path, line_no, f"non-finite value: {x} {y}")
+            xs.append(x)
+            ys.append(y)
+    if len(xs) < 2:
+        raise InsufficientDataError(f"{path}: fewer than 2 data rows")
+    return SamplePair(np.array(xs), np.array(ys))
+
+
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_000", ".5", "-.5", "7.", "1e400", "-1e400", "1e-400", "inf", "-inf",
+                     "nan", "NaN", "foo", "1,5", "0x10", "#", "#7"]),
+)
+_SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def _pair_file_lines(draw):
+    """A line of a pair file: blank, a comment, or up to 4 fields, each with
+    optional leading and trailing whitespace."""
+    kind = draw(st.sampled_from(["fields", "fields", "fields", "blank", "comment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", " \t "]))
+    if kind == "comment":
+        return draw(st.sampled_from(["", " ", "\t"])) + "# " + draw(_TOKENS)
+    fields = draw(st.lists(_TOKENS, max_size=4))
+    body = "".join(f + draw(_SEPARATORS) for f in fields[:-1]) + "".join(fields[-1:])
+    return draw(st.sampled_from(["", " ", "\t"])) + body + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(_pair_file_lines(), max_size=12),
+       newline=st.sampled_from(["\n", "\r\n"]), last_newline=st.booleans(),
+       columns=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+@example(lines=["1_000 .5", "2 3"], newline="\n", last_newline=True, columns=(0, 1))
+@example(lines=["1 2", "# c", "", "\t3\t1e400 x"], newline="\n", last_newline=False,
+         columns=(0, 1))
+@example(lines=["1 2 foo", "3 4 bar"], newline="\r\n", last_newline=True, columns=(1, 0))
+@example(lines=["1 2", "3"], newline="\n", last_newline=True, columns=(0, 1))
+def test_load_pairs_matches_the_line_by_line_parser(tmp_path_factory, lines, newline,
+                                                     last_newline, columns):
+    path = str(tmp_path_factory.mktemp("pairs") / "pair.txt")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + (newline if last_newline else ""))
+    outcomes = []
+    for parse in (load_pairs, _load_pairs_line_by_line):
+        try:
+            pairs = parse(path, columns)
+        except (PairParseError, InsufficientDataError) as exc:
+            outcomes.append((type(exc), getattr(exc, "line_no", None), str(exc)))
+        else:
+            outcomes.append((pairs.xs.tobytes(), pairs.ys.tobytes()))
+    assert outcomes[0] == outcomes[1]
+
+
 # ------------------------------------------------------------- preprocessing
 
 

@@ -90,6 +90,35 @@ def test_spec_validation():
         GeneratorSpec(confounder=(1.0, 1.0, 4))
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_weight_rejected_by_name(weight):
+    with pytest.raises(ValueError, match=r"^weight must be finite, got "):
+        GeneratorSpec(weight=weight, n=5)
+
+
+@pytest.mark.parametrize("n", [2.5, 5.0, "5", True, None])
+def test_n_that_is_not_an_integer_rejected_by_name(n):
+    with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+        GeneratorSpec(n=n)
+
+
+def test_integer_n_of_any_integer_type_accepted():
+    spec = GeneratorSpec(n=np.int64(7), seed=1)
+    assert generate(spec).n == 7
+
+
+@pytest.mark.parametrize("confounder, message", [
+    ((1.0, 3), r"^confounder must be a 3-tuple \(w_x, w_y, fcm_id\), got \(1\.0, 3\)$"),
+    ((1.0, 2.0, 3, 4), r"^confounder must be a 3-tuple "),
+    ([0.3, 0.7, 3], r"^confounder must be a 3-tuple "),
+    ((float("nan"), 0.7, 3), r"^confounder weights must be finite, got nan and 0\.7$"),
+    ((0.3, float("inf"), 2), r"^confounder weights must be finite, got 0\.3 and inf$"),
+])
+def test_malformed_confounder_rejected_by_name(confounder, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorSpec(confounder=confounder)
+
+
 def test_all_mechanisms_generate():
     for mech in MECHANISMS:
         pairs = generate(GeneratorSpec(mechanism=mech, n=50, seed=9))
