@@ -1,4 +1,4 @@
-"""Print one sha256 per divot output over a fixed set of inputs, 76 lines.
+"""Print one sha256 per divot output over a fixed set of inputs, 77 lines.
 
     python3 scripts/output_digest.py [--src DIR | --against DIR]
 
@@ -8,7 +8,9 @@ so batches tie at their k-th distance on both sides), the record and summary
 CSVs of small synthetic, confounder, significance and tuebingen `bench` runs
 (with the timing columns removed; the tuebingen corpus is three generated pair
 files),
-`divot()` verdict reprs and `orient_skeleton` result reprs on a chain, a tree,
+`divot()` verdict reprs (also of one post-nonlinear pair in pnl mode; a
+divot whose `GeneratorSpec` has no `post` prints its error in place of a
+digest) and `orient_skeleton` result reprs on a chain, a tree,
 a 4-cycle, the 4-cycle rounded to one decimal (repeated parent rows), a
 star of 8 leaves (families of up to 8 parents), the star again with 5
 positions (its family stacks pass the max_positions * n element bound and
@@ -156,6 +158,14 @@ def verdict_digests(divot):
                 yield f"divot/{mech}/{n}/{name}", sha(repr(verdict).encode())
             verdict = divot.divot(pre, configs["anm"], seed=2, bootstrap_b=8)
             yield f"divot/{mech}/{n}/anm-b8", sha(repr(verdict).encode())
+    try:  # y = tanh(sin(4x) + e): the pnl fit on post-nonlinear data
+        spec = divot.GeneratorSpec(mechanism="sine", post="tanh", n=250, seed=9)
+    except TypeError as exc:
+        yield "pnl-data/tanh-sine/250", f"{type(exc).__name__}: {exc}"
+        return
+    pre = divot.preprocess(divot.generate(spec), seed=1)
+    verdict = divot.divot(pre, configs["pnl"], seed=2)
+    yield "pnl-data/tanh-sine/250", sha(repr(verdict).encode())
 
 
 def orient_digests(divot):

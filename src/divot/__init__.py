@@ -58,6 +58,6 @@ from .pairdata import (
     subsample,
     trim_outliers,
 )
-from .synth import MECHANISMS, GeneratorSpec, generate
+from .synth import MECHANISMS, POSTS, GeneratorSpec, generate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

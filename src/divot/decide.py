@@ -43,8 +43,9 @@ TIE_EPS = 1e-12
 class ScoreConfig:
     """Pipeline knobs shared by both directions.
 
-    `max_iters` caps the gradient steps of the `pnl` joint fit; the `anm`
-    scale has a closed form and takes none.
+    `max_iters` caps the projected-BFGS steps of each of the `pnl` joint
+    fit's two descents, each step a line search of one or more loss
+    evaluations; the `anm` scale has a closed form and takes none.
     """
 
     mode: str = "anm"  # anm | pnl

@@ -14,12 +14,11 @@ into a copy. `measure_value`, `measure_with_grad` and `sorted_effects` all
 read the effects through one sorted view (`_sorted_view`), which transforms
 and debiases the sorted effects once and sorts again only where that broke
 a batch's order; the workspace keeps the last view, so readers that pass
-the same debias and transform objects share it. The value and gradients
-share one residual computation (`_residuals`). `measure_with_grad` reuses
-the workspace's last theta * e while the same float theta is passed
-(`_kept_scaled_draws`), and it sums r^2 and every gradient term in one
-stacked reduction (`_row_sums`), each row bit-equal to the sum of its own
-(g, k) matrix.
+the same debias and transform objects share it: the pnl fit's value and
+its gradient at one point read one view. The value and gradients share one
+residual computation (`_residuals`), and `measure_with_grad` sums r^2 and
+every gradient term in one stacked reduction (`_row_sums`), each row
+bit-equal to the sum of its own (g, k) matrix.
 
 A workspace may stack several problems of one shape as equal row blocks
 (`blocks`): `measure_value` then takes one scale per block and sums each
@@ -96,8 +95,6 @@ class MeasureWorkspace:
 
     # (debias, pnl, view) of the last sorted view built (see `_sorted_view`)
     _last_view = None
-    # (theta, theta * e_sorted) of the last float scale (see `_kept_scaled_draws`)
-    _last_scaled = None
 
     @property
     def n_batches(self) -> int:
@@ -220,8 +217,8 @@ def _sorted_view(ws: MeasureWorkspace, debias: DebiasFn | None, pnl: PnlTransfor
 
     The workspace keeps the last view it built, keyed on the identity of the
     debias and transform objects, so readers that share those objects (the
-    scale fit and then the gradient of one fit step) build it once. Readers
-    must not write into the view.
+    pnl fit's value and then its gradient at one point) build it once.
+    Readers must not write into the view.
     """
     if debias is None and pnl is None:
         return ws.y_sorted, None, None, None
@@ -264,20 +261,6 @@ def _scaled_draws(ws: MeasureWorkspace, theta: float | list[float]) -> np.ndarra
     if ws.blocks > 1:
         theta = np.repeat(theta, ws.batches_per_block)[:, None]
     return np.multiply(ws.e_sorted, theta)
-
-
-def _kept_scaled_draws(ws: MeasureWorkspace, theta: float) -> np.ndarray:
-    """`_scaled_draws` at one scale, kept on the workspace for a float theta
-    and returned while the same float object is passed again: the joint fit
-    holds its scale for THETA_REFRESH_PERIOD steps. Readers must not write
-    into it."""
-    last = ws._last_scaled
-    if last is not None and last[0] is theta:
-        return last[1]
-    scaled = _scaled_draws(ws, theta)
-    if type(theta) is float:  # immutable, so its identity pins its value
-        object.__setattr__(ws, "_last_scaled", (theta, scaled))
-    return scaled
 
 
 def _residuals(ws: MeasureWorkspace, d: np.ndarray, scaled: np.ndarray,
@@ -344,14 +327,12 @@ def measure_with_grad(ws: MeasureWorkspace, theta: float,
     Row 0 of one (m, g, k) array holds r * r and each further row r times a
     derivative term of the residual r: e for theta and x for w, both negated
     after the sum, then t, (a * y) * sech^2 and a * sech^2 for omega. The
-    residuals are written into row 0 (`_residuals`, from the theta * e the
-    workspace keeps while theta is the same float object), each product
-    straight into its row, and row 0 is squared last. One reduction sums all
-    rows.
+    residuals are written into row 0 (`_residuals`), each product straight
+    into its row, and row 0 is squared last. One reduction sums all rows.
     """
     d, y, t, x = _sorted_view(ws, debias, pnl)
     prod = np.empty((2 + (debias is not None) + 3 * (pnl is not None),) + d.shape)
-    r = _residuals(ws, d, _kept_scaled_draws(ws, theta), out=prod[0])
+    r = _residuals(ws, d, _scaled_draws(ws, theta), out=prod[0])
     np.multiply(ws.e_sorted, r, out=prod[1])
     if debias is not None:
         np.multiply(x, r, out=prod[2])

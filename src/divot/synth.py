@@ -11,6 +11,7 @@ from .noise import canonical_source, sampler
 from .pairdata import SamplePair
 
 MECHANISMS = ("linear", "cubic", "sine", "piecewise")
+POSTS = ("identity", "cuberoot", "exp", "tanh", "sigmoid")
 
 
 def mechanism_fn(name: str):
@@ -25,6 +26,21 @@ def mechanism_fn(name: str):
     raise ValueError(f"unknown mechanism {name!r}; choose from {MECHANISMS}")
 
 
+def post_fn(name: str):
+    """The post-nonlinearity f2 of a post-nonlinear process, applied to y."""
+    if name == "identity":
+        return lambda y: y
+    if name == "cuberoot":
+        return np.cbrt
+    if name == "exp":
+        return np.exp
+    if name == "tanh":
+        return np.tanh
+    if name == "sigmoid":
+        return lambda y: 1.0 / (1.0 + np.exp(-y))
+    raise ValueError(f"unknown post-nonlinearity {name!r}; choose from {POSTS}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Parameters of one synthetic data process.
@@ -33,9 +49,12 @@ class GeneratorSpec:
     With `confounder` = (w_x, w_y, fcm_id) the processes of the unknown-
     confounder study are used instead (fcm_id in {1, 2, 3}). Each noise term
     is one unscaled draw of the built-in law `noise` (`noise.sampler`).
-    A non-finite weight, an n that is not an integer or below 1, and a
-    confounder that is not such a 3-tuple with finite weights raise
-    ValueError naming the field.
+    `post` names the post-nonlinearity f2 (`POSTS`) applied to that y last,
+    a post-nonlinear process y = f2(weight * g(x) + e); the default
+    "identity" leaves y as drawn.
+    A non-finite weight, an n that is not an integer or below 1, a
+    confounder that is not such a 3-tuple with finite weights and an
+    unknown post raise ValueError naming the field.
     """
 
     mechanism: str = "linear"
@@ -44,6 +63,7 @@ class GeneratorSpec:
     confounder: tuple[float, float, int] | None = None
     n: int = 500
     seed: int = 0
+    post: str = "identity"
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
@@ -54,6 +74,7 @@ class GeneratorSpec:
             raise ValueError(f"weight must be finite, got {self.weight!r}")
         object.__setattr__(self, "noise", canonical_source(self.noise))
         mechanism_fn(self.mechanism)
+        post_fn(self.post)
         if self.confounder is not None:
             if not isinstance(self.confounder, tuple) or len(self.confounder) != 3:
                 raise ValueError("confounder must be a 3-tuple (w_x, w_y, fcm_id), "
@@ -70,11 +91,12 @@ def generate(spec: GeneratorSpec) -> SamplePair:
     rng = np.random.default_rng(spec.seed)
     g = mechanism_fn(spec.mechanism)
     noise = sampler(spec.noise)
+    post = post_fn(spec.post)
 
     if spec.confounder is None:
         x = rng.uniform(-1.0, 1.0, spec.n)
         y = spec.weight * g(x) + noise(rng, spec.n)
-        return SamplePair(x, y)
+        return SamplePair(x, post(y))
 
     w_x, w_y, fcm_id = spec.confounder
     u = rng.random(spec.n)
@@ -87,4 +109,4 @@ def generate(spec: GeneratorSpec) -> SamplePair:
     else:
         x = noise(rng, spec.n) + w_x * u
         y = spec.weight * g(x) + noise(rng, spec.n) + w_y * u
-    return SamplePair(x, y)
+    return SamplePair(x, post(y))

@@ -1,4 +1,4 @@
-import re
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from divot import (
     DebiasFn,
-    MeasureValue,
     PnlTransform,
     NoiseModel,
     NumericError,
@@ -19,12 +18,11 @@ from divot import (
     fit_joint,
     fit_theta,
     measure_value,
-    measure_with_grad,
     model_variance,
 )
-from divot import divergence, optimize
+from divot import divergence, optimize, synth
 from divot.divergence import sorted_effects
-from divot.pairdata import make_batches, select_positions
+from divot.pairdata import make_batches, preprocess, select_positions
 
 
 def random_inputs(seed, n_batches=5, k=8, source="uniform"):
@@ -139,8 +137,8 @@ def test_joint_without_parameters_reduces_to_fit_theta():
 
 def test_joint_pnl_on_additive_data_not_worse():
     # additive data without any post-nonlinearity: the extra transform
-    # freedom can only keep or lower the fitted objective (it also absorbs
-    # some batch-width bias, so it may land well below the plain fit)
+    # freedom can only keep or lower the verdict's normalized loss (it also
+    # absorbs some batch-width bias, so it may land well below the plain fit)
     rng = np.random.default_rng(21)
     x = rng.uniform(-1, 1, 400)
     y = x + rng.random(400)
@@ -151,7 +149,7 @@ def test_joint_pnl_on_additive_data_not_worse():
                          [pairs.xs[i] for i in batches.batches], seed=0)
     plain = fit_joint(ws)
     pnl = fit_joint(ws, omega0=(0.1, 0.1, 0.0), max_iters=400)
-    assert pnl.measure.raw <= plain.measure.raw * 1.05
+    assert pnl.measure.normalized <= plain.measure.normalized * 1.05
     assert PnlTransform(*pnl.omega).invertible
 
 
@@ -161,101 +159,156 @@ def test_joint_determinism():
     assert a.theta == b.theta and a.omega == b.omega
 
 
-def test_joint_fit_builds_one_sorted_view_per_step(monkeypatch):
-    # the scale refit every 10 steps reads the view its step's gradient reads
+def pnl_loss_oracle(ws, z):
+    """The pnl fit's loss at a point of its box, 1 - rho^2 of the centred
+    sorted effects and draws, as one formula."""
+    b = np.exp(z[1])
+    ds = sorted_effects(ws, None, PnlTransform(np.expm1(z[0]) / b, b, z[2]))
+    dt = ds - ds.mean(axis=1, keepdims=True)
+    et = ws.e_sorted - ws.e_sorted.mean(axis=1, keepdims=True)
+    return 1.0 - float((dt * et).sum()) ** 2 / (float((dt * dt).sum()) * float((et * et).sum()))
+
+
+box_points = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), n_batches=st.integers(1, 20), k=st.integers(3, 20),
+       z=box_points)
+def test_pnl_loss_matches_its_oracle(seed, n_batches, k, z):
+    # the value from the two sums; the gradient from measure_with_grad at
+    # theta_G (the envelope theorem) against central differences
+    ws = random_workspace(seed, n_batches, k)
+    value, grad = optimize._pnl_loss(ws, optimize._centred_draws(ws))(np.array(z))
+    if value == math.inf:  # the closed-form scale leaves THETA_RANGE
+        assert grad is None
+        assert closed_form_theta(ws, None, optimize._transform(z)) in optimize.THETA_RANGE
+        return
+    assert value == pytest.approx(pnl_loss_oracle(ws, z), rel=1e-9, abs=1e-12)
+    # the effects' common offset a * tanh(c) grows as a = (e^alpha - 1) / b,
+    # and centring it away costs both sides digits: the step grows with
+    # e^alpha, the tolerance with a^2
+    h = 1e-6 * math.exp(max(z[0], 0.0))
+    a = math.expm1(z[0]) / math.exp(z[1])
+    numeric = [(pnl_loss_oracle(ws, np.add(z, step)) - pnl_loss_oracle(ws, np.subtract(z, step)))
+               / (2 * h) for step in h * np.eye(3)]
+    assert grad() == pytest.approx(numeric, rel=1e-4, abs=1e-7 + 1e-14 * a * a)
+
+
+def test_pnl_fit_builds_one_sorted_view_per_evaluation(monkeypatch):
+    # a point's value builds its view, and its gradient reads that view
     ws = random_workspace(4, 6, 10)
-    built, evals = [], []  # `_transformed` runs once for each view built
+    built, points, grads = [], [], []
     build, evaluate = divergence._transformed, optimize.measure_with_grad
     monkeypatch.setattr(divergence, "_transformed", lambda *a: built.append(1) or build(*a))
     monkeypatch.setattr(optimize, "measure_with_grad",
-                        lambda *a: evals.append(1) or evaluate(*a))
-    monkeypatch.setattr(optimize, "TOLERANCE", 0.0)  # no early stop: 35 steps
-    res = fit_joint(ws, (0.1, 0.1, 0.0), 35)
-    assert res.iterations == 35
-    assert len(evals) == len(built) == 36
+                        lambda *a: grads.append(1) or evaluate(*a))
+    loss = optimize._pnl_loss(ws, optimize._centred_draws(ws))
+    z0 = optimize._box_point((0.1, 0.1, 0.0))
+    *_, iterations, converged = optimize.minimize_box(lambda z: points.append(1) or loss(z), z0,
+                                                      *optimize.OMEGA_BOX, 100)
+    assert converged and iterations > 0
+    assert len(built) == len(points)
+    assert iterations < len(grads) <= len(points)
 
 
-def two_evaluation_fit_oracle(ws, omega0, max_iters):
-    """The joint fit as it was before one evaluation per step.
-
-    Each step took a gradient at the current point, discarding its value,
-    then evaluated the value at the stepped point; the scale fit was
-    followed by a check evaluation, and the result re-evaluated the best
-    point. Cyclic steps (period 50) from a base step of 1.0, theta refitted
-    every 10 steps.
-    """
-    omega = tuple(float(v) for v in omega0)
-    base_step = 1.0
-
-    def theta_fit(pnl):
-        theta = closed_form_theta(ws, None, pnl)
-        measure_value(ws, theta, None, pnl)
-        return theta
-
-    def learning_rate(t):
-        c = (t % 50) / 50
-        tri = 1.0 - abs(2.0 * c - 1.0)
-        return base_step * (0.1 + 0.9 * tri)
-
-    pnl = PnlTransform(*omega)
-    theta = theta_fit(pnl)
-    obj = measure_value(ws, theta, None, pnl)
-    best = (obj, theta, omega)
-    prev = obj
-    converged = False
-    iterations = 0
-    for t in range(1, max_iters + 1):
-        iterations = t
-        lr = learning_rate(t)
-        _, grads = measure_with_grad(ws, theta, None, pnl)
-        omega = (
-            omega[0] - lr * grads["omega_a"],
-            omega[1] - lr * grads["omega_b"],
-            omega[2] - lr * grads["omega_c"],
-        )
-        pnl = PnlTransform(*omega)
-        try:
-            if t % 10 == 0:
-                theta = theta_fit(pnl)
-            obj = measure_value(ws, theta, None, pnl)
-        except NumericError as exc:
-            raise NumericError(f"objective diverged at iteration {t}: {exc}") from None
-        if obj < best[0]:
-            best = (obj, theta, omega)
-        if abs(prev - obj) < optimize.TOLERANCE:
-            converged = True
-            break
-        prev = obj
-
-    obj, theta, omega = best
-    raw = measure_value(ws, theta, None, PnlTransform(*omega))
-    mv = MeasureValue(raw, raw / model_variance(NoiseModel(ws.source, theta)))
-    return theta, omega, mv, iterations, converged
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    n_batches=st.integers(1, 6),
-    k=st.integers(2, 12),
-    omega0=st.sampled_from([(0.1, 0.1, 0.0), (0.5, -0.2, 0.3)]),
-    max_iters=st.integers(1, 120),
-    tolerance=st.sampled_from([optimize.TOLERANCE, 1e-3]),  # 1e-3 converges early
-)
-def test_joint_fit_matches_two_evaluation_oracle(seed, n_batches, k, omega0, max_iters,
-                                                 tolerance):
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n_batches=st.integers(1, 12), k=st.integers(3, 15),
+       omega0=st.sampled_from([(0.1, 0.1, 0.0), (0.5, -0.2, 0.3), (-3.0, 2.0, 0.1), (2.0, 0.0, 1.0)]),
+       max_iters=st.integers(1, 60))
+def test_pnl_fit_is_invertible_and_no_worse_than_its_starts(seed, n_batches, k, omega0,
+                                                             max_iters):
+    # omega0 (0.5, -0.2, 0.3) is (-0.5, 0.2, -0.3) with b > 0; (-3, 2, 0.1)
+    # and (2, 0, 1) have no point in the box and start on its lower edge
     ws = random_workspace(seed, n_batches, k)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "TOLERANCE", tolerance)
-        try:
-            want = two_evaluation_fit_oracle(ws, omega0, max_iters)
-        except NumericError as exc:
-            with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
-                fit_joint(ws, omega0, max_iters)
-            return
-        res = fit_joint(ws, omega0, max_iters)
-    got = (res.theta, res.omega, res.measure, res.iterations, res.converged)
-    assert got == want
+    res = fit_joint(ws, omega0, max_iters)
+    assert PnlTransform(*res.omega).invertible
+    assert res.iterations <= max_iters
+    loss = optimize._pnl_loss(ws, optimize._centred_draws(ws))
+    start = optimize._box_point(omega0)
+    edge = np.array([optimize.OMEGA_BOX[0][0], start[1], start[2]])
+    fitted = loss(optimize._box_point(res.omega))[0]
+    assert fitted <= min(loss(start)[0], loss(edge)[0]) + 1e-12
+    lo, hi = optimize.THETA_RANGE
+    if lo < closed_form_theta(ws, None, optimize._transform(start)) < hi:
+        assert lo < res.theta < hi  # the fit never steps to where the scale clamps
+    if PnlTransform(*omega0).invertible:
+        # the verdict's loss at omega0, the scale in closed form
+        pnl = PnlTransform(*omega0)
+        theta = closed_form_theta(ws, None, pnl)
+        before = measure_value(ws, theta, None, pnl) / model_variance(NoiseModel(ws.source, theta))
+        assert res.measure.normalized <= before * (1 + 1e-9)
+
+
+def test_pnl_fit_keeps_the_lower_of_its_two_descents():
+    # y = cuberoot(x + e): the descent from omega0 ends in a higher minimum
+    # than the one from the lower edge of alpha, which the fit keeps
+    spec = synth.GeneratorSpec(mechanism="linear", post="cuberoot", n=300, seed=100500)
+    pairs = synth.generate(spec)
+    pairs = preprocess(SamplePair(pairs.xs, pairs.ys), seed=0)
+    batches = make_batches(pairs, select_positions(pairs), 0.05)
+    ws = build_workspace("uniform", batches.positions,
+                         [pairs.ys[i] for i in batches.batches],
+                         [pairs.xs[i] for i in batches.batches], seed=0)
+    loss = optimize._pnl_loss(ws, optimize._centred_draws(ws))
+    start = optimize._box_point((0.1, 0.1, 0.0))
+    edge = np.array([optimize.OMEGA_BOX[0][0], start[1], start[2]])
+    from_start, from_edge = (optimize.minimize_box(loss, x0, *optimize.OMEGA_BOX, 500)
+                             for x0 in (start, edge))
+    assert from_edge[1] < 0.9 * from_start[1]
+    res = fit_joint(ws, (0.1, 0.1, 0.0), 500)
+    assert optimize._box_point(res.omega) == pytest.approx(from_edge[0], rel=1e-9, abs=1e-12)
+    assert (res.iterations, res.converged) == from_edge[2:]
+
+
+def test_box_point_round_trips_an_invertible_transform():
+    for omega in [(0.1, 0.1, 0.0), (-0.5, 0.2, -0.3), (3.0, 1.5, -2.0)]:
+        back = optimize._transform(optimize._box_point(omega))
+        assert (back.omega_a, back.omega_b, back.omega_c) == pytest.approx(omega, rel=1e-12)
+    # a negative b names the same transform with every sign flipped
+    assert optimize._box_point((0.5, -0.2, 0.3)) == pytest.approx(
+        optimize._box_point((-0.5, 0.2, -0.3)), rel=1e-15)
+
+
+def test_minimize_box_on_a_quadratic_with_one_active_bound():
+    # f = (x - c)' A (x - c) / 2 over [-1, 1]^3 with c_0 = 2 outside the box:
+    # at the minimum x_0 sits on its upper bound and the free coordinates
+    # solve their own block, x_F = c_F - A_FF^-1 A_F0 (1 - c_0)
+    a = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.5]])
+    c = np.array([2.0, -0.5, 0.3])
+    lo, hi = -np.ones(3), np.ones(3)
+
+    def loss(x):
+        r = x - c
+        return 0.5 * r @ a @ r, lambda: a @ r
+
+    want = np.empty(3)
+    want[0] = 1.0
+    want[1:] = c[1:] - np.linalg.solve(a[1:, 1:], a[1:, 0] * (1.0 - c[0]))
+    assert np.all(np.abs(want[1:]) < 1.0)
+    x, value, iterations, converged = optimize.minimize_box(loss, np.zeros(3), lo, hi, 100)
+    assert converged and 0 < iterations < 100
+    assert x[0] == 1.0
+    assert x == pytest.approx(want, abs=1e-6)
+    assert value == pytest.approx(loss(want)[0], rel=1e-9)
+
+
+def test_pnl_fit_on_constant_batches_takes_no_step():
+    # every batch of effects constant: no transform aligns them with the
+    # draws, the loss is flat at 1 and the scale clamps to its floor
+    draws = draw_source_batches("uniform", [10, 10], seed=1)
+    ws = build_workspace("uniform", [0.0, 1.0], [np.full(10, 2.0), np.full(10, -1.3)],
+                         source_draws=draws)
+    res = fit_joint(ws, (0.1, 0.1, 0.0))
+    assert res.converged and res.iterations == 0
+    assert res.omega == pytest.approx((0.1, 0.1, 0.0), rel=1e-12)
+    assert res.theta == optimize.THETA_RANGE[0]
+
+
+def test_pnl_fit_stops_unconverged_at_max_iters():
+    ws = random_workspace(4, 6, 10)
+    res = fit_joint(ws, (0.1, 0.1, 0.0), 1)
+    assert res.iterations == 1 and not res.converged
 
 
 def test_scale_recovery_on_generated_data():
@@ -278,3 +331,7 @@ def test_non_finite_objective_raises():
                          source_draws=draws)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         measure_value(ws, 1.0)
+    # the pnl fit names the iteration whose evaluation failed: 0, its start
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match=r"^objective diverged at iteration 0: loss is non-finite"):
+        fit_joint(ws, (0.1, 0.1, 0.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divot import GeneratorSpec, MECHANISMS, generate
+from divot import POSTS, GeneratorSpec, MECHANISMS, generate
 from divot.noise import _ALIASES, _LAWS, sampler
 from divot.synth import mechanism_fn
 
@@ -147,3 +147,25 @@ def test_generate_draws_noise_by_the_law_sampler(law):
     x = sampler(law)(rng, 300) + 0.3 * u
     y = 1.0 * g(x) + sampler(law)(rng, 300) + 0.7 * u
     assert pairs.xs.tobytes() == x.tobytes() and pairs.ys.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("post, f2", [("identity", lambda y: y), ("cuberoot", np.cbrt),
+                                      ("exp", np.exp), ("tanh", np.tanh),
+                                      ("sigmoid", lambda y: 1.0 / (1.0 + np.exp(-y)))])
+def test_post_nonlinearity_is_applied_to_the_drawn_y(post, f2):
+    # the post-nonlinear process y = f2(g(x) + e) on the draws of the additive one
+    additive = generate(GeneratorSpec(mechanism="sine", n=200, seed=4))
+    pairs = generate(GeneratorSpec(mechanism="sine", n=200, seed=4, post=post))
+    assert pairs.xs.tobytes() == additive.xs.tobytes()
+    assert pairs.ys.tobytes() == f2(additive.ys).tobytes()
+
+
+def test_default_post_is_identity():
+    assert GeneratorSpec().post == "identity"
+    assert set(POSTS) == {"identity", "cuberoot", "exp", "tanh", "sigmoid"}
+
+
+@pytest.mark.parametrize("post", ["square", "", None])
+def test_unknown_post_rejected_by_name(post):
+    with pytest.raises(ValueError, match=rf"^unknown post-nonlinearity {post!r}; choose from "):
+        GeneratorSpec(post=post)
